@@ -1,10 +1,12 @@
-"""Overhead budget for the observability layer (ISSUE 1 acceptance).
+"""Overhead budget for the observability layer.
 
 Interleaves individual uncached ``Study.measure`` calls between two
-studies over the same engine — one with every instrument live (metrics +
-tracing enabled) and one with the uninstrumented-equivalent configuration
-(study-level telemetry skipped, global metrics switch off, tracer
-disabled) — and asserts the median per-pair ratio stays within 3%.
+plain studies over the same engine — one with every instrument live
+(metrics + tracing enabled) and one with telemetry switched off the only
+way the library offers (global metrics switch off, tracer disabled) —
+and asserts the median per-pair ratio stays within 3%.  The baseline
+still opens a disabled span and makes no-op counter calls, so the
+number is the cost of *recording* telemetry, not of the call sites.
 
 Pairing at the granularity of a single ``measure`` call is what makes the
 number stable on noisy shared hosts: the two sides of each ratio run
@@ -55,13 +57,13 @@ _REPS = 3
 _ATTEMPTS = 3
 
 
-def _timed_measure(study: Study, benchmark, config, instrument: bool) -> float:
-    """One uncached measure under either configuration, timed.
+def _timed_measure(study: Study, benchmark, config, telemetry: bool) -> float:
+    """One uncached measure with telemetry on or off, timed.
 
     The study's cache is cleared first, so repeated calls re-measure."""
     tracer = default_tracer()
-    metrics.set_enabled(instrument)
-    if instrument:
+    metrics.set_enabled(telemetry)
+    if telemetry:
         tracer.enable()
     else:
         tracer.disable()
@@ -99,7 +101,7 @@ def _measure_overhead(baseline: Study, instrumented: Study, pairs) -> tuple[floa
             # otherwise face cold benchmark-specific state (the previous
             # quartet measured a different pair), and with an odd pass
             # count that cold cost lands unevenly across the two orders.
-            _timed_measure(baseline, bench, config, instrument=False)
+            _timed_measure(baseline, bench, config, telemetry=False)
             total = {True: 0.0, False: 0.0}
             order = (
                 (True, False, False, True)
@@ -109,7 +111,7 @@ def _measure_overhead(baseline: Study, instrumented: Study, pairs) -> tuple[floa
             for side in order:
                 study = instrumented if side else baseline
                 total[side] += _timed_measure(
-                    study, bench, config, instrument=side
+                    study, bench, config, telemetry=side
                 )
             pass_ratios[index].append(total[True] / total[False])
             base_times.append(total[False] / 2.0)
@@ -123,8 +125,8 @@ def _measure_overhead(baseline: Study, instrumented: Study, pairs) -> tuple[floa
 
 def test_instrumentation_overhead_under_budget():
     references = References(default_engine())
-    baseline = Study(references=references, instrument=False)
-    instrumented = Study(references=references, instrument=True)
+    baseline = Study(references=references)
+    instrumented = Study(references=references)
     configs = (stock(CORE_I7_45), stock(ATOM_45))
     pairs = [
         (bench, config)

@@ -73,7 +73,6 @@ class WorkerSetup:
     calibration: dict[Benchmark, float]
     invocation_scale: float
     retry: RetryPolicy
-    instrument: bool
     metrics_enabled: bool
     fault_plan: Optional[FaultPlan]
     #: Arm the worker's tracer so each pair ships its span subtree home
@@ -87,6 +86,22 @@ class WorkerSetup:
     #: study (result bytes are identical either way; this only pins
     #: which code path produces them).
     vectorize: bool = True
+
+    def compatible_with(self, other: "WorkerSetup") -> bool:
+        """Whether workers built from this setup can serve a sweep that
+        asked for ``other`` (the reuse rule of :class:`SweepPool` and the
+        supervised fleet).  ``calibration`` and ``kernels`` are warm-start
+        hints and never gate; ``vectorize`` does, so a sweep that pins
+        the scalar path is really measured on it."""
+        return (
+            self.references is other.references
+            and self.invocation_scale == other.invocation_scale
+            and self.retry == other.retry
+            and self.metrics_enabled == other.metrics_enabled
+            and self.fault_plan == other.fault_plan
+            and self.trace_enabled == other.trace_enabled
+            and self.vectorize == other.vectorize
+        )
 
 
 @dataclass(frozen=True)
@@ -154,7 +169,6 @@ def _init_worker(setup: WorkerSetup) -> None:
         references=setup.references,
         invocation_scale=setup.invocation_scale,
         retry=setup.retry,
-        instrument=setup.instrument,
         vectorize=setup.vectorize,
     )
 
@@ -247,11 +261,8 @@ class SweepPool:
     ``reuse_pool=True``) and amortises worker start-up across batches.
 
     The pool is bound to the :class:`WorkerSetup` its workers were
-    initialised with.  :meth:`compatible_with` gates reuse on the fields
-    that affect result bytes — scale, retry policy, instrumentation, and
-    the armed fault plan; the calibration snapshot is only a warm-start
-    hint (workers re-derive missing entries deterministically), so a
-    grown snapshot does not force a new pool.
+    initialised with; a sweep may reuse it only when
+    :meth:`WorkerSetup.compatible_with` accepts the sweep's setup.
     """
 
     def __init__(self, setup: WorkerSetup, workers: int) -> None:
@@ -270,22 +281,6 @@ class SweepPool:
             raise ExecutorUnavailable(
                 f"cannot create worker pool: {exc}"
             ) from exc
-
-    def compatible_with(self, setup: WorkerSetup) -> bool:
-        mine = self.setup
-        return (
-            mine.references is setup.references
-            and mine.invocation_scale == setup.invocation_scale
-            and mine.retry == setup.retry
-            and mine.instrument == setup.instrument
-            and mine.metrics_enabled == setup.metrics_enabled
-            and mine.fault_plan == setup.fault_plan
-            and mine.trace_enabled == setup.trace_enabled
-            # Like calibration, ``kernels`` is only a warm-start hint and
-            # never gates reuse; the path flag does, so a sweep that pins
-            # scalar measurement is really measured on the scalar path.
-            and mine.vectorize == setup.vectorize
-        )
 
     def close(self) -> None:
         self.executor.shutdown(wait=True, cancel_futures=True)

@@ -142,13 +142,17 @@ class Study:
     ``invocation_scale`` proportionally reduces the protocol's repetition
     counts (floored at one) for quick exploratory sweeps; the default of
     1.0 is the paper's full protocol.  ``progress`` receives one tick per
-    invocation; ``instrument=False`` takes a telemetry-free path through
-    ``measure`` — no counters, spans, or clock reads — which is what the
-    overhead benchmark baselines against.  ``retry`` governs recovery
-    from measurement failures (the default retries each invocation up to
-    three times without sleeping); ``checkpoint_path`` appends every new
-    result to a JSONL file so a killed campaign can
-    :meth:`restore_checkpoint` and continue where it stopped.
+    invocation.  ``retry`` governs recovery from measurement failures
+    (the default retries each invocation up to three times without
+    sleeping); ``checkpoint_path`` appends every new result to a JSONL
+    file so a killed campaign can :meth:`restore_checkpoint` and
+    continue where it stopped.
+
+    Every uncached pair is metered by a compiled sweep kernel
+    (``vectorize``) or, byte-identically, by the per-invocation scalar
+    loop: ``vectorize=False`` studies, pairs a kernel declines, and
+    fault-armed pairs.  Telemetry is always recorded; turn it off with
+    :func:`repro.obs.metrics.set_enabled` and a disabled tracer.
 
     ``jobs`` shards sweeps across a process pool: ``None`` (the default)
     runs in-process, an integer pins the worker count, and ``"auto"``
@@ -187,7 +191,6 @@ class Study:
         invocation_scale: float = 1.0,
         benchmarks: Sequence[Benchmark] = BENCHMARKS,
         progress: Optional[ProgressReporter] = None,
-        instrument: bool = True,
         retry: Optional[RetryPolicy] = None,
         checkpoint_path: Optional[Path | str] = None,
         jobs: Optional[Union[int, str]] = None,
@@ -213,7 +216,6 @@ class Study:
         self._scale = invocation_scale
         self._benchmarks = tuple(benchmarks)
         self._progress = progress
-        self._instrument = instrument
         self._retry = retry or DEFAULT_RETRY_POLICY
         self._checkpoint_path = (
             Path(checkpoint_path) if checkpoint_path is not None else None
@@ -314,8 +316,7 @@ class Study:
             oldest = next(iter(self._cache))
             del self._cache[oldest]
             self._restored_keys.discard(oldest)
-            if self._instrument:
-                _CACHE_EVICTIONS.inc()
+            _CACHE_EVICTIONS.inc()
 
     def clear_quarantine(self) -> None:
         """Give quarantined pairs another chance on the next sweep."""
@@ -425,7 +426,7 @@ class Study:
                 self._cache_store(key, result)
                 self._restored_keys.add(key)
                 restored += 1
-        if self._instrument and restored:
+        if restored:
             _RESTORED.inc(restored)
         return restored
 
@@ -448,8 +449,7 @@ class Study:
         cache_key = (benchmark, config.key)
         cached = self._cache_get(cache_key)
         if cached is not None:
-            if self._instrument:
-                _CACHE_HITS.inc()
+            _CACHE_HITS.inc()
             return cached
         entry = self._quarantine.get(cache_key)
         if entry is not None:
@@ -457,13 +457,6 @@ class Study:
                 f"{benchmark.name} @ {config.key} is quarantined: {entry.reason}",
                 site=f"{config.key}/{benchmark.name}",
             )
-        if not self._instrument:
-            # The uninstrumented-equivalent path: no counters, no span, no
-            # clock reads — what the overhead benchmark baselines against.
-            result = self._measure_uncached(benchmark, config)
-            self._cache_store(cache_key, result)
-            self._checkpoint_append(result)
-            return result
         _CACHE_MISSES.inc()
         retries_before = self._stats.retries
         remeasures_before = self._stats.remeasures
@@ -538,8 +531,7 @@ class Study:
                     ) from exc
                 attempt += 1
                 self._stats.retries += 1
-                if self._instrument:
-                    _RETRIES.inc()
+                _RETRIES.inc()
                 delay = policy.delay_for(attempt, site)
                 if delay > 0.0:
                     time.sleep(delay)
@@ -584,17 +576,9 @@ class Study:
                 times, powers = kernel_result
                 if self._progress is not None:
                     self._progress.advance(invocations)
-            elif injector is None:
-                # Nothing can fail without an armed injector, so the retry
-                # loop degenerates: run all invocations through the engine,
-                # then push the whole batch through the logger/calibration
-                # pipeline in one vectorised pass.  Bit-identical to the
-                # per-invocation path (the batch transfer is elementwise and
-                # the code mean is an exact integer sum).
-                times, powers = self._measure_batched(
-                    benchmark, config, invocations, protocol, meter
-                )
             else:
+                # The scalar reference: one invocation at a time through
+                # engine and meter under the retry policy.
                 times = []
                 powers = []
                 for invocation in range(invocations):
@@ -605,8 +589,7 @@ class Study:
                     powers.append(watts)
                     if self._progress is not None:
                         self._progress.advance()
-        if self._instrument:
-            _INVOCATIONS.inc(invocations)
+        _INVOCATIONS.inc(invocations)
 
         self._remeasure_outliers(
             benchmark, config, protocol, meter, times, powers, invocations
@@ -631,39 +614,6 @@ class Study:
             power_ci=power_ci,
             invocations=invocations,
         )
-
-    def _measure_batched(
-        self,
-        benchmark: Benchmark,
-        config: Configuration,
-        invocations: int,
-        protocol: MeasurementProtocol,
-        meter: PowerMeter,
-    ) -> tuple[list[float], list[float]]:
-        """All of a pair's invocations through one vectorised meter pass.
-
-        Only taken with no fault injector armed: each site's run salt and
-        noise streams are exactly those of :meth:`_metered_invocation`,
-        so the batch reproduces the per-invocation measurements bit for
-        bit while paying the numpy dispatch cost once per pair instead of
-        once per invocation."""
-        executions = []
-        salts = []
-        for index in range(invocations):
-            executions.append(
-                self._engine.execute(
-                    benchmark, config,
-                    invocation=index,
-                    iteration=protocol.iteration,
-                )
-            )
-            salts.append(f"{config.key}/{benchmark.name}/{index}")
-        measurements = meter.measure_batch(executions, salts)
-        if self._progress is not None:
-            self._progress.advance(invocations)
-        times = [execution.seconds.value for execution in executions]
-        powers = [measurement.average_watts for measurement in measurements]
-        return times, powers
 
     def _remeasure_outliers(
         self,
@@ -697,8 +647,7 @@ class Study:
             times[index] = seconds
             powers[index] = watts
             self._stats.remeasures += 1
-            if self._instrument:
-                _REMEASURES.inc()
+            _REMEASURES.inc()
 
     def run(
         self,
@@ -772,7 +721,7 @@ class Study:
                 chunks = self._dispatch_parallel(pending, workers)
                 if chunks is not None:
                     return self._merge_parallel(pairs, pending, chunks)
-        retries_0, remeasures_0, failures_0 = self._stats.snapshot()
+        before = self._stats.snapshot()
         measured = cached = restored = 0
         quarantined: list[QuarantineEntry] = []
         results: list[RunResult] = []
@@ -786,15 +735,7 @@ class Study:
             try:
                 results.append(self.measure(benchmark, config))
             except MeasurementError as exc:
-                entry = QuarantineEntry(
-                    benchmark_name=benchmark.name,
-                    config_key=config.key,
-                    reason=str(exc),
-                )
-                self._quarantine[key] = entry
-                quarantined.append(entry)
-                if self._instrument:
-                    _QUARANTINED.inc()
+                quarantined.append(self._quarantine_pair(key, str(exc)))
                 continue
             if was_cached:
                 if key in self._restored_keys:
@@ -803,14 +744,43 @@ class Study:
                     cached += 1
             else:
                 measured += 1
+        health = self._health_since(
+            before, len(pairs), measured, cached, restored, quarantined
+        )
+        return ResultSet(results, health=health)
+
+    def _quarantine_pair(
+        self, key: tuple[Benchmark, str], reason: str
+    ) -> QuarantineEntry:
+        """Quarantine one pair that exhausted its retries."""
+        entry = QuarantineEntry(
+            benchmark_name=key[0].name, config_key=key[1], reason=reason
+        )
+        self._quarantine[key] = entry
+        _QUARANTINED.inc()
+        return entry
+
+    def _health_since(
+        self,
+        before: tuple[int, int, dict[str, int]],
+        attempted: int,
+        measured: int,
+        cached: int,
+        restored: int,
+        quarantined: Sequence[QuarantineEntry],
+    ) -> CampaignHealth:
+        """One sweep's health report: pair counts as tallied, and the
+        retry, re-measure, and failure movement since ``before`` (a
+        stats snapshot taken when the sweep started)."""
+        retries_0, remeasures_0, failures_0 = before
         retries_1, remeasures_1, failures_1 = self._stats.snapshot()
         failures = {
             name: count - failures_0.get(name, 0)
             for name, count in failures_1.items()
             if count - failures_0.get(name, 0) > 0
         }
-        health = CampaignHealth(
-            attempted_pairs=len(pairs),
+        return CampaignHealth(
+            attempted_pairs=attempted,
             measured_pairs=measured,
             cached_pairs=cached,
             restored_pairs=restored,
@@ -819,7 +789,6 @@ class Study:
             failures=failures,
             quarantined=tuple(quarantined),
         )
-        return ResultSet(results, health=health)
 
     # -- parallel sweeps -------------------------------------------------------
 
@@ -873,7 +842,6 @@ class Study:
             calibration=self._engine.calibration_snapshot(),
             invocation_scale=self._scale,
             retry=self._retry,
-            instrument=self._instrument,
             metrics_enabled=_metrics_enabled(),
             fault_plan=injector.plan if injector is not None else None,
             trace_enabled=default_tracer().is_enabled,
@@ -893,7 +861,10 @@ class Study:
             # nothing merges until a dispatch path returns every chunk.
         pool = None
         if self._reuse_pool:
-            if self._pool is not None and not self._pool.compatible_with(setup):
+            if (
+                self._pool is not None
+                and not self._pool.setup.compatible_with(setup)
+            ):
                 self.close_pool()
             if self._pool is None:
                 try:
@@ -931,7 +902,10 @@ class Study:
         owned = not self._reuse_pool
         fleet = None
         try:
-            if self._fleet is not None and not self._fleet.compatible_with(setup):
+            if (
+                self._fleet is not None
+                and not self._fleet.setup.compatible_with(setup)
+            ):
                 self.close_fleet()
             if self._fleet is None:
                 self._fleet = FleetSupervisor(
@@ -986,7 +960,7 @@ class Study:
         appends, failure-dict insertion order, hit/miss accounting, and
         quarantine decisions all land exactly where the sequential loop
         would have put them."""
-        retries_0, remeasures_0, failures_0 = self._stats.snapshot()
+        before = self._stats.snapshot()
         for chunk in chunks:
             _REGISTRY.apply_snapshot(chunk.metrics_delta)
         outcome_by_index = {
@@ -1021,8 +995,7 @@ class Study:
                 continue
             cached_result = self._cache_get(key)
             if cached_result is not None:
-                if self._instrument:
-                    _CACHE_HITS.inc()
+                _CACHE_HITS.inc()
                 results.append(cached_result)
                 if key in self._restored_keys:
                     restored += 1
@@ -1040,30 +1013,13 @@ class Study:
                 results.append(outcome.result)
                 measured += 1
             else:
-                entry = QuarantineEntry(
-                    benchmark_name=benchmark.name,
-                    config_key=config.key,
-                    reason=outcome.failure or "worker failure",
+                quarantined.append(
+                    self._quarantine_pair(
+                        key, outcome.failure or "worker failure"
+                    )
                 )
-                self._quarantine[key] = entry
-                quarantined.append(entry)
-                if self._instrument:
-                    _QUARANTINED.inc()
-        retries_1, remeasures_1, failures_1 = self._stats.snapshot()
-        failures = {
-            name: count - failures_0.get(name, 0)
-            for name, count in failures_1.items()
-            if count - failures_0.get(name, 0) > 0
-        }
-        health = CampaignHealth(
-            attempted_pairs=len(pairs),
-            measured_pairs=measured,
-            cached_pairs=cached,
-            restored_pairs=restored,
-            retries=retries_1 - retries_0,
-            remeasured_outliers=remeasures_1 - remeasures_0,
-            failures=failures,
-            quarantined=tuple(quarantined),
+        health = self._health_since(
+            before, len(pairs), measured, cached, restored, quarantined
         )
         return ResultSet(results, health=health)
 

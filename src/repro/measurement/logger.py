@@ -18,8 +18,6 @@ the R² gate rather than model a run-time fault.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from repro.execution.trace import PowerTrace
@@ -94,47 +92,3 @@ class DataLogger:
             )
             times, codes = injector.filter_logged_samples(run_salt, times, codes)
         return LoggedRun(sample_times=times, codes=codes, rate_hz=self.rate_hz)
-
-    def log_batch(
-        self, traces: Sequence[PowerTrace], run_salts: Sequence[str]
-    ) -> list[LoggedRun]:
-        """Log several runs through one vectorised sensor pass.
-
-        All segments' currents go through a single
-        :meth:`~repro.measurement.sensor.HallEffectSensor.read_codes_batch`
-        call; each returned :class:`LoggedRun` views its slice of the
-        shared code array and is bit-identical to what :meth:`log` would
-        have produced.  With a fault injector armed the batch falls back
-        to the per-run path, because sensor- and logger-stage faults are
-        defined on individual runs.
-        """
-        if len(traces) != len(run_salts):
-            raise ValueError("traces and run salts must align")
-        if _faults_active() is not None:
-            return [
-                self.log(trace, run_salt=salt)
-                for trace, salt in zip(traces, run_salts)
-            ]
-        times_list = [
-            trace.sample_times(self.rate_hz, max_samples=self.max_samples)
-            for trace in traces
-        ]
-        currents = [
-            trace.powers_at(times)
-            / self.supply.voltage_samples(len(times), seed_salt=salt)
-            for trace, times, salt in zip(traces, times_list, run_salts)
-        ]
-        codes = self.sensor.read_codes_batch(currents, run_salts)
-        runs: list[LoggedRun] = []
-        start = 0
-        for times in times_list:
-            end = start + len(times)
-            runs.append(
-                LoggedRun(
-                    sample_times=times,
-                    codes=codes[start:end],
-                    rate_hz=self.rate_hz,
-                )
-            )
-            start = end
-        return runs

@@ -13,7 +13,6 @@ the physical setup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -162,55 +161,6 @@ class PowerMeter:
             seconds=execution.seconds.value,
         )
 
-    def measure_batch(
-        self,
-        executions: Sequence[Execution],
-        run_salts: Sequence[str],
-    ) -> list[Measurement]:
-        """Measure several executions through one vectorised logger pass.
-
-        The whole batch's samples go through the sensor transfer in a
-        single numpy call (:meth:`DataLogger.log_batch`); the per-run
-        supply and sensor noise streams are still drawn per ``run_salt``,
-        and every downstream step is elementwise or an exact integer
-        mean, so each returned :class:`Measurement` is bit-identical to a
-        separate :meth:`measure` call.  With a fault injector armed the
-        batch degrades to per-run measures, because injected faults are
-        per-invocation decisions (and may abort individual runs).
-        """
-        if len(executions) != len(run_salts):
-            raise ValueError("executions and run salts must align")
-        if _faults_active() is not None:
-            return [
-                self.measure(execution, run_salt=salt)
-                for execution, salt in zip(executions, run_salts)
-            ]
-        for execution in executions:
-            if execution.config.spec.key != self._spec.key:
-                raise ValueError(
-                    f"meter is attached to {self._spec.key}, not "
-                    f"{execution.config.spec.key}"
-                )
-        traces = [trace_of(execution) for execution in executions]
-        logged_runs = self._logger.log_batch(traces, run_salts)
-        metrics_on = _metrics_enabled()
-        out: list[Measurement] = []
-        for execution, trace, logged in zip(executions, traces, logged_runs):
-            if metrics_on:
-                self._samples_metric.inc(logged.sample_count)
-                if trace.peak >= self._sat_scan_watts:
-                    clamped = self.clamped_sample_count(logged.codes)
-                    if clamped:
-                        self._clamp_metric.inc(clamped)
-            out.append(
-                Measurement(
-                    average_watts=self._average_watts(logged.codes),
-                    sample_count=logged.sample_count,
-                    seconds=execution.seconds.value,
-                )
-            )
-        return out
-
     def measure_kernel(
         self,
         true_watts: np.ndarray,
@@ -233,9 +183,9 @@ class PowerMeter:
         reduction is an exact integer sum (``np.add.reduceat`` over
         int64 codes), so each returned average is bit-identical to
         :meth:`measure` on that invocation alone.  Saturation telemetry
-        follows :meth:`measure_batch`'s gate: segments whose true peak
-        (``peaks``) clears the scan threshold contribute their clamped
-        samples to the clamp counter.
+        follows :meth:`measure`'s fault-free gate: segments whose true
+        peak (``peaks``) clears the scan threshold contribute their
+        clamped samples to the clamp counter.
         """
         voltages = self._supply.volts_from_wander(wander)
         currents = true_watts / voltages
@@ -267,8 +217,8 @@ class PowerMeter:
         particular equal to the compiled-kernel path's per-segment
         ``np.add.reduceat`` regardless of summation order.  Averaging
         the codes first and applying the affine calibration once is then
-        bit-for-bit independent of whether the codes arrived standalone,
-        as a slice of a batch, or as a kernel segment — and skips the
+        bit-for-bit independent of whether the codes arrived standalone
+        or as a kernel segment — and skips the
         ``astype(float)`` copy and per-sample affine of the naive path."""
         fit = self._calibration.fit
         total = int(np.add.reduce(codes, dtype=np.int64))

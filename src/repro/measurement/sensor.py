@@ -12,7 +12,6 @@ error ("the fidelity of the quantization (103 points)").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -79,8 +78,8 @@ class HallEffectSensor:
 
     @property
     def noise_sigma_volts(self) -> float:
-        """Per-sample noise sigma in volts — the draw parameter every
-        read path (scalar, batched, compiled kernel) shares.  Noise is
+        """Per-sample noise sigma in volts — the draw parameter both
+        read paths (per-run and compiled kernel) share.  Noise is
         proportional to full scale (Hall sensors are dominated by a fixed
         noise floor, not signal-proportional noise)."""
         full_scale_volts = self.mv_per_amp / 1000.0 * self.range_amps
@@ -90,10 +89,10 @@ class HallEffectSensor:
         """The sensor transfer for pre-drawn noise: clip to range, apply
         the device's affine response, clip to the ADC input, quantise.
 
-        Every read path funnels through this one function, so the
-        per-run, batched, and compiled-kernel pipelines are bit-identical
-        by construction: same ufuncs, same operand order, only the noise
-        array's provenance differs (and that is keyed per run salt)."""
+        Both read paths funnel through this one function, so the per-run
+        and compiled-kernel pipelines are bit-identical by construction:
+        same ufuncs, same operand order, only the noise array's
+        provenance differs (and that is keyed per run salt)."""
         clipped = np.clip(currents, -self.range_amps, self.range_amps)
         slope = self.mv_per_amp / 1000.0 * (1.0 + self._gain_error)
         volts = ZERO_CURRENT_VOLTS + self._offset_volts + slope * clipped + noise
@@ -109,34 +108,6 @@ class HallEffectSensor:
         currents = np.asarray(currents, dtype=float)
         rng = rng_for(run_key("sensor-read", self.sensor_key, seed_salt))
         noise = rng.normal(0.0, self.noise_sigma_volts, size=len(currents))
-        return self.transfer_codes(currents, noise)
-
-    def read_codes_batch(
-        self, segments: "Sequence[np.ndarray]", seed_salts: "Sequence[str]"
-    ) -> np.ndarray:
-        """Digitised codes for several runs' currents in one vectorised
-        transfer, returned concatenated in segment order.
-
-        The noise stream is still drawn *per salt* — each segment's draws
-        are exactly what :meth:`read_codes` would have drawn for it — and
-        the transfer is the shared elementwise :meth:`transfer_codes`, so
-        each output element is bit-identical to the per-run path; only
-        the Python/numpy dispatch overhead is amortised across the batch.
-        """
-        if len(segments) != len(seed_salts):
-            raise ValueError("segments and seed salts must align")
-        sigma = self.noise_sigma_volts
-        noise = np.concatenate(
-            [
-                rng_for(run_key("sensor-read", self.sensor_key, salt)).normal(
-                    0.0, sigma, size=len(segment)
-                )
-                for segment, salt in zip(segments, seed_salts)
-            ]
-        )
-        currents = np.concatenate(
-            [np.asarray(segment, dtype=float) for segment in segments]
-        )
         return self.transfer_codes(currents, noise)
 
 

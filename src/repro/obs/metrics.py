@@ -7,8 +7,9 @@ scraped by the exporters in :mod:`repro.obs.export`.
 
 Instrumentation is always compiled in but can be globally disabled with
 :func:`set_enabled` — a disabled instrument's ``inc``/``set``/``observe``
-is a cheap early return, which is what :mod:`benchmarks.bench_obs_overhead`
-uses as the uninstrumented-equivalent baseline.
+is a cheap early return.  That switch plus a disabled tracer is the only
+"telemetry off" mode, and the baseline :mod:`benchmarks.bench_obs_overhead`
+measures the live instruments against.
 
 Recording is lock-free: the campaign is single-threaded and the hot path
 (several increments per engine invocation) cannot afford a lock acquire

@@ -322,23 +322,6 @@ class FleetSupervisor:
         self._workers.append(handle)
         return handle
 
-    # -- compatibility (mirrors SweepPool) -----------------------------------
-
-    def compatible_with(self, setup: WorkerSetup) -> bool:
-        mine = self.setup
-        return (
-            mine.references is setup.references
-            and mine.invocation_scale == setup.invocation_scale
-            and mine.retry == setup.retry
-            and mine.instrument == setup.instrument
-            and mine.metrics_enabled == setup.metrics_enabled
-            and mine.fault_plan == setup.fault_plan
-            and mine.trace_enabled == setup.trace_enabled
-            # ``kernels`` is a warm-start hint (as in SweepPool); the
-            # path flag pins which code path measures, so it gates.
-            and mine.vectorize == setup.vectorize
-        )
-
     # -- the sweep -----------------------------------------------------------
 
     @property

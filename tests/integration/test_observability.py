@@ -179,14 +179,15 @@ class TestPipelineCounters:
 
 
 class TestCliTelemetry:
-    def test_trace_and_metrics_flags_end_to_end(self, tmp_path, capsys):
+    @pytest.mark.parametrize("jobs", ["none", "2"])
+    def test_trace_and_metrics_flags_end_to_end(self, tmp_path, capsys, jobs):
         trace_path = tmp_path / "spans.jsonl"
         tracer = default_tracer()
         tracer.clear()
         try:
             exit_code = main(
-                ["--quick", "--trace", str(trace_path), "--metrics",
-                 "experiment", "fig4"]
+                ["--quick", "--jobs", jobs, "--trace", str(trace_path),
+                 "--metrics", "experiment", "fig4"]
             )
         finally:
             tracer.disable()
@@ -194,14 +195,22 @@ class TestCliTelemetry:
         assert exit_code == 0
 
         spans = read_jsonl(trace_path)
+        by_id = {s["span_id"]: s for s in spans}
         roots = [s for s in spans if s["parent_id"] is None]
         assert [s["name"] for s in roots] == ["experiment:fig4"]
-        children = [
-            s for s in spans
-            if s["parent_id"] == roots[0]["span_id"]
-            and s["name"] == "study.measure"
-        ]
-        assert len(children) >= 1
+        root_id = roots[0]["span_id"]
+        measures = [s for s in spans if s["name"] == "study.measure"]
+        assert len(measures) >= 1
+        if jobs == "none":
+            # In process: each measurement hangs straight off the root.
+            assert all(s["parent_id"] == root_id for s in measures)
+        else:
+            # Sharded: workers measure under one executor.chunk span per
+            # pair, and the merge adopts those subtrees under the root.
+            for span in measures:
+                chunk = by_id[span["parent_id"]]
+                assert chunk["name"] == "executor.chunk"
+                assert chunk["parent_id"] == root_id
 
         out = capsys.readouterr().out
         assert "repro_study_cache_hits_total" in out

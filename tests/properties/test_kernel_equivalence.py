@@ -16,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.study import Study
+from repro.execution import kernels
 from repro.execution.kernels import kernel_stats
+from repro.faults import injector
 from repro.faults.injector import injected
 from repro.faults.plan import FaultPlan, fail_stop_plan
 from repro.hardware.catalog import CORE_I5_32, CORE_I7_45, reference_processors
@@ -114,6 +116,36 @@ class TestKernelEquivalence:
         assert list(vectorized.health.failures) == list(scalar.health.failures)
         assert vector_checkpoint.read_bytes() == scalar_checkpoint.read_bytes()
         assert kernel_stats()["fallbacks"]["faults"] > fallbacks_before
+
+
+    def test_declined_kernel_falls_back_byte_identically(
+        self, references, tmp_path, monkeypatch
+    ):
+        """With no fault plan armed, a pair whose plan the compiler
+        declines runs the per-invocation scalar loop — and reproduces the
+        ``vectorize=False`` campaign record for record."""
+        # Disarm any session-wide plan: this is the fault-free fallback.
+        monkeypatch.setattr(injector, "_ACTIVE", None)
+        declined = []
+
+        def decline(engine, meter, benchmark, config, protocol, invocations):
+            declined.append(benchmark.name)
+            kernels.note_fallback("shape")
+            return None
+
+        scalar_checkpoint = tmp_path / "scalar.jsonl"
+        vector_checkpoint = tmp_path / "vector.jsonl"
+        scalar = _sweep(references, scalar_checkpoint, vectorize=False)
+        monkeypatch.setattr(kernels, "compile_pair", decline)
+        fallbacks_before = kernel_stats()["fallbacks"].get("shape", 0)
+        vectorized = _sweep(references, vector_checkpoint, vectorize=True)
+        assert [r.as_record() for r in vectorized] == [
+            r.as_record() for r in scalar
+        ]
+        assert vectorized.health == scalar.health
+        assert vector_checkpoint.read_bytes() == scalar_checkpoint.read_bytes()
+        assert len(declined) == len(set(PAIRS))
+        assert kernel_stats()["fallbacks"]["shape"] > fallbacks_before
 
 
 class TestGeneratedPairEquivalence:
