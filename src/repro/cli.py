@@ -131,25 +131,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "results are byte-identical at any setting",
     )
     parser.add_argument(
-        "--supervised",
-        action="store_true",
-        help="run parallel sweeps on the supervised worker fleet "
-        "(heartbeats, crash detection, deterministic requeue) instead "
-        "of the plain process pool — same bytes, survives worker death",
-    )
-    parser.add_argument(
         "--heartbeat-interval",
         type=float,
         default=0.25,
         metavar="S",
-        help="seconds between fleet worker heartbeats (default 0.25)",
+        help="seconds between worker heartbeats (default 0.25)",
     )
     parser.add_argument(
         "--liveness-misses",
         type=int,
         default=4,
         metavar="K",
-        help="missed heartbeats before a fleet worker is declared dead, "
+        help="missed heartbeats before a worker is declared dead, "
         "killed, and its chunk requeued (default 4)",
     )
     commands = parser.add_subparsers(dest="command", required=True)
@@ -537,7 +530,7 @@ def _project(args: argparse.Namespace, study: Study) -> str:
         raise SystemExit(2)
     budget = Budget(area_mm2=args.area, tdp_w=args.tdp)
     # jobs=None inherits the worker count the study was built with, so
-    # the global --jobs/--supervised flags govern the sweep.
+    # the global --jobs flag governs the sweep.
     dataset = search(
         study=study,
         nodes=nodes,
@@ -716,7 +709,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cache_capacity=getattr(args, "cache_cap", None),
         # The server reuses its worker pool across request batches.
         reuse_pool=args.command == "serve",
-        supervised=args.supervised,
         heartbeat_s=args.heartbeat_interval,
         liveness_misses=args.liveness_misses,
     )

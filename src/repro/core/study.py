@@ -174,14 +174,12 @@ class Study:
     — again a long-lived-process affordance; call :meth:`close_pool`
     (or rely on process exit) to release the workers.
 
-    ``supervised`` routes parallel sweeps through the
-    :class:`~repro.service.fleet.FleetSupervisor` instead of the plain
-    process pool: long-lived workers with ``heartbeat_s``-spaced
-    heartbeats, declared dead after ``liveness_misses`` missed beats,
-    respawned, and their in-flight chunk requeued — same bytes as the
-    pool and sequential paths, but the sweep survives worker crashes,
-    hangs, and slow-death.  Falls back to the pool path when no fleet
-    can be spawned.
+    Parallel sweeps run on a :class:`~repro.core.executor.SweepPool`:
+    workers send heartbeats every ``heartbeat_s`` seconds, are declared
+    dead after ``liveness_misses`` missed beats, and are respawned with
+    their in-flight chunk requeued — the sweep survives worker crashes,
+    hangs, and slow-death with the same bytes.  When no worker can be
+    spawned the sweep runs in-process instead.
     """
 
     def __init__(
@@ -196,7 +194,6 @@ class Study:
         jobs: Optional[Union[int, str]] = None,
         cache_capacity: Optional[int] = None,
         reuse_pool: bool = False,
-        supervised: bool = False,
         heartbeat_s: float = 0.25,
         liveness_misses: int = 4,
         vectorize: Optional[bool] = None,
@@ -224,10 +221,8 @@ class Study:
         self._cache_capacity = cache_capacity
         self._reuse_pool = reuse_pool
         self._pool = None  # lazily created when reuse_pool is set
-        self._supervised = supervised
         self._heartbeat_s = heartbeat_s
         self._liveness_misses = liveness_misses
-        self._fleet = None  # lazily created on the supervised path
         # ``vectorize`` routes fault-free pairs through compiled sweep
         # kernels (:mod:`repro.execution.kernels`) — byte-identical
         # results, one numpy pass per pair.  ``None`` defers to the
@@ -820,14 +815,11 @@ class Study:
         pending: Sequence[tuple[Benchmark, Configuration]],
         workers: int,
     ):
-        """Shard ``pending`` across a worker pool; ``None`` if no pool
-        can be created (the caller falls back to the sequential loop)."""
-        from repro.core.executor import (
-            ExecutorUnavailable,
-            SweepPool,
-            WorkerSetup,
-            run_pairs,
-        )
+        """Shard ``pending`` across the worker pool; ``None`` if no pool
+        can be built or every worker died beyond repair (the caller falls
+        back to the sequential loop — safe, because nothing merges until
+        every chunk is back)."""
+        from repro.core import executor
 
         # Warm the references (and, through their probe runs, the
         # engine's instruction calibration) in the parent so workers
@@ -837,7 +829,7 @@ class Study:
         for benchmark in dict.fromkeys(b for b, _ in pending):
             self._references.energy_joules(benchmark)
         injector = _faults_active()
-        setup = WorkerSetup(
+        setup = executor.WorkerSetup(
             references=self._references,
             calibration=self._engine.calibration_snapshot(),
             invocation_scale=self._scale,
@@ -852,100 +844,46 @@ class Study:
             (benchmark, config, index)
             for index, (benchmark, config) in enumerate(pending)
         )
-        if self._supervised:
-            chunks = self._dispatch_fleet(setup, indexed, workers)
-            if chunks is not None:
-                return chunks
-            # FleetUnavailable: fall through to the pool path (and from
-            # there, if need be, to the sequential loop) — safe because
-            # nothing merges until a dispatch path returns every chunk.
-        pool = None
-        if self._reuse_pool:
-            if (
-                self._pool is not None
-                and not self._pool.setup.compatible_with(setup)
-            ):
-                self.close_pool()
-            if self._pool is None:
-                try:
-                    self._pool = SweepPool(setup, workers)
-                except ExecutorUnavailable:
-                    return None
-            pool = self._pool
+        options = dict(
+            heartbeat_s=self._heartbeat_s,
+            liveness_misses=self._liveness_misses,
+        )
         try:
-            return run_pairs(
-                setup, indexed, jobs=workers, progress=self._progress,
-                pool=pool,
+            if self._reuse_pool:
+                if (
+                    self._pool is not None
+                    and not self._pool.setup.compatible_with(setup)
+                ):
+                    self.close_pool()
+                if self._pool is None:
+                    self._pool = executor.SweepPool(setup, workers, **options)
+            return executor.run_pairs(
+                setup, indexed, workers, self._progress, self._pool, **options
             )
-        except ExecutorUnavailable:
-            if pool is not None:
-                # The kept-alive pool broke mid-sweep: drop it so the
-                # next dispatch starts a fresh one.
-                self.close_pool()
+        except executor.PoolUnavailable:
+            # Drop a kept-alive pool that died so the next dispatch
+            # starts a fresh one.
+            self.close_pool()
             return None
-
-    def _dispatch_fleet(
-        self,
-        setup,
-        indexed,
-        workers: int,
-    ):
-        """Shard ``indexed`` pairs across the supervised worker fleet.
-
-        ``None`` means no fleet could be built (or the kept one died
-        beyond repair) — the caller falls back to the plain pool.  The
-        fleet is kept alive across sweeps exactly like the reuse pool:
-        the campaign server dispatches many small batches and amortises
-        worker start-up (plus the heartbeat channel) across them."""
-        from repro.service.fleet import FleetSupervisor, FleetUnavailable
-
-        owned = not self._reuse_pool
-        fleet = None
-        try:
-            if (
-                self._fleet is not None
-                and not self._fleet.setup.compatible_with(setup)
-            ):
-                self.close_fleet()
-            if self._fleet is None:
-                self._fleet = FleetSupervisor(
-                    setup,
-                    workers if not owned else (min(workers, len(indexed)) or 1),
-                    heartbeat_s=self._heartbeat_s,
-                    liveness_misses=self._liveness_misses,
-                )
-            fleet = self._fleet
-            return fleet.run(indexed, progress=self._progress)
-        except FleetUnavailable:
-            self.close_fleet()
-            return None
-        finally:
-            if owned and self._fleet is not None:
-                self.close_fleet()
 
     def fleet_snapshot(self):
-        """Per-worker health of the kept-alive fleet (``None`` when the
-        study is not running one) — the ``/healthz`` worker table."""
-        if self._fleet is None:
+        """Per-worker health of the kept-alive pool (``None`` when the
+        study is not keeping one) — the ``/healthz`` worker table."""
+        pool = self._pool  # the measurement thread may drop it meanwhile
+        if pool is None:
             return None
-        self._fleet.poll()
-        return self._fleet.snapshot()
-
-    def close_fleet(self) -> None:
-        """Shut down the kept-alive supervised fleet, if one exists."""
-        if self._fleet is not None:
-            self._fleet.close()
-            self._fleet = None
+        pool.poll()
+        return pool.snapshot()
 
     def close_pool(self) -> None:
-        """Shut down the kept-alive worker pool and fleet, if they exist.
+        """Shut down the kept-alive worker pool, if one exists.
 
         Only meaningful for ``reuse_pool=True`` studies (the campaign
-        server calls this on drain); a no-op otherwise."""
+        server calls this on drain); a no-op otherwise.  Bounded: workers
+        that ignore the shutdown sentinel are SIGKILLed."""
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-        self.close_fleet()
 
     def _merge_parallel(
         self,

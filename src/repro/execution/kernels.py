@@ -30,7 +30,7 @@ kernel's ``(seconds, watts)`` outputs are **byte-identical** to the
 scalar path's — goldens, checkpoint bytes, and campaign health do not
 move (docs/performance.md, "Vectorized path").
 
-Kernels live in the engine's opaque kernel cache and ship to pool/fleet
+Kernels live in the engine's opaque kernel cache and ship to sweep
 workers through ``WorkerSetup.kernels`` alongside the calibration
 snapshot; their materialised draws are dropped on pickle
 (:meth:`PairKernel.__getstate__`) and rebuilt from seeds on first use.

@@ -19,9 +19,9 @@ Fault kinds (the taxonomy in :mod:`docs/robustness.md`):
 ``sensor.drift``          a slow additive ramp across the run's codes
 ``sensor.stuck``          the ADC reports one frozen code for the whole run
 ``meter.saturation``      a burst of samples pinned to the sensor rail
-``worker.crash``          a fleet worker process dies mid-chunk
-``worker.hang``           a fleet worker wedges and stops heartbeating
-``worker.slow``           a fleet worker's heartbeats stall, then recover
+``worker.crash``          a sweep worker process dies mid-chunk
+``worker.hang``           a sweep worker wedges and stops heartbeating
+``worker.slow``           a sweep worker's heartbeats stall, then recover
 ``coordinator.crash``     the serving coordinator dies at a pipeline phase
 ``coordinator.stall``     the coordinator wedges briefly at a pipeline phase
 ========================  ====================================================
@@ -57,10 +57,11 @@ CORRUPTING_KINDS = (
     "sensor.stuck",
     "meter.saturation",
 )
-#: Process-level faults against the supervised worker fleet.  They kill
-#: (or wedge) a whole worker process rather than one invocation, so the
-#: supervisor — not the retry loop — recovers from them, by requeueing
-#: the in-flight chunk onto a respawned worker.  Like the fail-stop
+#: Process-level faults against the workers of every parallel sweep.
+#: They kill (or wedge) a whole worker process rather than one
+#: invocation, so the :class:`~repro.core.executor.SweepPool` — not the
+#: retry loop — recovers from them, by requeueing the in-flight chunk
+#: onto a respawned worker; in-process sweeps never roll them.  Like the fail-stop
 #: kinds they can never corrupt a completed sample: the replacement
 #: worker re-measures the chunk from scratch with noise keyed by site
 #: alone, reproducing the fault-free bytes.
@@ -253,7 +254,7 @@ def worker_chaos_plan(seed: str = "chaos") -> FaultPlan:
     The scope ``fleet/*/0`` matches attempt 0 of every chunk, so each
     chunk's first assignee crashes deterministically and the attempt-1
     requeue (fresh site, fresh dice) succeeds — guaranteeing at least
-    one crash + respawn per supervised sweep while the merged bytes stay
+    one crash + respawn per parallel sweep while the merged bytes stay
     identical to a clean run."""
     return FaultPlan(
         specs=(FaultSpec(kind="worker.crash", probability=1.0, scope="fleet/*/0"),),

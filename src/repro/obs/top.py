@@ -139,8 +139,8 @@ def render_top(
     if violations:
         lines.append("SLO VIOLATIONS: " + ", ".join(str(v) for v in violations))
 
-    # Fleet worker table — absent on pre-fleet servers and on servers
-    # running the plain pool, so degrade to nothing rather than crash.
+    # Fleet worker table — absent on pre-fleet servers and ``null`` on
+    # in-process servers, so degrade to nothing rather than crash.
     fleet = health.get("fleet")
     if isinstance(fleet, Mapping):
         workers = fleet.get("workers")

@@ -2,8 +2,8 @@
 
 The driver decomposes every candidate into its homogeneous clusters, runs
 the distinct cluster configurations through the *unmodified* Study
-pipeline as one ``run_pairs`` sweep — so the parallel executor, supervised
-fleet, result cache, and vectorized kernels all apply — and recombines
+pipeline as one ``run_pairs`` sweep — so the supervised worker pool,
+result cache, and vectorized kernels all apply — and recombines
 cluster measurements into candidate-level (performance, energy) points.
 
 Heterogeneous combination model (docs/projection.md):

@@ -357,12 +357,11 @@ class CampaignScheduler:
                 cancelled += 1
             self._queue.clear()
             self._worker.shutdown(wait=False, cancel_futures=True)
-            # The fleet's close is SIGKILL-bounded, so it is safe here;
-            # joining a possibly-hung SweepPool is not.
-            self._study.close_fleet()
         else:
             self._worker.shutdown(wait=True)
-            self._study.close_pool()
+        # The pool's close is SIGKILL-bounded, so it is safe even while
+        # an abandoned measurement thread is still inside a sweep.
+        self._study.close_pool()
         if self._store is not None:
             self._store.flush()
         return {

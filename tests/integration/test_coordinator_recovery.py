@@ -415,7 +415,7 @@ class _ServeProcess:
     """One `repro serve` subprocess bound to an ephemeral port.
 
     ``pre_args`` land before the ``serve`` subcommand (global flags like
-    ``--supervised``); ``serve_args`` after it (``--inject``,
+    ``--jobs``); ``serve_args`` after it (``--inject``,
     ``--recover``)."""
 
     def __init__(self, store, serve_args=(), pre_args=()):
@@ -520,15 +520,15 @@ class TestCoordinatorKillMatrix:
     def test_kill_at_store_with_worker_deaths(
         self, references, tmp_path, worker_scope
     ):
-        """Compound chaos: workers crash mid-measurement (the supervised
-        fleet requeues them), then the coordinator dies at the store
+        """Compound chaos: workers crash mid-measurement (the worker pool
+        requeues them), then the coordinator dies at the store
         phase — recovery still lands the golden bytes exactly once."""
         _kill_and_recover_cell(
             tmp_path,
             references,
             "store",
             pre_args=(
-                "--supervised", "--jobs", "2",
+                "--jobs", "2",
                 "--heartbeat-interval", "0.1", "--liveness-misses", "3",
             ),
             extra_faults=(

@@ -1,7 +1,7 @@
-"""Acceptance tests for the supervised worker fleet.
+"""Acceptance tests for the supervised worker pool under worker deaths.
 
-The contract is the same as the PR 3 pool's, under a harsher adversary:
-a ``Study.run(jobs=N, supervised=True)`` must be **byte-identical** to
+The contract is the parallel sweep's, under a harsher adversary:
+a ``Study.run(jobs=N)`` must be **byte-identical** to
 the clean sequential sweep — same records, same
 :class:`~repro.core.results.CampaignHealth`, same checkpoint bytes — at
 any worker count *and with any number of worker deaths injected
@@ -15,8 +15,12 @@ to ``fleet/0/0`` kills exactly the first worker assigned chunk 0, and
 the attempt-1 requeue sails through on fresh dice.
 """
 
+import os
+import struct
+
 import pytest
 
+from repro.core.executor import CRASH_EXIT_CODE
 from repro.core.study import Study
 from repro.faults.injector import injected
 from repro.faults.plan import FaultPlan, FaultSpec, worker_chaos_plan
@@ -52,16 +56,22 @@ def _death_plan(deaths: int) -> FaultPlan:
     )
 
 
+def _tear_and_die(results) -> None:
+    """Worker stand-in that dies halfway through sending a message: a
+    length header promising far more bytes than ever arrive."""
+    os.write(results.fileno(), struct.pack("!i", 1 << 20) + b"torn")
+    os._exit(CRASH_EXIT_CODE)
+
+
 def _records(results):
     return [result.as_record() for result in results]
 
 
-def _sweep(references, checkpoint, *, jobs=None, supervised=False, **kwargs):
+def _sweep(references, checkpoint, *, jobs=None, **kwargs):
     study = Study(
         references=references,
         invocation_scale=0.2,
         checkpoint_path=checkpoint,
-        supervised=supervised,
         **kwargs,
     )
     return study.run(CONFIGS, BENCHES, jobs=jobs)
@@ -87,16 +97,14 @@ class TestDeathMatrix:
         seq_records, seq_health, seq_checkpoint = baseline
         checkpoint = tmp_path / "campaign.jsonl"
         with injected(_death_plan(deaths)):
-            results = _sweep(
-                references, checkpoint, jobs=jobs, supervised=True
-            )
+            results = _sweep(references, checkpoint, jobs=jobs)
         assert _records(results) == seq_records
         assert results.health == seq_health
         assert checkpoint.read_bytes() == seq_checkpoint
 
     def test_deaths_actually_happen(self, references, tmp_path, baseline):
-        """The matrix must not pass vacuously: with the fleet kept alive
-        (``reuse_pool``) the supervisor's restart/requeue counters are
+        """The matrix must not pass vacuously: with the pool kept alive
+        (``reuse_pool``) its restart/requeue counters are
         inspectable, and two scoped crashes mean two respawns."""
         seq_records, seq_health, seq_checkpoint = baseline
         checkpoint = tmp_path / "campaign.jsonl"
@@ -104,7 +112,6 @@ class TestDeathMatrix:
             references=references,
             invocation_scale=0.2,
             checkpoint_path=checkpoint,
-            supervised=True,
             reuse_pool=True,
         )
         try:
@@ -143,7 +150,6 @@ class TestHangAndChaos:
             references=references,
             invocation_scale=0.2,
             checkpoint_path=checkpoint,
-            supervised=True,
             reuse_pool=True,
             heartbeat_s=0.05,
             liveness_misses=3,
@@ -153,6 +159,49 @@ class TestHangAndChaos:
                 results = study.run(CONFIGS, BENCHES, jobs=2)
             snapshot = study.fleet_snapshot()
             assert snapshot["restarts"] == 1
+        finally:
+            study.close_pool()
+        assert _records(results) == seq_records
+        assert results.health == seq_health
+        assert checkpoint.read_bytes() == seq_checkpoint
+
+    def test_worker_torn_mid_message_silences_no_sibling(
+        self, references, tmp_path, baseline, monkeypatch
+    ):
+        """A worker that dies halfway through writing a message tears
+        only its own result pipe: its sibling keeps beating and
+        answering, the pool respawns the dead one, and the bytes do not
+        move.  (With one result queue shared by all workers, a worker
+        dying inside a send left the queue's write lock held and every
+        sibling silent.)"""
+        import repro.core.executor as executor
+
+        spawn = executor.SweepPool._default_factory
+
+        def _factory(pool, worker_id, tasks, results):
+            if worker_id != 0:
+                return spawn(pool, worker_id, tasks, results)
+            process = executor._pool_context().Process(
+                target=_tear_and_die, args=(results,), daemon=True
+            )
+            process.start()
+            return process
+
+        monkeypatch.setattr(executor.SweepPool, "_default_factory", _factory)
+        seq_records, seq_health, seq_checkpoint = baseline
+        checkpoint = tmp_path / "campaign.jsonl"
+        study = Study(
+            references=references,
+            invocation_scale=0.2,
+            checkpoint_path=checkpoint,
+            reuse_pool=True,
+        )
+        try:
+            with injected(CLEAN):
+                results = study.run(CONFIGS, BENCHES, jobs=2)
+            snapshot = study.fleet_snapshot()
+            assert snapshot["restarts"] == 1
+            assert snapshot["live"] == 2
         finally:
             study.close_pool()
         assert _records(results) == seq_records
@@ -170,7 +219,6 @@ class TestHangAndChaos:
             references=references,
             invocation_scale=0.2,
             checkpoint_path=checkpoint,
-            supervised=True,
             reuse_pool=True,
         )
         try:
@@ -200,9 +248,7 @@ class TestCrashLoopQuarantine:
             ),
             seed="poison",
         )
-        study = Study(
-            references=references, invocation_scale=0.2, supervised=True
-        )
+        study = Study(references=references, invocation_scale=0.2)
         with injected(plan):
             results = study.run(CONFIGS, BENCHES, jobs=2)
         # 8 chunks at jobs=2: chunk 0 holds exactly the first pair.
@@ -214,27 +260,3 @@ class TestCrashLoopQuarantine:
         assert results.health.attempted_pairs == len(CONFIGS) * len(BENCHES)
         assert results.health.measured_pairs == len(CONFIGS) * len(BENCHES) - 1
         assert len(results) == len(CONFIGS) * len(BENCHES) - 1
-
-
-class TestFallback:
-    def test_unavailable_fleet_falls_back_with_same_bytes(
-        self, references, tmp_path, baseline, monkeypatch
-    ):
-        """When no fleet can be built the supervised sweep degrades to
-        the pool path (and onward to sequential) — same bytes."""
-        import repro.service.fleet as fleet_module
-
-        class _NoFleet:
-            def __init__(self, *args, **kwargs):
-                raise fleet_module.FleetUnavailable("fleets disabled")
-
-        monkeypatch.setattr(fleet_module, "FleetSupervisor", _NoFleet)
-        seq_records, seq_health, seq_checkpoint = baseline
-        checkpoint = tmp_path / "campaign.jsonl"
-        with injected(CLEAN):
-            results = _sweep(
-                references, checkpoint, jobs=2, supervised=True
-            )
-        assert _records(results) == seq_records
-        assert results.health == seq_health
-        assert checkpoint.read_bytes() == seq_checkpoint

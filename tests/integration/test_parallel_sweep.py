@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.study import Study
 from repro.faults.injector import injected
-from repro.faults.plan import FaultPlan, demo_plan, fail_stop_plan
+from repro.faults.plan import FaultPlan, FaultSpec, demo_plan, fail_stop_plan
 from repro.faults.retry import RetryPolicy
 from repro.hardware.catalog import ATOM_45, CORE_I7_45
 from repro.hardware.config import stock
@@ -180,22 +180,40 @@ class TestParallelResume:
 
 
 class TestFallback:
-    def test_unavailable_executor_falls_back_to_sequential(
-        self, references, monkeypatch, tmp_path
+    @pytest.mark.parametrize("failure", ("unbuildable", "every-worker-dies"))
+    def test_pool_failure_falls_back(
+        self, references, monkeypatch, tmp_path, failure
     ):
-        """When no pool can be created the sweep silently degrades to the
-        in-process path — same results, health, and checkpoint bytes."""
+        """When the pool cannot be built, or every worker dies and none
+        can be respawned, the sweep degrades to the in-process path —
+        same records, health, and checkpoint bytes."""
         import repro.core.executor as executor
 
-        def _no_pool(*args, **kwargs):
-            raise executor.ExecutorUnavailable("pools disabled for test")
+        spawn = executor.SweepPool._default_factory
+        refused = []
 
-        monkeypatch.setattr(executor, "run_pairs", _no_pool)
+        def _factory(pool, worker_id, tasks, results):
+            if failure == "unbuildable" or worker_id >= pool.workers:
+                refused.append(worker_id)
+                raise OSError("process spawning disabled for test")
+            return spawn(pool, worker_id, tasks, results)
+
+        monkeypatch.setattr(executor.SweepPool, "_default_factory", _factory)
+        # Crash every worker on every dispatch; with respawns refused the
+        # pool runs out of workers mid-sweep.
+        massacre = FaultPlan(
+            specs=(
+                FaultSpec(kind="worker.crash", probability=1.0, scope="fleet/*/*"),
+            ),
+            seed="massacre",
+        )
         seq_checkpoint = tmp_path / "seq.jsonl"
         fallback_checkpoint = tmp_path / "fallback.jsonl"
         with injected(CLEAN):
             seq = _sweep(references, seq_checkpoint)
+        with injected(CLEAN if failure == "unbuildable" else massacre):
             fallback = _sweep(references, fallback_checkpoint, jobs=4)
+        assert refused, "the pool never hit the refused spawn"
         assert _records(fallback) == _records(seq)
         assert fallback.health == seq.health
         assert fallback_checkpoint.read_bytes() == seq_checkpoint.read_bytes()

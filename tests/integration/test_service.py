@@ -588,11 +588,11 @@ class TestOpsView:
 
 class TestSupervisedService:
     def test_healthz_exposes_the_fleet_worker_table(self, references):
-        """A supervised server keeps its fleet alive between batches and
-        publishes the per-worker table on /healthz; `repro top` renders
-        it from there."""
+        """A parallel server keeps its worker pool alive between batches
+        and publishes the per-worker table on /healthz; `repro top`
+        renders it from there."""
         server = CampaignServer(
-            study=_quick_study(references, reuse_pool=True, supervised=True),
+            study=_quick_study(references, reuse_pool=True),
             jobs=2,
         )
         with _LiveServer(server) as live:
@@ -609,7 +609,7 @@ class TestSupervisedService:
             assert {"id", "pid", "state", "beats", "heartbeat_age_s"} <= set(
                 worker
             )
-            # Supervised measurement serves the same bytes as ever.
+            # Pooled measurement serves the same bytes as ever.
             sequential = (
                 _quick_study(references)
                 .run([stock(CORE_I7_45)], [benchmark("mcf")])
@@ -620,6 +620,7 @@ class TestSupervisedService:
             assert "repro_fleet_workers" in metrics_body.decode()
 
     def test_unsupervised_server_reports_no_fleet(self, references):
+        """An in-process server (``jobs=None``) reports ``fleet: null``."""
         with _LiveServer(
             CampaignServer(study=_quick_study(references))
         ) as live:

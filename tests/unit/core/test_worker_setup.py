@@ -1,8 +1,8 @@
-"""Unit tests for the worker-reuse rule shared by the pool and the fleet.
+"""Unit tests for the worker-reuse rule of the kept-alive pool.
 
-A kept-alive :class:`~repro.core.executor.SweepPool` or
-:class:`~repro.service.fleet.FleetSupervisor` may serve a later sweep
-only when ``WorkerSetup.compatible_with`` accepts the sweep's setup.
+A kept-alive :class:`~repro.core.executor.SweepPool` may serve a later
+sweep only when ``WorkerSetup.compatible_with`` accepts the sweep's
+setup.
 """
 
 from dataclasses import replace

@@ -1,6 +1,6 @@
-"""Unit tests for the fleet supervisor's liveness and requeue logic.
+"""Unit tests for the worker pool's liveness and requeue logic.
 
-Everything here runs without real worker processes: the supervisor takes
+Everything here runs without real worker processes: the pool takes
 an injectable monotonic clock (the :mod:`repro.service.ratelimit`
 pattern) and a ``process_factory`` seam, so liveness deadlines are
 crossed by stepping a fake clock instead of sleeping, and "workers" are
@@ -11,15 +11,15 @@ from collections import deque
 
 import pytest
 
-from repro.core.executor import ChunkResult
-from repro.faults.injector import FaultInjector, attempt_scope
-from repro.faults.plan import FaultPlan, FaultSpec, worker_chaos_plan
-from repro.service.fleet import (
-    FleetSupervisor,
-    FleetUnavailable,
+from repro.core.executor import (
+    ChunkResult,
+    PoolUnavailable,
+    SweepPool,
     _crash_loop_result,
     _worker_site,
 )
+from repro.faults.injector import FaultInjector, attempt_scope
+from repro.faults.plan import FaultPlan, FaultSpec, worker_chaos_plan
 
 
 class FakeClock:
@@ -59,142 +59,142 @@ class FakeQueue:
         self.items.append(item)
 
 
-def _supervisor(workers=2, **kwargs) -> tuple[FleetSupervisor, FakeClock, list]:
+def _pool(workers=2, **kwargs) -> tuple[SweepPool, FakeClock, list]:
     clock = FakeClock()
     spawned: list[FakeProcess] = []
     logs: list[str] = []
 
-    def factory(worker_id: int, tasks) -> FakeProcess:
+    def factory(worker_id: int) -> FakeProcess:
         process = FakeProcess(pid=1000 + worker_id)
         spawned.append(process)
         return process
 
-    supervisor = FleetSupervisor(
+    pool = SweepPool(
         setup=object.__new__(type("S", (), {})),  # never pickled: fakes only
         workers=workers,
         clock=clock,
-        process_factory=lambda worker_id, tasks: factory(worker_id, tasks),
+        process_factory=lambda worker_id, tasks, results: factory(worker_id),
         log=logs.append,
         **kwargs,
     )
     # Replace the real multiprocessing task queues with inert fakes so
     # dispatches are observable and nothing leaks OS resources.
-    for handle in supervisor._workers:
+    for handle in pool._workers:
         handle.tasks = FakeQueue()
-    supervisor._logs = logs
-    return supervisor, clock, spawned
+    pool._logs = logs
+    return pool, clock, spawned
 
 
 class TestSpawnAndSnapshot:
     def test_spawns_requested_workers(self):
-        supervisor, _, spawned = _supervisor(workers=3)
+        pool, _, spawned = _pool(workers=3)
         assert len(spawned) == 3
-        snapshot = supervisor.snapshot()
+        snapshot = pool.snapshot()
         assert snapshot["size"] == 3 and snapshot["live"] == 3
         assert [w["pid"] for w in snapshot["workers"]] == [1000, 1001, 1002]
         assert all(w["state"] == "idle" for w in snapshot["workers"])
-        supervisor.close()
+        pool.close()
 
     def test_snapshot_reports_heartbeat_age(self):
-        supervisor, clock, _ = _supervisor(workers=1)
+        pool, clock, _ = _pool(workers=1)
         clock.advance(0.4)
-        (worker,) = supervisor.snapshot()["workers"]
+        (worker,) = pool.snapshot()["workers"]
         assert worker["heartbeat_age_s"] == pytest.approx(0.4, abs=1e-6)
-        supervisor.close()
+        pool.close()
 
     def test_rejects_degenerate_parameters(self):
         with pytest.raises(ValueError):
-            _supervisor(workers=0)
+            _pool(workers=0)
         with pytest.raises(ValueError):
-            _supervisor(heartbeat_s=0.0)
+            _pool(heartbeat_s=0.0)
         with pytest.raises(ValueError):
-            _supervisor(liveness_misses=0)
+            _pool(liveness_misses=0)
 
 
 class TestLiveness:
     def test_missed_beats_mark_worker_dead_and_requeue(self):
-        supervisor, clock, spawned = _supervisor(
+        pool, clock, spawned = _pool(
             workers=2, heartbeat_s=0.25, liveness_misses=4
         )
-        handle = supervisor._workers[0]
+        handle = pool._workers[0]
         chunk = ((None, None, 0),)
         handle.current = (1, 0, 0, chunk)
         handle.state = "busy"
         todo: deque = deque()
         # Just inside the deadline: nothing happens.
         clock.advance(0.9)
-        supervisor._reap(clock(), todo, {}, generation=1, chunks=[chunk])
+        pool._reap(clock(), todo, {}, generation=1, chunks=[chunk])
         assert handle.state == "busy" and not todo
         # Past heartbeat_s * liveness_misses: killed, requeued, respawned.
         clock.advance(0.2)
-        supervisor._workers[1].last_beat = clock()  # worker 1 stays live
-        supervisor._reap(clock(), todo, {}, generation=1, chunks=[chunk])
+        pool._workers[1].last_beat = clock()  # worker 1 stays live
+        pool._reap(clock(), todo, {}, generation=1, chunks=[chunk])
         assert spawned[0].killed
         assert handle.state == "dead"
         assert list(todo) == [(1, 0, 1, chunk)]  # attempt bumped
-        assert supervisor.requeues == 1
-        assert supervisor.restarts == 1
+        assert pool.requeues == 1
+        assert pool.restarts == 1
         assert len(spawned) == 3  # replacement spawned
-        assert any("missed 4 heartbeats" in line for line in supervisor._logs)
-        supervisor.close()
+        assert any("missed 4 heartbeats" in line for line in pool._logs)
+        pool.close()
 
     def test_reaped_process_detected_before_deadline(self):
         """A worker whose process already exited is dead immediately —
         no need to wait out the heartbeat deadline."""
-        supervisor, clock, spawned = _supervisor(workers=2)
-        handle = supervisor._workers[1]
+        pool, clock, spawned = _pool(workers=2)
+        handle = pool._workers[1]
         spawned[1].alive = False
         spawned[1].exitcode = 73
         chunk = ((None, None, 3),)
         handle.current = (1, 2, 0, chunk)
         handle.state = "busy"
         todo: deque = deque()
-        supervisor._reap(clock(), todo, {}, generation=1, chunks=[chunk])
+        pool._reap(clock(), todo, {}, generation=1, chunks=[chunk])
         assert handle.state == "dead"
         assert not spawned[1].killed  # it was already gone
         assert list(todo) == [(1, 2, 1, chunk)]
-        assert any("code 73" in line for line in supervisor._logs)
-        supervisor.close()
+        assert any("code 73" in line for line in pool._logs)
+        pool.close()
 
     def test_beat_resets_the_deadline(self):
-        supervisor, clock, _ = _supervisor(workers=1)
-        handle = supervisor._workers[0]
+        pool, clock, _ = _pool(workers=1)
+        handle = pool._workers[0]
         handle.state = "busy"
         handle.current = (1, 0, 0, ())
         clock.advance(0.9)
         handle.last_beat = clock()  # a beat arrives late but in time
         clock.advance(0.9)
-        supervisor._reap(clock(), deque(), {}, generation=1, chunks=[])
+        pool._reap(clock(), deque(), {}, generation=1, chunks=[])
         assert handle.state == "busy"
-        supervisor.close()
+        pool.close()
 
     def test_completed_chunk_is_not_requeued(self):
         """Death after the chunk's result already arrived (stale handle
         state) must not re-dispatch completed work."""
-        supervisor, clock, _ = _supervisor(workers=1)
-        handle = supervisor._workers[0]
+        pool, clock, _ = _pool(workers=1)
+        handle = pool._workers[0]
         chunk = ((None, None, 0),)
         handle.current = (1, 0, 0, chunk)
         handle.state = "busy"
         completed = {0: "already-done"}
         todo: deque = deque()
         clock.advance(10.0)
-        supervisor._reap(clock(), todo, completed, generation=1, chunks=[chunk])
-        assert not todo and supervisor.requeues == 0
-        supervisor.close()
+        pool._reap(clock(), todo, completed, generation=1, chunks=[chunk])
+        assert not todo and pool.requeues == 0
+        pool.close()
 
 
 class TestCrashLoopGiveUp:
     def test_exhausted_attempts_quarantine_instead_of_respawn_loop(self):
-        supervisor, clock, _ = _supervisor(workers=1, max_chunk_attempts=2)
-        handle = supervisor._workers[0]
+        pool, clock, _ = _pool(workers=1, max_chunk_attempts=2)
+        handle = pool._workers[0]
         chunk = ((None, None, 4), (None, None, 9))
         handle.current = (1, 0, 1, chunk)  # already the second attempt
         handle.state = "busy"
         todo: deque = deque()
         completed: dict = {}
         clock.advance(10.0)
-        supervisor._reap(clock(), todo, completed, generation=1, chunks=[chunk])
+        pool._reap(clock(), todo, completed, generation=1, chunks=[chunk])
         assert not todo  # not requeued again
         result = completed[0]
         assert isinstance(result, ChunkResult)
@@ -204,8 +204,8 @@ class TestCrashLoopGiveUp:
         assert all(
             o.failure_events == ("WorkerCrashLoop",) for o in result.outcomes
         )
-        assert any("quarantining" in line for line in supervisor._logs)
-        supervisor.close()
+        assert any("quarantining" in line for line in pool._logs)
+        pool.close()
 
     def test_crash_loop_result_is_mergeable(self):
         result = _crash_loop_result(3, ((None, None, 7),), attempts=3)
@@ -216,40 +216,40 @@ class TestCrashLoopGiveUp:
 
 class TestDegradedMode:
     def test_respawn_failure_degrades_below_floor_with_log(self):
-        supervisor, clock, spawned = _supervisor(workers=2, min_workers=2)
+        pool, clock, spawned = _pool(workers=2, min_workers=2)
         # Every further spawn fails: the factory starts raising.
-        supervisor._process_factory = lambda *a: (_ for _ in ()).throw(
+        pool._process_factory = lambda *a: (_ for _ in ()).throw(
             OSError("no more processes")
         )
         spawned[0].alive = False
-        supervisor._reap(clock(), deque(), {}, generation=1, chunks=[])
-        assert len(supervisor._workers) == 1  # degraded, still serving
-        assert supervisor.restarts == 0
-        assert any("degraded to 1 live worker" in line for line in supervisor._logs)
-        supervisor.close()
+        pool._reap(clock(), deque(), {}, generation=1, chunks=[])
+        assert len(pool._workers) == 1  # degraded, still serving
+        assert pool.restarts == 0
+        assert any("degraded to 1 live worker" in line for line in pool._logs)
+        pool.close()
 
     def test_total_death_raises_fleet_unavailable(self):
-        supervisor, clock, spawned = _supervisor(workers=1)
-        supervisor._process_factory = lambda *a: (_ for _ in ()).throw(
+        pool, clock, spawned = _pool(workers=1)
+        pool._process_factory = lambda *a: (_ for _ in ()).throw(
             OSError("no more processes")
         )
         spawned[0].alive = False
-        with pytest.raises(FleetUnavailable):
-            supervisor.run(((None, None, 0),))
-        supervisor.close()
+        with pytest.raises(PoolUnavailable):
+            pool.run(((None, None, 0),))
+        pool.close()
 
     def test_closed_fleet_refuses_runs(self):
-        supervisor, _, _ = _supervisor(workers=1)
-        supervisor.close()
-        with pytest.raises(FleetUnavailable):
-            supervisor.run(((None, None, 0),))
+        pool, _, _ = _pool(workers=1)
+        pool.close()
+        with pytest.raises(PoolUnavailable):
+            pool.run(((None, None, 0),))
 
     def test_close_is_idempotent_and_kills_stragglers(self):
-        supervisor, _, spawned = _supervisor(workers=2)
-        supervisor.close()
-        supervisor.close()
+        pool, _, spawned = _pool(workers=2)
+        pool.close()
+        pool.close()
         assert all(p.killed for p in spawned)
-        assert supervisor.snapshot()["workers"] == []
+        assert pool.snapshot()["workers"] == []
 
 
 class TestWorkerFaultDecision:

@@ -7,6 +7,7 @@ coalesce / saturate decisions they exercise are deterministic.
 
 import asyncio
 import json
+import os
 
 import pytest
 
@@ -38,6 +39,14 @@ def _study(references, **kwargs):
 
 def _run(coro):
     return asyncio.run(coro)
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 class TestCoalescing:
@@ -456,20 +465,27 @@ class TestDrainDeadline:
         # First clock() call stamps the deadline; the second (computing
         # the remaining budget) has leapt far past it, so the drain
         # escalates immediately instead of waiting out real seconds.
+        # (The clock is only read for deadlines, so the real batch served
+        # first does not consume the ticks.)
         ticks = iter([100.0, 1000.0])
+        study = _study(references, jobs=2, reuse_pool=True)
         scheduler = CampaignScheduler(
-            _study(references), clock=lambda: next(ticks, 1000.0)
+            study, jobs=2, clock=lambda: next(ticks, 1000.0)
         )
+        pids = []
 
         def hung_measure(plan, pairs, schedule_spans, batch_keys=None):
             started.set()
             release.wait()  # wedged until the test cleans up
             return {}, {}
 
-        scheduler._measure_batch = hung_measure
-
         async def main():
             await scheduler.start()
+            # One real batch first, so the kept-alive pool exists when
+            # the drain escalates.
+            await scheduler.submit(DB, ATOM)
+            pids.extend(w["pid"] for w in study.fleet_snapshot()["workers"])
+            scheduler._measure_batch = hung_measure
             task = asyncio.create_task(scheduler.submit(MCF, I7))
             # Park until the measurement thread is genuinely wedged.
             await asyncio.get_running_loop().run_in_executor(
@@ -487,6 +503,10 @@ class TestDrainDeadline:
         assert summary["drain_timed_out"] is True
         assert summary["cancelled"] == 1
         assert scheduler.pending == 0
+        # The escalated drain still shuts the kept-alive pool down.
+        assert study.fleet_snapshot() is None
+        assert len(pids) == 2
+        assert not [pid for pid in pids if _pid_alive(pid)]
 
     def test_fast_drain_never_escalates(self, references):
         scheduler = CampaignScheduler(_study(references))

@@ -26,7 +26,7 @@ Usage: ``python tools/service_smoke.py`` (add ``--keep-store`` to leave
 the SQLite file behind for inspection).
 
 ``--chaos`` runs the worker-kill scenario instead: a golden pass on a
-plain server, then the same requests against a **supervised** server
+plain server, then the same requests against a ``--jobs 2`` server
 armed with the canned ``chaos`` fault plan (every chunk's first assignee
 is crashed mid-measurement).  Asserts at least one worker crash +
 respawn actually happened (``repro_fleet_worker_restarts_total`` on
@@ -158,7 +158,7 @@ def cleanup_stores(tmp: Path) -> None:
 
 
 #: Chaos scenario: the same six cells measured twice — once on a plain
-#: server (the goldens), once on a supervised fleet whose plan crashes
+#: server (the goldens), once on a worker pool whose plan crashes
 #: every chunk's first assignee.
 CHAOS_CELLS = [
     {"benchmark": bench, "processor": proc}
@@ -170,7 +170,6 @@ GOLDEN_SERVE_ARGS = ["--quick", "serve", "--port", "0"]
 
 CHAOS_SERVE_ARGS = [
     "--quick",
-    "--supervised",
     "--jobs",
     "2",
     "--heartbeat-interval",
@@ -190,7 +189,7 @@ CHAOS_SERVE_ARGS = [
 def chaos_main(keep_store: bool) -> int:
     tmp = Path(tempfile.mkdtemp(prefix="repro-chaos-"))
 
-    print("== golden server: clean, unsupervised ==")
+    print("== golden server: clean ==")
     server = Server(tmp / "golden.sqlite", GOLDEN_SERVE_ARGS)
     print(f"  {server.banner}")
     with ThreadPoolExecutor(max_workers=6) as pool:
@@ -207,7 +206,7 @@ def chaos_main(keep_store: bool) -> int:
     code, _ = server.terminate()
     check(code == 0, f"golden drain exits 0 (got {code})")
 
-    print("== chaos server: supervised fleet + worker-kill plan ==")
+    print("== chaos server: worker pool + worker-kill plan ==")
     server = Server(tmp / "chaos.sqlite", CHAOS_SERVE_ARGS)
     print(f"  {server.banner}")
     with ThreadPoolExecutor(max_workers=6) as pool:
@@ -479,7 +478,7 @@ def main() -> int:
     parser.add_argument(
         "--chaos",
         action="store_true",
-        help="run the supervised worker-kill scenario instead of the "
+        help="run the worker-kill scenario instead of the "
         "mixed-load smoke",
     )
     parser.add_argument(
