@@ -9,6 +9,7 @@ them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -77,10 +78,20 @@ def confidence_interval(
     if n == 1:
         return ConfidenceInterval(mean=centre, half_width=0.0, confidence=confidence, n=1)
     std_err = sample_std(samples) / math.sqrt(n)
-    t_crit = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
     return ConfidenceInterval(
-        mean=centre, half_width=t_crit * std_err, confidence=confidence, n=n
+        mean=centre,
+        half_width=_t_crit(confidence, n - 1) * std_err,
+        confidence=confidence,
+        n=n,
     )
+
+
+@functools.lru_cache(maxsize=256)
+def _t_crit(confidence: float, df: int) -> float:
+    """The two-sided Student-t critical value.  A campaign asks for a
+    handful of ``(confidence, df)`` values thousands of times, and
+    ``scipy.stats.t.ppf`` costs tens of microseconds a call."""
+    return float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df=df))
 
 
 @dataclass(frozen=True, slots=True)

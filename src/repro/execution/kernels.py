@@ -17,7 +17,9 @@ as a handful of vectorised array operations:
 * the per-invocation noise scalars and per-sample noise streams are
   *seeded identically* to the scalar path — the kernel stores the derived
   integer seeds (``seed_from_key`` over the same ``run_key`` sites) and
-  materialises the draws lazily on first replay;
+  materialises the draws lazily on replay, keeping them in a per-process
+  LRU bounded by bytes (:data:`DRAW_CACHE_CAP_BYTES`) and rebuilding an
+  evicted pair's draws from its seeds when it replays again;
 * the metering pipeline runs as one array pass through the shared
   transfers (:meth:`ProcessorSupply.volts_from_wander`,
   :meth:`HallEffectSensor.transfer_codes`) and an exact per-segment
@@ -41,6 +43,9 @@ path per pair — counted in ``repro_kernel_scalar_fallbacks_total``.
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -72,8 +77,15 @@ _FALLBACKS = _REGISTRY.counter(
 )
 _CACHE_BYTES = _REGISTRY.gauge(
     "repro_kernel_cache_bytes",
-    "Serialized footprint of kernels compiled into this process's cache",
+    "Bytes held by compiled kernels: serialized footprint plus the "
+    "materialised draws the bounded draw cache currently keeps",
 )
+
+#: Byte cap on the materialised draws one process keeps.  Sized so the
+#: warm 488-pair stock sweep's draws (79 MiB) stay resident; the whole
+#: 2745-pair campaign's (430 MiB) do not, and a cold campaign, which
+#: replays each pair once, never reads an evicted pair's draws again.
+DRAW_CACHE_CAP_BYTES = 96 * 1024 * 1024
 
 
 def note_fallback(reason: str) -> None:
@@ -113,6 +125,64 @@ class _PairDraws:
     wander: np.ndarray  # (total,) supply-rail wander draws
     sensor_noise: np.ndarray  # (total,) sensor noise draws (volts)
 
+    @property
+    def nbytes(self) -> int:
+        return (
+            self.durations.nbytes + self.counts.nbytes + self.offsets.nbytes
+            + self.true_watts.nbytes + self.peaks.nbytes
+            + self.wander.nbytes + self.sensor_noise.nbytes
+        )
+
+
+class _DrawCache:
+    """The per-process LRU of kernels whose draws are materialised.
+
+    Holds a strong reference to every kernel it tracks (keyed by
+    ``id(kernel)``, which the reference keeps from being recycled) and a
+    running byte total; past :data:`DRAW_CACHE_CAP_BYTES` the oldest
+    entries drop their draws (``_draws = None``) and rebuild them from
+    seeds on their next replay.  A kernel is tracked exactly while its
+    ``_draws`` is set through this cache.  Guarded by a lock because the
+    campaign server measures from more than one thread."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.entries: OrderedDict[int, PairKernel] = OrderedDict()
+        self.nbytes = 0
+
+    def admit(self, kernel: "PairKernel", draws: _PairDraws) -> _PairDraws:
+        """Record ``kernel`` as most recently used, holding ``draws``
+        (or the draws a concurrent replay already installed), evict
+        past the cap, and return the draws to replay."""
+        with self.lock:
+            key = id(kernel)
+            if key in self.entries:
+                self.entries.move_to_end(key)
+                return kernel._draws  # type: ignore[return-value]
+            kernel._draws = draws
+            self.entries[key] = kernel
+            size = draws.nbytes
+            self.nbytes += size
+            _CACHE_BYTES.inc(size)
+            while self.nbytes > DRAW_CACHE_CAP_BYTES and len(self.entries) > 1:
+                _, oldest = self.entries.popitem(last=False)
+                size = oldest._draws.nbytes  # type: ignore[union-attr]
+                oldest._draws = None
+                self.nbytes -= size
+                _CACHE_BYTES.dec(size)
+            return draws
+
+
+_DRAW_CACHE = _DrawCache()
+# A child forked while another thread held the lock would inherit it
+# locked; taking it across the fork also keeps the entries and the byte
+# total consistent in the child.
+os.register_at_fork(
+    before=_DRAW_CACHE.lock.acquire,
+    after_in_parent=_DRAW_CACHE.lock.release,
+    after_in_child=_DRAW_CACHE.lock.release,
+)
+
 
 @dataclass
 class PairKernel:
@@ -122,9 +192,10 @@ class PairKernel:
     (precomputed Python-scalar arithmetic in the scalar model's exact
     operation order) plus per-invocation integer seed tables.  The bulky
     per-sample draws (:class:`_PairDraws`) are materialised lazily on
-    first replay and dropped on pickle, so snapshots shipped to pool
-    workers stay compact and each worker rebuilds draws from seeds —
-    deterministically, hence identically.
+    replay, kept only while the process's bounded draw cache has room
+    for them, and dropped on pickle, so snapshots shipped to pool workers
+    stay compact, and every rebuild from seeds (in a worker, or after an
+    eviction) is deterministic, hence identical.
     """
 
     benchmark_name: str
@@ -177,10 +248,12 @@ class PairKernel:
     # -- replay --------------------------------------------------------------
 
     def draws(self) -> _PairDraws:
-        """The materialised replay inputs (built once, then cached)."""
-        if self._draws is None:
-            self._draws = self._materialise()
-        return self._draws
+        """The materialised replay inputs: rebuilt from seeds on a miss,
+        then kept in the bounded draw cache as most recently used."""
+        draws = self._draws
+        if draws is None:
+            draws = self._materialise()
+        return _DRAW_CACHE.admit(self, draws)
 
     def _materialise(self) -> _PairDraws:
         """Re-derive every noise draw the scalar path would have made.

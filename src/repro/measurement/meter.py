@@ -195,9 +195,11 @@ class PowerMeter:
         fit = self._calibration.fit
         watts = (mean_codes - fit.intercept) / fit.slope * self._supply.nominal.value
         if _metrics_enabled():
-            self._samples_metric.inc(int(counts.sum()))
-            hot = peaks >= self._sat_scan_watts
-            if hot.any():
+            # The flat sample array's length is the pair's sample total,
+            # and one max over the runs' peaks gates the per-sample scan.
+            self._samples_metric.inc(true_watts.size)
+            if peaks.max() >= self._sat_scan_watts:
+                hot = peaks >= self._sat_scan_watts
                 railed = (codes <= self._sat_code_low) | (codes >= self._sat_code_high)
                 per_run = np.add.reduceat(railed.astype(np.int64), offsets)
                 clamped = int(per_run[hot].sum())

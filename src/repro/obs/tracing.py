@@ -78,10 +78,15 @@ def _seed_id_base() -> int:
 
 
 class Span:
-    """One finished-or-running unit of traced work."""
+    """One finished-or-running unit of traced work.
+
+    A span opened by :meth:`Tracer.span` is its own context manager
+    (one object per span, not a span plus a handle: ``study.measure``
+    opens two per uncached measurement): entering makes it the ambient
+    parent, leaving finishes it and hands it to its tracer."""
 
     __slots__ = ("name", "span_id", "parent_id",
-                 "_start_perf", "duration_s", "attributes")
+                 "_start_perf", "duration_s", "attributes", "_tracer", "_token")
 
     def __init__(
         self,
@@ -89,6 +94,7 @@ class Span:
         span_id: int,
         parent_id: Optional[int],
         attributes: Optional[dict[str, object]] = None,
+        tracer: Optional["Tracer"] = None,
     ) -> None:
         self.name = name
         self.span_id = span_id
@@ -100,6 +106,16 @@ class Span:
         self.attributes: dict[str, object] = (
             attributes if attributes is not None else {}
         )
+        self._tracer = tracer
+
+    def __enter__(self) -> "Span":
+        self._token = _CURRENT_SPAN_ID.set(self.span_id)
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        _CURRENT_SPAN_ID.reset(self._token)
+        self.finish()
+        self._tracer._append(self)  # type: ignore[union-attr]
 
     @property
     def start_wall(self) -> float:
@@ -155,39 +171,17 @@ class _NullSpan:
     span_id = None
     parent_id = None
 
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        pass
+
     def set_attribute(self, key: str, value: object) -> None:
         pass
 
 
 NULL_SPAN = _NullSpan()
-
-
-class _SpanHandle:
-    """Context manager for one span; a plain class (not a generator
-    contextmanager) because ``study.measure`` opens one per uncached
-    measurement and the generator machinery costs several microseconds."""
-
-    __slots__ = ("_tracer", "_span", "_token")
-
-    def __init__(self, tracer: "Tracer", span: "Span | _NullSpan") -> None:
-        self._tracer = tracer
-        self._span = span
-
-    def __enter__(self) -> "Span | _NullSpan":
-        span = self._span
-        if span is not NULL_SPAN:
-            self._token = _CURRENT_SPAN_ID.set(span.span_id)
-        return span
-
-    def __exit__(self, *exc: object) -> None:
-        span = self._span
-        if span is not NULL_SPAN:
-            _CURRENT_SPAN_ID.reset(self._token)
-            span.finish()
-            self._tracer._append(span)
-
-
-_NULL_HANDLE = _SpanHandle(None, NULL_SPAN)  # type: ignore[arg-type]
 
 
 class Tracer:
@@ -244,37 +238,33 @@ class Tracer:
 
     # -- spans ---------------------------------------------------------------
 
-    def span(self, name: str, **attributes: object) -> _SpanHandle:
+    def span(self, name: str, **attributes: object) -> Span | _NullSpan:
         """Open a span; the previous open span (if any) becomes its parent."""
         if not self._enabled:
-            return _NULL_HANDLE
-        return _SpanHandle(
-            self,
-            Span(
-                name,
-                span_id=self._next_id(),
-                parent_id=_CURRENT_SPAN_ID.get(),
-                attributes=attributes,
-            ),
+            return NULL_SPAN
+        return Span(
+            name,
+            span_id=self._next_id(),
+            parent_id=_CURRENT_SPAN_ID.get(),
+            attributes=attributes,
+            tracer=self,
         )
 
     def child_span(
         self, name: str, parent_id: Optional[int], **attributes: object
-    ) -> _SpanHandle:
+    ) -> Span | _NullSpan:
         """Open a span under an *explicit* parent instead of the ambient
         one — how work dispatched across threads (the scheduler's
         measurement thread) stays attached to the request that queued it.
-        Spans opened inside the handle still nest normally."""
+        Spans opened inside it still nest normally."""
         if not self._enabled:
-            return _NULL_HANDLE
-        return _SpanHandle(
-            self,
-            Span(
-                name,
-                span_id=self._next_id(),
-                parent_id=parent_id,
-                attributes=attributes,
-            ),
+            return NULL_SPAN
+        return Span(
+            name,
+            span_id=self._next_id(),
+            parent_id=parent_id,
+            attributes=attributes,
+            tracer=self,
         )
 
     def record_span(

@@ -2,9 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from repro.core.statistics import (
+    ConfidenceInterval,
+    _t_crit,
     confidence_interval,
     geometric_mean,
     linear_fit,
@@ -85,6 +89,32 @@ class TestConfidenceInterval:
     def test_bad_confidence_rejected(self):
         with pytest.raises(ValueError):
             confidence_interval([1.0, 2.0], confidence=1.0)
+
+
+CONFIDENCES = (0.90, 0.95, 0.99)
+
+
+class TestMemoisedCriticalValue:
+    @pytest.mark.parametrize("confidence", CONFIDENCES)
+    def test_equals_scipy_bit_for_bit(self, confidence):
+        for df in range(1, 41):
+            direct = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=df))
+            assert _t_crit(confidence, df) == direct
+            assert _t_crit(confidence, df) == direct  # the memoised answer
+
+    @pytest.mark.parametrize("confidence", CONFIDENCES)
+    def test_intervals_unchanged(self, confidence):
+        rng = np.random.default_rng(16)
+        for n in range(2, 42):
+            samples = rng.lognormal(0.0, 0.1, size=n).tolist()
+            t_crit = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
+            expected = ConfidenceInterval(
+                mean=mean(samples),
+                half_width=t_crit * (sample_std(samples) / math.sqrt(n)),
+                confidence=confidence,
+                n=n,
+            )
+            assert confidence_interval(samples, confidence) == expected
 
 
 class TestLinearFit:

@@ -9,10 +9,14 @@ compiles away.
 """
 
 import pickle
+import sys
+import threading
+import types
 
 import numpy as np
 import pytest
 
+from repro.execution import kernels as kernels_module
 from repro.execution.engine import ExecutionEngine
 from repro.execution.kernels import (
     compile_pair,
@@ -27,7 +31,7 @@ from repro.hardware.catalog import CORE_I7_45
 from repro.hardware.config import stock
 from repro.measurement.meter import meter_for
 from repro.runtime.methodology import protocol_for
-from repro.workloads.catalog import benchmark
+from repro.workloads.catalog import BENCHMARKS, benchmark
 
 CLEAN = FaultPlan()
 CONFIG = stock(CORE_I7_45)
@@ -106,6 +110,152 @@ class TestSerialisation:
         before = kernel_stats()["compiles"]
         assert compile_pair(other, meter, bench, CONFIG, protocol, 3) is kernel
         assert kernel_stats()["compiles"] == before
+
+
+#: Every fifth benchmark on the stock i7: a short stock sweep.
+SWEEP = BENCHMARKS[::5]
+
+
+@pytest.fixture()
+def sweep_kernels(engine, meter):
+    kernels = [
+        compile_pair(engine, meter, bench, CONFIG, protocol_for(bench), 6)
+        for bench in SWEEP
+    ]
+    assert all(kernel is not None for kernel in kernels)
+    return kernels
+
+
+@pytest.fixture()
+def draw_cache(monkeypatch, sweep_kernels):
+    """A fresh draw cache capped at three of the sweep's pairs' draws,
+    emptied (gauge included) afterwards."""
+    sizes = sorted(kernel._materialise().nbytes for kernel in sweep_kernels)
+    cache = kernels_module._DrawCache()
+    monkeypatch.setattr(kernels_module, "_DRAW_CACHE", cache)
+    monkeypatch.setattr(kernels_module, "DRAW_CACHE_CAP_BYTES", sum(sizes[-3:]))
+    yield cache
+    for kernel in cache.entries.values():
+        kernels_module._CACHE_BYTES.dec(kernel._draws.nbytes)
+        kernel._draws = None
+
+
+def _consistent(cache) -> bool:
+    return cache.nbytes == sum(
+        kernel._draws.nbytes for kernel in cache.entries.values()
+    )
+
+
+class TestBoundedDrawCache:
+    def test_total_never_exceeds_cap(self, engine, meter, sweep_kernels, draw_cache):
+        for _ in range(2):
+            for kernel in sweep_kernels:
+                run_pair(kernel, engine, meter)
+                assert draw_cache.nbytes <= kernels_module.DRAW_CACHE_CAP_BYTES
+                assert _consistent(draw_cache)
+        assert 1 < len(draw_cache.entries) < len(sweep_kernels)
+
+    def test_evicted_kernel_replays_identically(
+        self, engine, meter, sweep_kernels, draw_cache
+    ):
+        first = [run_pair(kernel, engine, meter) for kernel in sweep_kernels]
+        assert sweep_kernels[0]._draws is None  # evicted by later replays
+        again = [run_pair(kernel, engine, meter) for kernel in sweep_kernels]
+        assert again == first
+
+    def test_most_recently_used_keeps_draws(
+        self, engine, meter, sweep_kernels, draw_cache
+    ):
+        for kernel in sweep_kernels + sweep_kernels[::-1]:
+            run_pair(kernel, engine, meter)
+            assert kernel._draws is not None
+            assert next(reversed(draw_cache.entries.values())) is kernel
+
+    def test_gauge_counts_draws_in_and_out(
+        self, engine, meter, sweep_kernels, draw_cache
+    ):
+        base = kernel_stats()["cache_bytes"]
+        rose = fell = False
+        for kernel in sweep_kernels:
+            held = set(draw_cache.entries)
+            before = kernel_stats()["cache_bytes"]
+            run_pair(kernel, engine, meter)
+            size = kernel._draws.nbytes
+            after = kernel_stats()["cache_bytes"]
+            evicted = held - set(draw_cache.entries)
+            assert after - base == draw_cache.nbytes
+            if evicted:
+                fell = True
+                assert after < before + size
+            else:
+                rose = True
+                assert after == before + size
+        assert rose and fell
+
+    def test_concurrent_replays_agree(self, engine, meter, sweep_kernels, draw_cache):
+        """Four threads (more than the cores) replay overlapping kernels
+        under a short switch interval: same bytes, consistent total."""
+        expected = {id(k): run_pair(k, engine, meter) for k in sweep_kernels}
+        half = len(sweep_kernels) // 2
+        front, back = sweep_kernels[: half + 3], sweep_kernels[half - 3:]
+        orders = (front * 3, back[::-1] * 3, back * 3, front[::-1] * 3)
+        start = threading.Barrier(len(orders))
+        wrong: list[str] = []
+
+        def replay(order):
+            start.wait()
+            for kernel in order:
+                if run_pair(kernel, engine, meter) != expected[id(kernel)]:
+                    wrong.append(kernel.benchmark_name)
+
+        threads = [threading.Thread(target=replay, args=(o,)) for o in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert _consistent(draw_cache)
+        tracked = set(draw_cache.entries)
+        assert all(
+            (id(kernel) in tracked) == (kernel._draws is not None)
+            for kernel in sweep_kernels
+        )
+        assert draw_cache.nbytes <= kernels_module.DRAW_CACHE_CAP_BYTES
+
+
+    def test_admit_under_contention_loses_no_update(self, monkeypatch, draw_cache):
+        """Eight threads hammer admit/evict on one cache with tiny stand-in
+        kernels: the byte total must equal what the entries hold."""
+        monkeypatch.setattr(kernels_module, "DRAW_CACHE_CAP_BYTES", 40)
+        fakes = [types.SimpleNamespace(_draws=None) for _ in range(64)]
+        one_byte = types.SimpleNamespace(nbytes=1)
+
+        def hammer(offset):
+            for i in range(4000):
+                kernel = fakes[(offset + 7 * i) % len(fakes)]
+                draw_cache.admit(kernel, kernel._draws or one_byte)
+
+        threads = [
+            threading.Thread(target=hammer, args=(n,)) for n in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert draw_cache.nbytes == len(draw_cache.entries) <= 40
+        assert sum(fake._draws is not None for fake in fakes) == draw_cache.nbytes
 
 
 class TestScalarEquivalence:
