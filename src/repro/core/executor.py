@@ -7,8 +7,7 @@ plus the retry attempt, and nothing else in the pipeline reads ambient
 state that differs between processes.  That invariant makes a process
 pool safe in the strongest sense — not "statistically equivalent" but
 **byte-identical**: a worker measuring a pair produces exactly the floats
-the parent would have, so the only work left in the parent is to fold the
-outcomes back in a deterministic order.
+the parent would have.
 
 The protocol:
 
@@ -19,15 +18,18 @@ The protocol:
   process boundary), and the metrics-enabled flag;
 * uncached pairs are dealt round-robin into chunks (a few per worker, so
   a slow chunk cannot straggle the whole sweep);
-* each worker measures its chunk through an ordinary
-  :class:`~repro.core.study.Study` and returns the
-  :class:`~repro.core.results.RunResult` records plus health deltas —
-  retries, MAD re-measures, and the ordered failure-event names — and a
-  :func:`~repro.obs.metrics.snapshot_delta` of its metrics registry;
-* the parent applies metric deltas in chunk order and replays the pair
-  list in sweep order, so the merged result set, campaign health,
-  failure-dict insertion order, and checkpoint bytes are identical to a
-  sequential run regardless of worker count or completion order.
+* each worker runs the study's pure pair measurement on every pair of
+  its chunk — no second study, so no second cache — and returns one
+  :class:`~repro.core.study.PairOutcome` per pair (the result or the
+  failure, retries, MAD re-measures, the ordered failure events, the
+  pair's spans) and a :func:`~repro.obs.metrics.snapshot_delta` of its
+  metrics registry;
+* the parent applies the metric deltas in chunk order and hands the
+  outcomes to :meth:`Study.run_pairs <repro.core.study.Study.run_pairs>`,
+  whose one merge loop — the same loop an in-process sweep runs — walks
+  the pairs in sweep order, so results, health, failure-dict order,
+  checkpoint bytes and cache telemetry are identical at any worker count
+  and completion order.
 
 :class:`SweepPool` owns the worker processes and survives their deaths —
 the dominant threat to a long-lived campaign server is not sensor noise
@@ -51,12 +53,12 @@ but a worker that crashes, wedges, or silently slows down mid-chunk:
   :class:`ChunkResult` the dead worker would have; partial results die
   with the process and are never merged;
 * a chunk that crash-loops ``max_chunk_attempts`` times is given up on:
-  its pairs come back as failed outcomes, which the study's merge
+  its pairs come back as failed outcomes, which the merge loop
   quarantines, instead of respawning forever;
 * a pool that shrinks below ``min_workers`` (respawn failures) keeps
   serving with reduced parallelism and says so; only a pool with *no*
-  live workers raises :class:`PoolUnavailable`, and the study falls back
-  to the in-process loop.
+  live workers raises :class:`PoolUnavailable`, and the merge loop
+  measures the sweep in-process instead.
 
 The process-level fault kinds (``worker.crash``, ``worker.hang``,
 ``worker.slow``) are armed through the ordinary plan machinery; the
@@ -83,18 +85,16 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from repro.core.results import RunResult
+from repro.core.normalization import References
+from repro.core.study import PairOutcome, _PairMeasurement
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.hardware.config import Configuration
-from repro.obs.metrics import RegistrySnapshot, default_registry
+from repro.obs.metrics import RegistrySnapshot, default_registry, snapshot_delta
 from repro.obs.tracing import default_tracer
 from repro.workloads.benchmark import Benchmark
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (study imports us)
-    from repro.core.normalization import References
 
 #: Chunks dealt per worker: enough that an unlucky chunk of slow pairs
 #: cannot straggle the sweep, few enough that per-chunk overhead (metrics
@@ -112,7 +112,7 @@ class PoolUnavailable(RuntimeError):
 class WorkerSetup:
     """Everything a worker process needs, shipped once at pool init."""
 
-    references: "References"
+    references: References
     calibration: dict[Benchmark, float]
     invocation_scale: float
     retry: RetryPolicy
@@ -125,9 +125,9 @@ class WorkerSetup:
     #: a warm-start hint like ``calibration`` — workers compile missing
     #: entries deterministically.  ``None`` ships nothing.
     kernels: Optional[dict] = None
-    #: Route fault-free pairs through compiled kernels in the worker
-    #: study (result bytes are identical either way; this only pins
-    #: which code path produces them).
+    #: Route fault-free pairs through compiled kernels in the worker's
+    #: pair measurement (result bytes are identical either way; this
+    #: only pins which code path produces them).
     vectorize: bool = True
 
     def compatible_with(self, other: "WorkerSetup") -> bool:
@@ -148,25 +148,6 @@ class WorkerSetup:
 
 
 @dataclass(frozen=True)
-class PairOutcome:
-    """One pair's result (or failure) plus its health deltas.
-
-    ``failure_events`` lists the failure type names the pair observed in
-    order, so the parent can replay them at the pair's position in the
-    sweep and reproduce the sequential failure-dict insertion order."""
-
-    index: int
-    result: Optional[RunResult]
-    failure: Optional[str]
-    retries: int
-    remeasures: int
-    failure_events: tuple[str, ...]
-    #: The pair's finished span subtree (``Span.as_dict`` payloads, in
-    #: the worker's finish order) when tracing is armed, else empty.
-    spans: tuple[dict, ...] = ()
-
-
-@dataclass(frozen=True)
 class ChunkResult:
     """One chunk's outcomes and its telemetry movement."""
 
@@ -176,17 +157,12 @@ class ChunkResult:
     invocations: int
 
 
-_WORKER_STUDY = None
-
-
-def _init_worker(setup: WorkerSetup) -> None:
+def _init_worker(setup: WorkerSetup) -> _PairMeasurement:
     """Worker start-up: arm faults, preload calibration, build the
-    worker's study.  Self-sufficient under both fork and spawn."""
-    global _WORKER_STUDY
-    from repro.core.study import Study
+    worker's pair measurement.  Self-sufficient under both fork and
+    spawn."""
     from repro.faults import injector
     from repro.obs.metrics import set_enabled
-    from repro.obs.tracing import default_tracer
 
     set_enabled(setup.metrics_enabled)
     # A forked child inherits the parent tracer's ID base and finished
@@ -208,45 +184,27 @@ def _init_worker(setup: WorkerSetup) -> None:
     setup.references.engine.preload_calibration(setup.calibration)
     if setup.kernels:
         setup.references.engine.preload_kernels(setup.kernels)
-    _WORKER_STUDY = Study(
-        references=setup.references,
-        invocation_scale=setup.invocation_scale,
-        retry=setup.retry,
-        vectorize=setup.vectorize,
+    return _PairMeasurement(
+        setup.references, setup.invocation_scale, setup.retry, setup.vectorize
     )
 
 
 def _measure_chunk(
+    measurement: _PairMeasurement,
     chunk_index: int,
     chunk: Sequence[tuple[Benchmark, Configuration, int]],
 ) -> ChunkResult:
-    """Measure one chunk of pairs in the worker's study.
+    """Measure one chunk of pairs with the worker's pair measurement.
 
     Runs exclusively in a worker process; the registry snapshots bracket
     exactly this chunk's work, so the delta contains the chunk's own
     telemetry movement and nothing else."""
-    from repro.core.study import Study  # noqa: F401 - ensures module import
-    from repro.faults.errors import MeasurementError
-    from repro.obs.metrics import default_registry, snapshot_delta
-    from repro.obs.tracing import default_tracer
-
-    study = _WORKER_STUDY
-    if study is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("worker study was never initialised")
     registry = default_registry()
     before = registry.snapshot()
     tracer = default_tracer()
-    tracing = tracer.is_enabled
-    stats = study._stats
     outcomes: list[PairOutcome] = []
-    invocations = 0
     for benchmark, config, index in chunk:
-        retries_0 = stats.retries
-        remeasures_0 = stats.remeasures
-        events_0 = len(stats.events)
         spans_0 = len(tracer.finished)
-        result: Optional[RunResult] = None
-        failure: Optional[str] = None
         # Each pair's spans nest under one executor.chunk root; the
         # parent adopts that subtree (in sweep order) when it merges.
         with tracer.span(
@@ -257,32 +215,19 @@ def _measure_chunk(
             benchmark=benchmark.name,
             config=config.key,
         ):
-            try:
-                result = study.measure(benchmark, config)
-                invocations += result.invocations
-            except MeasurementError as exc:
-                failure = str(exc)
-        outcomes.append(
-            PairOutcome(
-                index=index,
-                result=result,
-                failure=failure,
-                retries=stats.retries - retries_0,
-                remeasures=stats.remeasures - remeasures_0,
-                failure_events=tuple(stats.events[events_0:]),
-                spans=tuple(
-                    span.as_dict() for span in tracer.finished[spans_0:]
-                )
-                if tracing
-                else (),
+            outcome = measurement.measure(benchmark, config)
+        outcome.index = index
+        outcome.error = None  # the failure text travels; the exception stays
+        if tracer.is_enabled:
+            outcome.spans = tuple(
+                span.as_dict() for span in tracer.finished[spans_0:]
             )
-        )
-    delta = snapshot_delta(registry.snapshot(), before)
+        outcomes.append(outcome)
     return ChunkResult(
         chunk_index=chunk_index,
         outcomes=tuple(outcomes),
-        metrics_delta=delta,
-        invocations=invocations,
+        metrics_delta=snapshot_delta(registry.snapshot(), before),
+        invocations=sum(o.result.invocations for o in outcomes if o.result),
     )
 
 
@@ -404,7 +349,7 @@ def _worker_main(
 
     beater = _Beater(worker_id, send, heartbeat_s)
     beater.start()
-    _init_worker(setup)
+    measurement = _init_worker(setup)
     parent = os.getppid()
     while True:
         try:
@@ -430,7 +375,7 @@ def _worker_main(
                     while True:  # wedged until the pool SIGKILLs us
                         time.sleep(3600)
                 beater.silence(spec.severity)  # worker.slow: stall, recover
-        result = _measure_chunk(chunk_index, chunk)
+        result = _measure_chunk(measurement, chunk_index, chunk)
         send(("done", generation, chunk_index, attempt, result))
     beater.stop()
 
@@ -831,20 +776,19 @@ def _crash_loop_result(
     """Give-up outcome for a chunk that kills every worker it touches.
 
     Shaped exactly like a worker's failure report, so the study's merge
-    quarantines the pairs with the ordinary semantics — recorded in
+    loop quarantines the pairs with the ordinary semantics — recorded in
     CampaignHealth, skipped by later sweeps — instead of the pool
     respawning forever."""
+    failure = (
+        f"worker crash-loop: chunk {chunk_index} killed "
+        f"{attempts} workers in a row"
+    )
     outcomes = tuple(
         PairOutcome(
-            index=index,
             result=None,
-            failure=(
-                f"worker crash-loop: chunk {chunk_index} killed "
-                f"{attempts} workers in a row"
-            ),
-            retries=0,
-            remeasures=0,
+            failure=failure,
             failure_events=("WorkerCrashLoop",),
+            index=index,
         )
         for _benchmark, _config, index in chunk
     )
@@ -858,36 +802,48 @@ def _crash_loop_result(
 
 def run_pairs(
     setup: WorkerSetup,
-    pending: Sequence[tuple[Benchmark, Configuration, int]],
+    pending: Sequence[tuple[Benchmark, Configuration]],
     jobs: int,
     progress=None,
     pool: Optional[SweepPool] = None,
     *,
     heartbeat_s: float = 0.25,
     liveness_misses: int = 4,
-) -> list[ChunkResult]:
+) -> list[PairOutcome]:
     """Measure ``pending`` pairs across ``jobs`` worker processes.
 
-    Returns chunk results sorted by chunk index.  ``pool`` borrows a
-    caller-owned, kept-alive :class:`SweepPool`; without one, a pool of
-    at most ``jobs`` workers (``heartbeat_s``/``liveness_misses`` as in
-    :class:`SweepPool`) is built for this sweep and closed after it.
-    Raises :class:`PoolUnavailable` if no worker can be spawned or every
-    worker died beyond repair; the caller falls back to the sequential
-    path, which is safe because nothing is merged until every chunk has
-    returned.
+    Returns one outcome per pair, in ``pending`` order, after applying
+    the workers' metric deltas to this process's registry in chunk
+    order.  ``pool`` borrows a caller-owned, kept-alive
+    :class:`SweepPool`; without one, a pool of at most ``jobs`` workers
+    (``heartbeat_s``/``liveness_misses`` as in :class:`SweepPool`) is
+    built for this sweep and closed after it.  Raises
+    :class:`PoolUnavailable` if no worker can be spawned or every worker
+    died beyond repair; the caller measures in-process instead, which is
+    safe because nothing is merged until every chunk has returned.
     """
     if jobs < 1:
         raise ValueError(f"need at least one worker, got {jobs}")
-    if pool is not None:
-        return pool.run(pending, progress)
-    pool = SweepPool(
-        setup,
-        min(jobs, len(pending)) or 1,
-        heartbeat_s=heartbeat_s,
-        liveness_misses=liveness_misses,
-    )
+    indexed = [
+        (benchmark, config, index)
+        for index, (benchmark, config) in enumerate(pending)
+    ]
+    owned = pool is None
+    if owned:
+        pool = SweepPool(
+            setup,
+            min(jobs, len(pending)) or 1,
+            heartbeat_s=heartbeat_s,
+            liveness_misses=liveness_misses,
+        )
     try:
-        return pool.run(pending, progress)
+        chunks = pool.run(indexed, progress)
     finally:
-        pool.close()
+        if owned:
+            pool.close()
+    outcomes: list[PairOutcome] = [None] * len(pending)  # type: ignore[list-item]
+    for chunk in chunks:
+        _REGISTRY.apply_snapshot(chunk.metrics_delta)
+        for outcome in chunk.outcomes:
+            outcomes[outcome.index] = outcome
+    return outcomes

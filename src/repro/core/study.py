@@ -6,31 +6,31 @@ following the paper's measurement protocol (3/5 executions for native,
 20 JVM invocations reporting the fifth iteration for Java), producing a
 :class:`~repro.core.results.ResultSet`.
 
-Results are cached per (benchmark, configuration), so experiments that
-share configurations (most of §3's feature analyses share the stock
-settings) pay for each measurement once.  The cache keys by the benchmark
-*value* — not its name — for the same reason the engine's instruction
-cache does: synthetic workloads may share a name while differing in
-signature, and a name-keyed cache would silently hand one workload the
-other's measurements.
+Two layers.  The pure **pair measurement** measures one (benchmark,
+configuration) pair — a compiled sweep kernel or the per-invocation
+scalar reference through engine and meter, under a bounded
+:class:`~repro.faults.RetryPolicy` (backoff + jitter, a simulated-timeout
+budget), the MAD outlier re-measure and the 95% confidence intervals, in
+one ``study.measure`` span — and returns a :class:`PairOutcome`: the
+result or the failure, with its retries, re-measures and failure events.
+It holds no cache, quarantine or checkpoint, so pool workers run it
+directly.  The **study** keeps the campaign ledger and one merge loop:
+every sweep — in-process, on the worker pool, or falling back from the
+pool — walks its pairs in sweep order through that loop, which alone
+turns outcomes into cache entries, hit/miss counts, checkpoint lines,
+quarantine entries, adopted worker spans and the sweep's
+:class:`~repro.core.results.CampaignHealth`.
 
-The study is also the campaign's *survival* layer.  The paper's physical
-rig really failed — invocations crashed and hung, the logger disconnected
-— and the authors silently re-ran them; here that recovery is explicit:
-each invocation runs under a bounded :class:`~repro.faults.RetryPolicy`
-(exponential backoff + jitter, a cumulative simulated-timeout budget),
-suspect invocations can be re-measured via a MAD outlier screen, pairs
-that exhaust their retries are quarantined instead of aborting the sweep,
-``run()`` returns a partial :class:`ResultSet` carrying a
-:class:`~repro.core.results.CampaignHealth` report, and an optional JSONL
-checkpoint lets an interrupted campaign resume where it stopped.
-
-The study is the natural place to account for the campaign, so it is
-instrumented: cache hits/misses, invocations, retries, quarantines, and
-checkpoint restores feed the process metrics registry, each uncached
-measurement runs under a ``study.measure`` span, and an optional
-:class:`~repro.obs.progress.ProgressReporter` receives one tick per
-invocation (scaled counts under ``invocation_scale``).
+The cache keys by the benchmark *value* — not its name — for the same
+reason the engine's instruction cache does: synthetic workloads may share
+a name while differing in signature.  The paper's physical rig really
+failed, and the authors silently re-ran invocations; here recovery is
+explicit: a pair that exhausts its retries is quarantined instead of
+aborting the sweep, ``run()`` returns a partial :class:`ResultSet`
+carrying the health report, and an optional JSONL checkpoint lets an
+interrupted campaign resume where it stopped.  Cache, invocation, retry,
+quarantine and restore counts feed the metrics registry, and an optional
+:class:`~repro.obs.progress.ProgressReporter` gets one tick per invocation.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import json
 import math
 import os
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -108,32 +109,263 @@ _CACHE_EVICTIONS = _REGISTRY.counter(
 )
 
 
-class _Stats:
-    """Lifetime failure accounting for one study; ``run`` snapshots it to
-    build per-campaign :class:`CampaignHealth` deltas.
+@dataclass
+class PairOutcome:
+    """One pair measurement: its result (or failure) and what it took.
 
-    ``events`` keeps every failure's type name in observation order: pool
-    workers slice it per pair so the parent can replay failures at each
-    pair's position and reproduce the sequential campaign's failure-dict
-    insertion order exactly."""
+    ``failure_events`` lists the failure type names the pair observed in
+    order, so the merge loop replays them at the pair's position in the
+    sweep and the failure dict keeps first-observed order at any worker
+    count.  Pool workers fill ``index`` (the pair's position in the
+    pending list) and ``spans`` (its finished span subtree) and drop
+    ``error``, the exception :meth:`Study.measure` re-raises."""
 
-    __slots__ = ("retries", "remeasures", "failures", "events")
+    result: Optional[RunResult] = None
+    failure: Optional[str] = None
+    retries: int = 0
+    remeasures: int = 0
+    failure_events: Sequence[str] = field(default_factory=list)
+    index: int = 0
+    spans: tuple[dict, ...] = ()
+    error: Optional[MeasurementError] = field(
+        default=None, compare=False, repr=False
+    )
 
-    def __init__(self) -> None:
-        self.retries = 0
-        self.remeasures = 0
-        self.failures: dict[str, int] = {}
-        self.events: list[str] = []
 
-    def record_failure(self, error: MeasurementError) -> None:
-        self.record_failure_name(type(error).__name__)
+class _PairMeasurement:
+    """The pure pair measurement (see the module docstring).
 
-    def record_failure_name(self, name: str) -> None:
-        self.failures[name] = self.failures.get(name, 0) + 1
-        self.events.append(name)
+    Its only state is memoised per-benchmark protocols and per-machine
+    meters — a 61x45 sweep re-derives neither inside the measurement
+    loop — so measuring a pair twice gives an equal outcome."""
 
-    def snapshot(self) -> tuple[int, int, dict[str, int]]:
-        return self.retries, self.remeasures, dict(self.failures)
+    def __init__(
+        self,
+        references: References,
+        invocation_scale: float,
+        retry: RetryPolicy,
+        vectorize: bool,
+        progress: Optional[ProgressReporter] = None,
+    ) -> None:
+        self.references = references
+        self.engine = references.engine
+        self.invocation_scale = invocation_scale
+        self.retry = retry
+        self.vectorize = vectorize
+        self.progress = progress
+        self._protocols: dict[Benchmark, MeasurementProtocol] = {}
+        self._meters: dict[str, PowerMeter] = {}
+
+    def protocol(self, benchmark: Benchmark) -> MeasurementProtocol:
+        if benchmark not in self._protocols:
+            self._protocols[benchmark] = protocol_for(benchmark)
+        return self._protocols[benchmark]
+
+    def meter(self, spec: ProcessorSpec) -> PowerMeter:
+        if spec.key not in self._meters:
+            self._meters[spec.key] = meter_for(spec)
+        return self._meters[spec.key]
+
+    def scaled_invocations(self, benchmark: Benchmark) -> int:
+        protocol = self.protocol(benchmark)
+        return max(1, math.ceil(protocol.invocations * self.invocation_scale))
+
+    def measure(self, benchmark: Benchmark, config: Configuration) -> PairOutcome:
+        """Measure one pair under one ``study.measure`` span.
+
+        A pair that exhausts its retries comes back as a failed outcome
+        rather than an exception; the caller decides what a failure
+        means (the study quarantines it)."""
+        outcome = PairOutcome()
+        try:
+            with default_tracer().span(
+                "study.measure", benchmark=benchmark.name, config=config.key
+            ) as span:
+                started = time.perf_counter()
+                result = outcome.result = self._measure(benchmark, config, outcome)
+                span.set_attribute("invocations", result.invocations)
+                span.set_attribute("seconds", round(result.seconds, 6))
+                if outcome.retries:
+                    span.set_attribute("retries", outcome.retries)
+                if outcome.remeasures:
+                    span.set_attribute("outlier_remeasures", outcome.remeasures)
+                _MEASURE_SECONDS.observe(time.perf_counter() - started)
+        except MeasurementError as exc:
+            outcome.failure, outcome.error = str(exc), exc
+        return outcome
+
+    def _metered_invocation(
+        self,
+        benchmark: Benchmark,
+        config: Configuration,
+        index: int,
+        protocol: MeasurementProtocol,
+        meter: PowerMeter,
+        outcome: PairOutcome,
+    ) -> tuple[float, float]:
+        """One invocation through engine and meter, with bounded retries.
+
+        The site key doubles as the run salt, so measurement noise is a
+        function of the site alone while injected-fault decisions also see
+        the attempt (via :func:`~repro.faults.injector.attempt_scope`):
+        a recovered fail-stop fault reproduces the fault-free measurement
+        exactly.  Returns ``(seconds, average_watts)``.
+        """
+        site = f"{config.key}/{benchmark.name}/{index}"
+        policy = self.retry
+        hung_s = 0.0
+        attempt = 0
+        while True:
+            try:
+                with attempt_scope(attempt):
+                    execution = self.engine.execute(
+                        benchmark, config,
+                        invocation=index,
+                        iteration=protocol.iteration,
+                    )
+                    measurement = meter.measure(execution, run_salt=site)
+                return execution.seconds.value, measurement.average_watts
+            except RetriesExhausted:
+                raise
+            except MeasurementError as exc:
+                outcome.failure_events.append(type(exc).__name__)
+                if isinstance(exc, InvocationTimeout):
+                    hung_s += exc.elapsed_s
+                if attempt >= policy.max_retries:
+                    raise RetriesExhausted(
+                        f"{site} failed {attempt + 1} attempts "
+                        f"(last: {exc})",
+                        site=site,
+                        last_error=exc,
+                    ) from exc
+                if hung_s > policy.timeout_budget_s:
+                    raise RetriesExhausted(
+                        f"{site} spent a simulated {hung_s:g}s hung, past "
+                        f"its {policy.timeout_budget_s:g}s budget "
+                        f"(last: {exc})",
+                        site=site,
+                        last_error=exc,
+                    ) from exc
+                attempt += 1
+                outcome.retries += 1
+                _RETRIES.inc()
+                delay = policy.delay_for(attempt, site)
+                if delay > 0.0:
+                    time.sleep(delay)
+
+    def _measure(
+        self, benchmark: Benchmark, config: Configuration, outcome: PairOutcome
+    ) -> RunResult:
+        protocol = self.protocol(benchmark)
+        invocations = self.scaled_invocations(benchmark)
+        meter = self.meter(config.spec)
+
+        injector = _faults_active()
+        # A pair vectorises when kernels are enabled and no armed fault
+        # spec's scope reaches any of its sites — the scalar path is the
+        # only one that walks the per-invocation fault hooks.  The scope
+        # check draws no RNG, and an unarmed pair's hooks are no-ops that
+        # also draw none, so skipping them is behaviour-identical.
+        use_kernel = self.vectorize and (
+            injector is None
+            or not injector.may_fault_pair(
+                config.key, benchmark.name, invocations
+            )
+        )
+        if self.vectorize and not use_kernel:
+            _kernels.note_fallback("faults")
+        with default_tracer().span(
+            "engine.execute",
+            benchmark=benchmark.name,
+            config=config.key,
+            invocations=invocations,
+        ):
+            kernel_result = None
+            if use_kernel:
+                # One compiled numpy pass over the whole invocation loop;
+                # ``None`` means the plan's shape isn't compilable and the
+                # pair follows the scalar route below.
+                kernel_result = _kernels.measure_pair(
+                    self.engine, meter, benchmark, config, protocol,
+                    invocations,
+                )
+            if kernel_result is not None:
+                times, powers = kernel_result
+                if self.progress is not None:
+                    self.progress.advance(invocations)
+            else:
+                # The scalar reference: one invocation at a time through
+                # engine and meter under the retry policy.
+                times, powers = [], []
+                for invocation in range(invocations):
+                    seconds, watts = self._metered_invocation(
+                        benchmark, config, invocation, protocol, meter, outcome
+                    )
+                    times.append(seconds)
+                    powers.append(watts)
+                    if self.progress is not None:
+                        self.progress.advance()
+        _INVOCATIONS.inc(invocations)
+
+        self._remeasure_outliers(
+            benchmark, config, protocol, meter, times, powers, invocations,
+            outcome,
+        )
+
+        time_ci = confidence_interval(times)
+        power_ci = confidence_interval(powers)
+        seconds = time_ci.mean
+        watts = power_ci.mean
+        return RunResult(
+            benchmark_name=benchmark.name,
+            group=benchmark.group,
+            processor_key=config.spec.key,
+            config_key=config.key,
+            seconds=seconds,
+            watts=watts,
+            speedup=self.references.speedup(benchmark, seconds),
+            normalized_energy=self.references.normalized_energy(
+                benchmark, seconds * watts
+            ),
+            time_ci=time_ci,
+            power_ci=power_ci,
+            invocations=invocations,
+        )
+
+    def _remeasure_outliers(
+        self,
+        benchmark: Benchmark,
+        config: Configuration,
+        protocol: MeasurementProtocol,
+        meter: PowerMeter,
+        times: list[float],
+        powers: list[float],
+        invocations: int,
+        outcome: PairOutcome,
+    ) -> None:
+        """MAD outlier screen: re-measure suspect invocations in place.
+
+        Replacement runs use salt indices past the protocol's range, so
+        they draw fresh noise (re-running the same salt would reproduce
+        the same glitch) without disturbing the other invocations'
+        streams.  Off unless the policy sets ``outlier_threshold``, which
+        keeps the default protocol byte-identical to the unscreened one.
+        """
+        threshold = self.retry.outlier_threshold
+        if threshold is None or self.retry.max_remeasures <= 0:
+            return
+        suspects = sorted(
+            set(mad_outlier_indices(powers, threshold))
+            | set(mad_outlier_indices(times, threshold))
+        )
+        for index in suspects[: self.retry.max_remeasures]:
+            seconds, watts = self._metered_invocation(
+                benchmark, config, invocations + index, protocol, meter, outcome
+            )
+            times[index] = seconds
+            powers[index] = watts
+            outcome.remeasures += 1
+            _REMEASURES.inc()
 
 
 class Study:
@@ -154,32 +386,23 @@ class Study:
     fault-armed pairs.  Telemetry is always recorded; turn it off with
     :func:`repro.obs.metrics.set_enabled` and a disabled tracer.
 
-    ``jobs`` shards sweeps across a process pool: ``None`` (the default)
-    runs in-process, an integer pins the worker count, and ``"auto"``
-    (or 0) uses the machine's CPU count.  Because every measurement is
-    pure and keyed by deterministic per-site seeds, a parallel ``run()``
-    returns results, health, and checkpoint bytes identical to the
-    sequential path at any worker count (see docs/performance.md).
+    ``jobs`` shards sweeps across a
+    :class:`~repro.core.executor.SweepPool`: ``None`` (the default) runs
+    in-process, an integer pins the worker count, and ``"auto"`` (or 0)
+    uses the machine's CPU count.  Workers beat every ``heartbeat_s``
+    seconds and are respawned, their chunk requeued, after
+    ``liveness_misses`` missed beats; when no worker can be spawned the
+    sweep runs in-process.  Measurements are pure and every sweep merges
+    through one loop, so results, health, checkpoint bytes and cache and
+    invocation telemetry are identical at any worker count (see
+    docs/performance.md).  ``reuse_pool`` keeps the pool alive between
+    sweeps (the campaign server); :meth:`close_pool` releases it.
 
-    ``cache_capacity`` bounds the in-memory result cache: once more than
-    that many pairs are cached, the least-recently-used result is
-    evicted (and counted in ``repro_study_cache_evictions_total``).
-    Because measurements are pure, an evicted pair re-measures to the
-    byte-identical result; the cap trades repeat work for bounded memory
-    in long-lived processes such as the campaign server.  ``None`` (the
-    default) keeps the cache unbounded, exactly as before.
-
-    ``reuse_pool`` keeps the parallel sweep's worker pool alive between
-    ``run()``/``run_pairs()`` calls instead of tearing it down per sweep
-    — again a long-lived-process affordance; call :meth:`close_pool`
-    (or rely on process exit) to release the workers.
-
-    Parallel sweeps run on a :class:`~repro.core.executor.SweepPool`:
-    workers send heartbeats every ``heartbeat_s`` seconds, are declared
-    dead after ``liveness_misses`` missed beats, and are respawned with
-    their in-flight chunk requeued — the sweep survives worker crashes,
-    hangs, and slow-death with the same bytes.  When no worker can be
-    spawned the sweep runs in-process instead.
+    ``cache_capacity`` bounds the in-memory result cache: past that many
+    pairs the least-recently-used result is evicted (counted in
+    ``repro_study_cache_evictions_total``) and, measurements being pure,
+    re-measures to the byte-identical result if asked for again.
+    ``None`` (the default) keeps the cache unbounded.
     """
 
     def __init__(
@@ -209,11 +432,8 @@ class Study:
                 f"got {cache_capacity!r}"
             )
         self._references = references or References(engine)
-        self._engine = self._references.engine
-        self._scale = invocation_scale
         self._benchmarks = tuple(benchmarks)
         self._progress = progress
-        self._retry = retry or DEFAULT_RETRY_POLICY
         self._checkpoint_path = (
             Path(checkpoint_path) if checkpoint_path is not None else None
         )
@@ -231,19 +451,23 @@ class Study:
         if vectorize is None:
             env = os.environ.get("REPRO_SWEEP_KERNELS", "").strip().lower()
             vectorize = env not in ("0", "off", "false", "no")
-        self._vectorize = bool(vectorize)
+        self._pair = _PairMeasurement(
+            self._references,
+            invocation_scale,
+            retry or DEFAULT_RETRY_POLICY,
+            bool(vectorize),
+            progress,
+        )
         self._cache: dict[tuple[Benchmark, str], RunResult] = {}
         self._restored_keys: set[tuple[Benchmark, str]] = set()
         self._quarantine: dict[tuple[Benchmark, str], QuarantineEntry] = {}
-        self._stats = _Stats()
-        # Memoised per-benchmark protocol and per-machine meter lookups:
-        # a 61x45 sweep re-derives neither inside the measurement loop.
-        self._protocols: dict[Benchmark, MeasurementProtocol] = {}
-        self._meters: dict[str, PowerMeter] = {}
+        # The outcomes of the sweep the merge loop is walking (None
+        # between sweeps); :meth:`measure` adds the in-process ones.
+        self._sweep_outcomes: Optional[dict] = None
 
     @property
     def engine(self) -> ExecutionEngine:
-        return self._engine
+        return self._pair.engine
 
     @property
     def references(self) -> References:
@@ -259,12 +483,12 @@ class Study:
 
     @property
     def retry_policy(self) -> RetryPolicy:
-        return self._retry
+        return self._pair.retry
 
     @property
     def vectorize(self) -> bool:
         """Whether fault-free pairs run through compiled sweep kernels."""
-        return self._vectorize
+        return self._pair.vectorize
 
     @property
     def quarantined(self) -> tuple[QuarantineEntry, ...]:
@@ -325,8 +549,7 @@ class Study:
 
     def scaled_invocations(self, benchmark: Benchmark) -> int:
         """Protocol repetitions after ``invocation_scale`` (floored at 1)."""
-        protocol = self._protocol(benchmark)
-        return max(1, math.ceil(protocol.invocations * self._scale))
+        return self._pair.scaled_invocations(benchmark)
 
     def planned_invocations(
         self,
@@ -334,29 +557,26 @@ class Study:
         benchmarks: Optional[Sequence[Benchmark]] = None,
     ) -> int:
         """Invocations a sweep would actually execute (uncached,
-        unquarantined pairs only)."""
+        unquarantined pairs, each once)."""
         chosen = tuple(benchmarks) if benchmarks is not None else self._benchmarks
-        return sum(
-            self.scaled_invocations(benchmark)
-            for config in configurations
-            for benchmark in chosen
-            if not self.is_cached(benchmark, config)
-            and not self.is_quarantined(benchmark, config)
+        pending = self._pending(
+            [(benchmark, config) for config in configurations for benchmark in chosen]
         )
+        return sum(self.scaled_invocations(benchmark) for benchmark, _ in pending)
 
-    def _protocol(self, benchmark: Benchmark) -> MeasurementProtocol:
-        protocol = self._protocols.get(benchmark)
-        if protocol is None:
-            protocol = protocol_for(benchmark)
-            self._protocols[benchmark] = protocol
-        return protocol
-
-    def _meter(self, spec: ProcessorSpec) -> PowerMeter:
-        meter = self._meters.get(spec.key)
-        if meter is None:
-            meter = meter_for(spec)
-            self._meters[spec.key] = meter
-        return meter
+    def _pending(
+        self, pairs: Iterable[tuple[Benchmark, Configuration]]
+    ) -> list[tuple[Benchmark, Configuration]]:
+        """The pairs a sweep must measure: uncached, unquarantined, each
+        once, in sweep order."""
+        pending: dict[tuple[Benchmark, str], tuple[Benchmark, Configuration]] = {}
+        for benchmark, config in pairs:
+            key = (benchmark, config.key)
+            if not (
+                key in pending or key in self._cache or key in self._quarantine
+            ):
+                pending[key] = (benchmark, config)
+        return list(pending.values())
 
     # -- checkpointing ---------------------------------------------------------
 
@@ -436,213 +656,30 @@ class Study:
     def measure(self, benchmark: Benchmark, config: Configuration) -> RunResult:
         """Measure one benchmark on one configuration (cached).
 
-        Raises :class:`~repro.faults.RetriesExhausted` if an invocation
-        keeps failing through the retry policy, or immediately if the
-        pair is already quarantined; ``run()`` turns both into quarantine
-        entries instead of propagating.
+        Called on its own, this is a one-pair in-process sweep through
+        the merge loop, so the pair is cached, checkpointed and accounted
+        as in any sweep.  Raises :class:`~repro.faults.RetriesExhausted`
+        if an invocation keeps failing through the retry policy (the pair
+        is then quarantined), or at once if the pair is quarantined.  The
+        merge loop calls it for each uncached pair it measures in-process
+        and takes the pair's outcome from ``_sweep_outcomes``.
         """
-        cache_key = (benchmark, config.key)
-        cached = self._cache_get(cache_key)
-        if cached is not None:
-            _CACHE_HITS.inc()
-            return cached
-        entry = self._quarantine.get(cache_key)
-        if entry is not None:
-            raise RetriesExhausted(
-                f"{benchmark.name} @ {config.key} is quarantined: {entry.reason}",
-                site=f"{config.key}/{benchmark.name}",
-            )
-        _CACHE_MISSES.inc()
-        retries_before = self._stats.retries
-        remeasures_before = self._stats.remeasures
-        with default_tracer().span(
-            "study.measure", benchmark=benchmark.name, config=config.key
-        ) as span:
-            started = time.perf_counter()
-            result = self._measure_uncached(benchmark, config)
-            span.set_attribute("invocations", result.invocations)
-            span.set_attribute("seconds", round(result.seconds, 6))
-            retries = self._stats.retries - retries_before
-            remeasures = self._stats.remeasures - remeasures_before
-            if retries:
-                span.set_attribute("retries", retries)
-            if remeasures:
-                span.set_attribute("outlier_remeasures", remeasures)
-            _MEASURE_SECONDS.observe(time.perf_counter() - started)
-        self._cache_store(cache_key, result)
-        self._checkpoint_append(result)
-        return result
-
-    def _metered_invocation(
-        self,
-        benchmark: Benchmark,
-        config: Configuration,
-        index: int,
-        protocol: MeasurementProtocol,
-        meter: PowerMeter,
-    ) -> tuple[float, float]:
-        """One invocation through engine and meter, with bounded retries.
-
-        The site key doubles as the run salt, so measurement noise is a
-        function of the site alone while injected-fault decisions also see
-        the attempt (via :func:`~repro.faults.injector.attempt_scope`):
-        a recovered fail-stop fault reproduces the fault-free measurement
-        exactly.  Returns ``(seconds, average_watts)``.
-        """
-        site = f"{config.key}/{benchmark.name}/{index}"
-        policy = self._retry
-        hung_s = 0.0
-        attempt = 0
-        while True:
-            try:
-                with attempt_scope(attempt):
-                    execution = self._engine.execute(
-                        benchmark, config,
-                        invocation=index,
-                        iteration=protocol.iteration,
-                    )
-                    measurement = meter.measure(execution, run_salt=site)
-                return execution.seconds.value, measurement.average_watts
-            except RetriesExhausted:
-                raise
-            except MeasurementError as exc:
-                self._stats.record_failure(exc)
-                if isinstance(exc, InvocationTimeout):
-                    hung_s += exc.elapsed_s
-                if attempt >= policy.max_retries:
-                    raise RetriesExhausted(
-                        f"{site} failed {attempt + 1} attempts "
-                        f"(last: {exc})",
-                        site=site,
-                        last_error=exc,
-                    ) from exc
-                if hung_s > policy.timeout_budget_s:
-                    raise RetriesExhausted(
-                        f"{site} spent a simulated {hung_s:g}s hung, past "
-                        f"its {policy.timeout_budget_s:g}s budget "
-                        f"(last: {exc})",
-                        site=site,
-                        last_error=exc,
-                    ) from exc
-                attempt += 1
-                self._stats.retries += 1
-                _RETRIES.inc()
-                delay = policy.delay_for(attempt, site)
-                if delay > 0.0:
-                    time.sleep(delay)
-
-    def _measure_uncached(
-        self, benchmark: Benchmark, config: Configuration
-    ) -> RunResult:
-        protocol = self._protocol(benchmark)
-        invocations = self.scaled_invocations(benchmark)
-        meter = self._meter(config.spec)
-
-        injector = _faults_active()
-        # A pair vectorises when kernels are enabled and no armed fault
-        # spec's scope reaches any of its sites — the scalar path is the
-        # only one that walks the per-invocation fault hooks.  The scope
-        # check draws no RNG, and an unarmed pair's hooks are no-ops that
-        # also draw none, so skipping them is behaviour-identical.
-        use_kernel = self._vectorize and (
-            injector is None
-            or not injector.may_fault_pair(
-                config.key, benchmark.name, invocations
-            )
+        key = (benchmark, config.key)
+        if self._sweep_outcomes is not None:
+            outcome = self._pair.measure(benchmark, config)
+            self._sweep_outcomes[key] = outcome
+            return outcome.result
+        outcomes: dict[tuple[Benchmark, str], PairOutcome] = {}
+        swept = self._merge(((benchmark, config),), outcomes)
+        if swept:
+            return swept.single()
+        if key in outcomes:  # measured and failed in this sweep
+            raise outcomes[key].error
+        raise RetriesExhausted(
+            f"{benchmark.name} @ {config.key} is quarantined: "
+            f"{self._quarantine[key].reason}",
+            site=f"{config.key}/{benchmark.name}",
         )
-        if self._vectorize and not use_kernel:
-            _kernels.note_fallback("faults")
-        with default_tracer().span(
-            "engine.execute",
-            benchmark=benchmark.name,
-            config=config.key,
-            invocations=invocations,
-        ):
-            kernel_result = None
-            if use_kernel:
-                # One compiled numpy pass over the whole invocation loop;
-                # ``None`` means the plan's shape isn't compilable and the
-                # pair follows the scalar route below.
-                kernel_result = _kernels.measure_pair(
-                    self._engine, meter, benchmark, config, protocol,
-                    invocations,
-                )
-            if kernel_result is not None:
-                times, powers = kernel_result
-                if self._progress is not None:
-                    self._progress.advance(invocations)
-            else:
-                # The scalar reference: one invocation at a time through
-                # engine and meter under the retry policy.
-                times = []
-                powers = []
-                for invocation in range(invocations):
-                    seconds, watts = self._metered_invocation(
-                        benchmark, config, invocation, protocol, meter
-                    )
-                    times.append(seconds)
-                    powers.append(watts)
-                    if self._progress is not None:
-                        self._progress.advance()
-        _INVOCATIONS.inc(invocations)
-
-        self._remeasure_outliers(
-            benchmark, config, protocol, meter, times, powers, invocations
-        )
-
-        time_ci = confidence_interval(times)
-        power_ci = confidence_interval(powers)
-        seconds = time_ci.mean
-        watts = power_ci.mean
-        return RunResult(
-            benchmark_name=benchmark.name,
-            group=benchmark.group,
-            processor_key=config.spec.key,
-            config_key=config.key,
-            seconds=seconds,
-            watts=watts,
-            speedup=self._references.speedup(benchmark, seconds),
-            normalized_energy=self._references.normalized_energy(
-                benchmark, seconds * watts
-            ),
-            time_ci=time_ci,
-            power_ci=power_ci,
-            invocations=invocations,
-        )
-
-    def _remeasure_outliers(
-        self,
-        benchmark: Benchmark,
-        config: Configuration,
-        protocol: MeasurementProtocol,
-        meter: PowerMeter,
-        times: list[float],
-        powers: list[float],
-        invocations: int,
-    ) -> None:
-        """MAD outlier screen: re-measure suspect invocations in place.
-
-        Replacement runs use salt indices past the protocol's range, so
-        they draw fresh noise (re-running the same salt would reproduce
-        the same glitch) without disturbing the other invocations'
-        streams.  Off unless the policy sets ``outlier_threshold``, which
-        keeps the default protocol byte-identical to the unscreened one.
-        """
-        threshold = self._retry.outlier_threshold
-        if threshold is None or self._retry.max_remeasures <= 0:
-            return
-        suspects = sorted(
-            set(mad_outlier_indices(powers, threshold))
-            | set(mad_outlier_indices(times, threshold))
-        )
-        for index in suspects[: self._retry.max_remeasures]:
-            seconds, watts = self._metered_invocation(
-                benchmark, config, invocations + index, protocol, meter
-            )
-            times[index] = seconds
-            powers[index] = watts
-            self._stats.remeasures += 1
-            _REMEASURES.inc()
 
     def run(
         self,
@@ -656,16 +693,8 @@ class Study:
         the returned set's :class:`CampaignHealth` and skipped by later
         sweeps — instead of aborting the campaign, so one pathological
         (benchmark, configuration) cell cannot take down a 61x45 sweep.
-        Every pair funnels through :meth:`measure`, whose cache-hit fast
-        path touches nothing but the cache dict and one counter, so hit
-        and miss accounting cannot diverge between entry points.
-
         ``jobs`` overrides the study-level worker count for this sweep
-        (``None`` inherits the study's setting).  The parallel path
-        shards uncached pairs across a process pool and merges worker
-        results deterministically, producing the byte-identical
-        :class:`ResultSet`, health report, and checkpoint bytes the
-        sequential path would have — see :mod:`repro.core.executor`.
+        (``None`` inherits the study's setting).
         """
         chosen = tuple(benchmarks) if benchmarks is not None else self._benchmarks
         pairs = [
@@ -690,100 +719,89 @@ class Study:
         and each occurrence reported, exactly as ``run`` treats a repeated
         configuration."""
         pairs = list(pairs)
+        pending = self._pending(pairs)
         if self._progress is not None:
             self._progress.extend_total(
-                sum(
-                    self.scaled_invocations(b)
-                    for b, c in pairs
-                    if not self.is_cached(b, c) and not self.is_quarantined(b, c)
-                )
+                sum(self.scaled_invocations(benchmark) for benchmark, _ in pending)
             )
         workers = self._resolve_jobs(jobs)
-        if workers is not None:
-            pending: list[tuple[Benchmark, Configuration]] = []
-            seen: set[tuple[Benchmark, str]] = set()
-            for benchmark, config in pairs:
-                key = (benchmark, config.key)
-                if (
-                    key in self._cache
-                    or key in self._quarantine
-                    or key in seen
-                ):
-                    continue
-                seen.add(key)
-                pending.append((benchmark, config))
-            if pending:
-                chunks = self._dispatch_parallel(pending, workers)
-                if chunks is not None:
-                    return self._merge_parallel(pairs, pending, chunks)
-        before = self._stats.snapshot()
-        measured = cached = restored = 0
+        outcomes: dict[tuple[Benchmark, str], PairOutcome] = {}
+        if workers is not None and pending:
+            outcomes = self._dispatch(pending, workers)
+        return self._merge(pairs, outcomes)
+
+    def _merge(
+        self,
+        pairs: Sequence[tuple[Benchmark, Configuration]],
+        outcomes: dict[tuple[Benchmark, str], PairOutcome],
+    ) -> ResultSet:
+        """The one merge loop: walk the sweep's pairs in order and turn
+        each into a quarantine entry, a cache hit, or a measured outcome.
+
+        ``outcomes`` holds the pool's outcomes (in pending order) when the
+        sweep was dispatched; any other uncached pair is measured here,
+        lazily through :meth:`measure`, so the checkpoint grows pair by
+        pair and every ledger entry lands where it would at any worker
+        count."""
+        # Workers' span subtrees hang off the span that dispatched the
+        # sweep, re-issued in sweep order so the merged trace is
+        # identical at any worker count.
+        parent = current_span_id()
+        for outcome in outcomes.values():
+            default_tracer().adopt(outcome.spans, parent_id=parent)
+        measured = cached = restored = retries = remeasures = 0
+        failures: dict[str, int] = {}
         quarantined: list[QuarantineEntry] = []
         results: list[RunResult] = []
-        for benchmark, config in pairs:
-            key = (benchmark, config.key)
-            entry = self._quarantine.get(key)
-            if entry is not None:
-                quarantined.append(entry)
-                continue
-            was_cached = key in self._cache
-            try:
-                results.append(self.measure(benchmark, config))
-            except MeasurementError as exc:
-                quarantined.append(self._quarantine_pair(key, str(exc)))
-                continue
-            if was_cached:
-                if key in self._restored_keys:
-                    restored += 1
-                else:
-                    cached += 1
-            else:
+        self._sweep_outcomes = outcomes
+        try:
+            for benchmark, config in pairs:
+                key = (benchmark, config.key)
+                entry = self._quarantine.get(key)
+                if entry is not None:
+                    quarantined.append(entry)
+                    continue
+                result = self._cache_get(key)
+                if result is not None:
+                    _CACHE_HITS.inc()
+                    results.append(result)
+                    if key in self._restored_keys:
+                        restored += 1
+                    else:
+                        cached += 1
+                    continue
+                _CACHE_MISSES.inc()
+                if key not in outcomes:
+                    self.measure(benchmark, config)
+                outcome = outcomes[key]
+                retries += outcome.retries
+                remeasures += outcome.remeasures
+                for name in outcome.failure_events:
+                    failures[name] = failures.get(name, 0) + 1
+                if outcome.result is None:
+                    entry = self._quarantine[key] = QuarantineEntry(
+                        benchmark.name, config.key, outcome.failure
+                    )
+                    _QUARANTINED.inc()
+                    quarantined.append(entry)
+                    continue
+                self._cache_store(key, outcome.result)
+                self._checkpoint_append(outcome.result)
+                results.append(outcome.result)
                 measured += 1
-        health = self._health_since(
-            before, len(pairs), measured, cached, restored, quarantined
-        )
-        return ResultSet(results, health=health)
-
-    def _quarantine_pair(
-        self, key: tuple[Benchmark, str], reason: str
-    ) -> QuarantineEntry:
-        """Quarantine one pair that exhausted its retries."""
-        entry = QuarantineEntry(
-            benchmark_name=key[0].name, config_key=key[1], reason=reason
-        )
-        self._quarantine[key] = entry
-        _QUARANTINED.inc()
-        return entry
-
-    def _health_since(
-        self,
-        before: tuple[int, int, dict[str, int]],
-        attempted: int,
-        measured: int,
-        cached: int,
-        restored: int,
-        quarantined: Sequence[QuarantineEntry],
-    ) -> CampaignHealth:
-        """One sweep's health report: pair counts as tallied, and the
-        retry, re-measure, and failure movement since ``before`` (a
-        stats snapshot taken when the sweep started)."""
-        retries_0, remeasures_0, failures_0 = before
-        retries_1, remeasures_1, failures_1 = self._stats.snapshot()
-        failures = {
-            name: count - failures_0.get(name, 0)
-            for name, count in failures_1.items()
-            if count - failures_0.get(name, 0) > 0
-        }
-        return CampaignHealth(
-            attempted_pairs=attempted,
+        finally:
+            self._sweep_outcomes = None
+        health = CampaignHealth(
+            attempted_pairs=len(pairs),
             measured_pairs=measured,
             cached_pairs=cached,
             restored_pairs=restored,
-            retries=retries_1 - retries_0,
-            remeasured_outliers=remeasures_1 - remeasures_0,
+            retries=retries,
+            remeasured_outliers=remeasures,
             failures=failures,
             quarantined=tuple(quarantined),
         )
+        return ResultSet(results, health=health)
 
     # -- parallel sweeps -------------------------------------------------------
 
@@ -810,15 +828,15 @@ class Study:
                 return None
         return jobs
 
-    def _dispatch_parallel(
+    def _dispatch(
         self,
         pending: Sequence[tuple[Benchmark, Configuration]],
         workers: int,
-    ):
-        """Shard ``pending`` across the worker pool; ``None`` if no pool
-        can be built or every worker died beyond repair (the caller falls
-        back to the sequential loop — safe, because nothing merges until
-        every chunk is back)."""
+    ) -> dict[tuple[Benchmark, str], PairOutcome]:
+        """Measure ``pending`` on the worker pool: each pair's outcome,
+        in pending order.  Empty if no pool can be built or every worker
+        died beyond repair — the merge loop then measures in-process,
+        which is safe because nothing has been merged yet."""
         from repro.core import executor
 
         # Warm the references (and, through their probe runs, the
@@ -831,18 +849,14 @@ class Study:
         injector = _faults_active()
         setup = executor.WorkerSetup(
             references=self._references,
-            calibration=self._engine.calibration_snapshot(),
-            invocation_scale=self._scale,
-            retry=self._retry,
+            calibration=self.engine.calibration_snapshot(),
+            invocation_scale=self._pair.invocation_scale,
+            retry=self._pair.retry,
             metrics_enabled=_metrics_enabled(),
             fault_plan=injector.plan if injector is not None else None,
             trace_enabled=default_tracer().is_enabled,
-            kernels=self._engine.kernel_snapshot() or None,
-            vectorize=self._vectorize,
-        )
-        indexed = tuple(
-            (benchmark, config, index)
-            for index, (benchmark, config) in enumerate(pending)
+            kernels=self.engine.kernel_snapshot() or None,
+            vectorize=self._pair.vectorize,
         )
         options = dict(
             heartbeat_s=self._heartbeat_s,
@@ -857,14 +871,18 @@ class Study:
                     self.close_pool()
                 if self._pool is None:
                     self._pool = executor.SweepPool(setup, workers, **options)
-            return executor.run_pairs(
-                setup, indexed, workers, self._progress, self._pool, **options
+            outcomes = executor.run_pairs(
+                setup, pending, workers, self._progress, self._pool, **options
             )
         except executor.PoolUnavailable:
             # Drop a kept-alive pool that died so the next dispatch
             # starts a fresh one.
             self.close_pool()
-            return None
+            return {}
+        return {
+            (benchmark, config.key): outcome
+            for (benchmark, config), outcome in zip(pending, outcomes)
+        }
 
     def fleet_snapshot(self):
         """Per-worker health of the kept-alive pool (``None`` when the
@@ -884,82 +902,6 @@ class Study:
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-
-    def _merge_parallel(
-        self,
-        pairs: Sequence[tuple[Benchmark, Configuration]],
-        pending: Sequence[tuple[Benchmark, Configuration]],
-        chunks,
-    ) -> ResultSet:
-        """Fold worker outcomes back in, reproducing the sequential path.
-
-        Worker metric deltas merge in chunk order; then the full pair
-        list replays in sweep order, so cache inserts, checkpoint
-        appends, failure-dict insertion order, hit/miss accounting, and
-        quarantine decisions all land exactly where the sequential loop
-        would have put them."""
-        before = self._stats.snapshot()
-        for chunk in chunks:
-            _REGISTRY.apply_snapshot(chunk.metrics_delta)
-        outcome_by_index = {
-            outcome.index: outcome
-            for chunk in chunks
-            for outcome in chunk.outcomes
-        }
-        tracer = default_tracer()
-        if tracer.is_enabled:
-            # Adopt worker span subtrees in sweep (pending) order — the
-            # span analogue of the metric-delta merge above: IDs are
-            # re-issued from the parent tracer in a deterministic order,
-            # so the merged trace is identical at any worker count and
-            # every subtree hangs off the span that dispatched the sweep.
-            parent = current_span_id()
-            for index in range(len(pending)):
-                outcome = outcome_by_index.get(index)
-                if outcome is not None and outcome.spans:
-                    tracer.adopt(outcome.spans, parent_id=parent)
-        pending_index = {
-            (benchmark, config.key): index
-            for index, (benchmark, config) in enumerate(pending)
-        }
-        measured = cached = restored = 0
-        quarantined: list[QuarantineEntry] = []
-        results: list[RunResult] = []
-        for benchmark, config in pairs:
-            key = (benchmark, config.key)
-            entry = self._quarantine.get(key)
-            if entry is not None:
-                quarantined.append(entry)
-                continue
-            cached_result = self._cache_get(key)
-            if cached_result is not None:
-                _CACHE_HITS.inc()
-                results.append(cached_result)
-                if key in self._restored_keys:
-                    restored += 1
-                else:
-                    cached += 1
-                continue
-            outcome = outcome_by_index[pending_index[key]]
-            self._stats.retries += outcome.retries
-            self._stats.remeasures += outcome.remeasures
-            for name in outcome.failure_events:
-                self._stats.record_failure_name(name)
-            if outcome.result is not None:
-                self._cache_store(key, outcome.result)
-                self._checkpoint_append(outcome.result)
-                results.append(outcome.result)
-                measured += 1
-            else:
-                quarantined.append(
-                    self._quarantine_pair(
-                        key, outcome.failure or "worker failure"
-                    )
-                )
-        health = self._health_since(
-            before, len(pairs), measured, cached, restored, quarantined
-        )
-        return ResultSet(results, health=health)
 
     def run_config(
         self,

@@ -27,6 +27,7 @@ from repro.faults.plan import FaultPlan, FaultSpec, worker_chaos_plan
 from repro.hardware.catalog import ATOM_45, CORE_I7_45
 from repro.hardware.config import stock
 from repro.workloads.catalog import benchmark
+from tests.helpers import records as _records
 
 CLEAN = FaultPlan()
 
@@ -61,10 +62,6 @@ def _tear_and_die(results) -> None:
     length header promising far more bytes than ever arrive."""
     os.write(results.fileno(), struct.pack("!i", 1 << 20) + b"torn")
     os._exit(CRASH_EXIT_CODE)
-
-
-def _records(results):
-    return [result.as_record() for result in results]
 
 
 def _sweep(references, checkpoint, *, jobs=None, **kwargs):

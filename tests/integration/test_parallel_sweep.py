@@ -19,7 +19,9 @@ from repro.faults.plan import FaultPlan, FaultSpec, demo_plan, fail_stop_plan
 from repro.faults.retry import RetryPolicy
 from repro.hardware.catalog import ATOM_45, CORE_I7_45
 from repro.hardware.config import stock
+from repro.obs.metrics import default_registry
 from repro.workloads.catalog import benchmark
+from tests.helpers import records as _records
 
 CLEAN = FaultPlan()
 
@@ -33,10 +35,6 @@ BENCHES = tuple(
 #: checks the protocol itself rather than degenerate to the sequential
 #: path; 2 and 4 add real interleaving and out-of-order chunk completion.
 WORKER_COUNTS = (1, 2, 4)
-
-
-def _records(results):
-    return [result.as_record() for result in results]
 
 
 def _sweep(references, checkpoint, jobs=None, retry=None):
@@ -217,3 +215,45 @@ class TestFallback:
         assert _records(fallback) == _records(seq)
         assert fallback.health == seq.health
         assert fallback_checkpoint.read_bytes() == seq_checkpoint.read_bytes()
+
+
+class TestTelemetryParity:
+    COUNTERS = (
+        "repro_study_cache_hits_total",
+        "repro_study_cache_misses_total",
+        "repro_study_invocations_total",
+    )
+
+    def _one_pair_sweeps(self, references, jobs):
+        """Sweep pairs A, B, A, B, A one at a time through a study whose
+        cache holds one pair, so every sweep re-measures."""
+        registry = default_registry()
+        before = [registry.get(name).value for name in self.COUNTERS]
+        study = Study(
+            references=references,
+            invocation_scale=0.2,
+            reuse_pool=True,
+            cache_capacity=1,
+        )
+        a, b = (BENCHES[0], CONFIGS[0]), (BENCHES[1], CONFIGS[0])
+        try:
+            with injected(CLEAN):
+                sweeps = [
+                    study.run_pairs([pair], jobs=jobs) for pair in (a, b, a, b, a)
+                ]
+        finally:
+            study.close_pool()
+        moved = [
+            registry.get(name).value - start
+            for name, start in zip(self.COUNTERS, before)
+        ]
+        return [_records(s) for s in sweeps], [s.health for s in sweeps], moved
+
+    def test_pool_and_in_process_count_the_same(self, references):
+        """Pool workers keep no result cache of their own: a pair the
+        parent evicted is re-measured — and counted as a miss — on the
+        pool exactly as in-process."""
+        records, health, moved = self._one_pair_sweeps(references, jobs=None)
+        assert moved[0] == 0 and moved[1] == 5  # no hits, five misses
+        pooled = self._one_pair_sweeps(references, jobs=1)
+        assert pooled == (records, health, moved)

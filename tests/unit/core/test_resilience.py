@@ -20,6 +20,7 @@ from repro.faults.retry import RetryPolicy
 from repro.hardware.catalog import ATOM_45, CORE_I7_45
 from repro.hardware.config import stock
 from repro.workloads.catalog import benchmark
+from tests.helpers import records as _records
 
 CLEAN = FaultPlan()  # no specs: overrides any session-wide plan with silence
 
@@ -30,10 +31,6 @@ BENCHES = (benchmark("mcf"), benchmark("db"))
 def _study(references, **kwargs):
     kwargs.setdefault("invocation_scale", 0.2)
     return Study(references=references, **kwargs)
-
-
-def _records(result_set):
-    return [r.as_record() for r in result_set]
 
 
 class TestRetryTransparency:

@@ -1,10 +1,13 @@
 """Unit tests for the study harness."""
 
+import io
+
 import pytest
 
 from repro.core.study import Study
 from repro.hardware.catalog import ATOM_45, CORE_I7_45
 from repro.hardware.config import stock
+from repro.obs.progress import ProgressReporter
 from repro.runtime.methodology import protocol_for
 from repro.workloads.catalog import benchmark
 from repro.workloads.synthetic import synthetic
@@ -119,6 +122,19 @@ class TestScaledInvocations:
         assert planned == sum(r.invocations for r in results)
         # A fully cached sweep plans zero new work.
         assert study.planned_invocations(configs, benches) == 0
+
+        # A configuration listed twice is planned, measured and counted
+        # on the progress line once.
+        progress = ProgressReporter(stream=io.StringIO())
+        study = Study(
+            references=references, invocation_scale=0.2, progress=progress
+        )
+        doubled = (stock(CORE_I7_45), stock(CORE_I7_45))
+        planned = study.planned_invocations(doubled, benches)
+        results = study.run(doubled, benches)
+        assert len(results) == 2 * len(benches)
+        assert planned == sum(r.invocations for r in results) // 2
+        assert progress.total == progress.done == planned
 
 
 class TestDeterminism:
