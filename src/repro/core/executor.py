@@ -203,26 +203,27 @@ def _measure_chunk(
     before = registry.snapshot()
     tracer = default_tracer()
     outcomes: list[PairOutcome] = []
-    for benchmark, config, index in chunk:
-        spans_0 = len(tracer.finished)
-        # Each pair's spans nest under one executor.chunk root; the
-        # parent adopts that subtree (in sweep order) when it merges.
-        with tracer.span(
-            "executor.chunk",
-            chunk=chunk_index,
-            pair=index,
-            pid=os.getpid(),
-            benchmark=benchmark.name,
-            config=config.key,
-        ):
-            outcome = measurement.measure(benchmark, config)
-        outcome.index = index
-        outcome.error = None  # the failure text travels; the exception stays
-        if tracer.is_enabled:
-            outcome.spans = tuple(
-                span.as_dict() for span in tracer.finished[spans_0:]
-            )
-        outcomes.append(outcome)
+    with measurement.prepared((b, c) for b, c, _ in chunk):
+        for benchmark, config, index in chunk:
+            spans_0 = len(tracer.finished)
+            # Each pair's spans nest under one executor.chunk root; the
+            # parent adopts that subtree (in sweep order) when it merges.
+            with tracer.span(
+                "executor.chunk",
+                chunk=chunk_index,
+                pair=index,
+                pid=os.getpid(),
+                benchmark=benchmark.name,
+                config=config.key,
+            ):
+                outcome = measurement.measure(benchmark, config)
+            outcome.index = index
+            outcome.error = None  # the failure text travels; the exception stays
+            if tracer.is_enabled:
+                outcome.spans = tuple(
+                    span.as_dict() for span in tracer.finished[spans_0:]
+                )
+            outcomes.append(outcome)
     return ChunkResult(
         chunk_index=chunk_index,
         outcomes=tuple(outcomes),

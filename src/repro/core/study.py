@@ -14,7 +14,9 @@ budget), the MAD outlier re-measure and the 95% confidence intervals, in
 one ``study.measure`` span — and returns a :class:`PairOutcome`: the
 result or the failure, with its retries, re-measures and failure events.
 It holds no cache, quarantine or checkpoint, so pool workers run it
-directly.  The **study** keeps the campaign ledger and one merge loop:
+directly.  Before measuring, a sweep compiles the kernels of the pairs
+it measures in-process (a pool worker: of its chunk) and primes their
+generator states in one batch (:meth:`_PairMeasurement.prepared`).  The **study** keeps the campaign ledger and one merge loop:
 every sweep — in-process, on the worker pool, or falling back from the
 pool — walks its pairs in sweep order through that loop, which alone
 turns outcomes into cache entries, hit/miss counts, checkpoint lines,
@@ -35,6 +37,7 @@ quarantine and restore counts feed the metrics registry, and an optional
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -135,9 +138,10 @@ class PairOutcome:
 class _PairMeasurement:
     """The pure pair measurement (see the module docstring).
 
-    Its only state is memoised per-benchmark protocols and per-machine
+    Its state is memoised per-benchmark protocols and per-machine
     meters — a 61x45 sweep re-derives neither inside the measurement
-    loop — so measuring a pair twice gives an equal outcome."""
+    loop — and, inside :meth:`prepared`, the sweep's compiled kernels;
+    measuring a pair twice gives an equal outcome."""
 
     def __init__(
         self,
@@ -155,6 +159,7 @@ class _PairMeasurement:
         self.progress = progress
         self._protocols: dict[Benchmark, MeasurementProtocol] = {}
         self._meters: dict[str, PowerMeter] = {}
+        self._prepared: dict[tuple[Benchmark, str], Optional[_kernels.PairKernel]] = {}
 
     def protocol(self, benchmark: Benchmark) -> MeasurementProtocol:
         if benchmark not in self._protocols:
@@ -169,6 +174,36 @@ class _PairMeasurement:
     def scaled_invocations(self, benchmark: Benchmark) -> int:
         protocol = self.protocol(benchmark)
         return max(1, math.ceil(protocol.invocations * self.invocation_scale))
+
+    @contextlib.contextmanager
+    def prepared(self, pairs: Iterable[tuple[Benchmark, Configuration]]):
+        """Compile the kernels of ``pairs`` and prime their generator
+        states in one batch, for the measurements inside the block.
+
+        Seeding words are cheap only in bulk (:func:`repro.execution.
+        kernels.prime`), so a sweep prepares its whole in-process pending
+        list and a pool worker its chunk.  Each prepared pair's measurement
+        replays the kernel compiled here instead of compiling again, so a
+        pair still calls ``compile_pair`` once and the kernel counters
+        move as they would without preparation.  Fault-armed pairs are
+        skipped: they take the scalar path and count their fallback when
+        measured."""
+        kernels = []
+        for benchmark, config in pairs:
+            invocations = self.scaled_invocations(benchmark)
+            if not self._vectorises(benchmark, config, invocations):
+                continue
+            kernel = self._prepared[(benchmark, config.key)] = _kernels.compile_pair(
+                self.engine, self.meter(config.spec), benchmark, config,
+                self.protocol(benchmark), invocations,
+            )
+            if kernel is not None:
+                kernels.append(kernel)
+        _kernels.prime(kernels)
+        try:
+            yield
+        finally:
+            self._prepared.clear()
 
     def measure(self, benchmark: Benchmark, config: Configuration) -> PairOutcome:
         """Measure one pair under one ``study.measure`` span.
@@ -193,6 +228,23 @@ class _PairMeasurement:
         except MeasurementError as exc:
             outcome.failure, outcome.error = str(exc), exc
         return outcome
+
+    def _vectorises(
+        self, benchmark: Benchmark, config: Configuration, invocations: int
+    ) -> bool:
+        """Whether the pair runs through a compiled kernel.
+
+        A pair vectorises when kernels are enabled and no armed fault
+        spec's scope reaches any of its sites — the scalar path is the
+        only one that walks the per-invocation fault hooks.  The scope
+        check draws no RNG, and an unarmed pair's hooks are no-ops that
+        also draw none, so skipping them is behaviour-identical."""
+        if not self.vectorize:
+            return False
+        injector = _faults_active()
+        return injector is None or not injector.may_fault_pair(
+            config.key, benchmark.name, invocations
+        )
 
     def _metered_invocation(
         self,
@@ -260,18 +312,7 @@ class _PairMeasurement:
         invocations = self.scaled_invocations(benchmark)
         meter = self.meter(config.spec)
 
-        injector = _faults_active()
-        # A pair vectorises when kernels are enabled and no armed fault
-        # spec's scope reaches any of its sites — the scalar path is the
-        # only one that walks the per-invocation fault hooks.  The scope
-        # check draws no RNG, and an unarmed pair's hooks are no-ops that
-        # also draw none, so skipping them is behaviour-identical.
-        use_kernel = self.vectorize and (
-            injector is None
-            or not injector.may_fault_pair(
-                config.key, benchmark.name, invocations
-            )
-        )
+        use_kernel = self._vectorises(benchmark, config, invocations)
         if self.vectorize and not use_kernel:
             _kernels.note_fallback("faults")
         with default_tracer().span(
@@ -280,17 +321,21 @@ class _PairMeasurement:
             config=config.key,
             invocations=invocations,
         ):
-            kernel_result = None
+            kernel = None
             if use_kernel:
                 # One compiled numpy pass over the whole invocation loop;
                 # ``None`` means the plan's shape isn't compilable and the
                 # pair follows the scalar route below.
-                kernel_result = _kernels.measure_pair(
-                    self.engine, meter, benchmark, config, protocol,
-                    invocations,
-                )
-            if kernel_result is not None:
-                times, powers = kernel_result
+                key = (benchmark, config.key)
+                if key in self._prepared:
+                    kernel = self._prepared.pop(key)
+                else:
+                    kernel = _kernels.compile_pair(
+                        self.engine, meter, benchmark, config, protocol,
+                        invocations,
+                    )
+            if kernel is not None:
+                times, powers = _kernels.run_pair(kernel, self.engine, meter)
                 if self.progress is not None:
                     self.progress.advance(invocations)
             else:
@@ -728,7 +773,10 @@ class Study:
         outcomes: dict[tuple[Benchmark, str], PairOutcome] = {}
         if workers is not None and pending:
             outcomes = self._dispatch(pending, workers)
-        return self._merge(pairs, outcomes)
+        # Whatever the pool did not measure, the merge loop measures
+        # in-process: compile it and prime its seeding in one batch first.
+        with self._pair.prepared(() if outcomes else pending):
+            return self._merge(pairs, outcomes)
 
     def _merge(
         self,

@@ -20,6 +20,14 @@ as a handful of vectorised array operations:
   materialises the draws lazily on replay, keeping them in a per-process
   LRU bounded by bytes (:data:`DRAW_CACHE_CAP_BYTES`) and rebuilding an
   evicted pair's draws from its seeds when it replays again;
+* each site's stream starts in the state the scalar path's fresh
+  per-site generator starts in, without building one per site:
+  :func:`prime` derives the PCG64 seeding words of a whole sweep's
+  kernels in one vectorised pass
+  (:func:`~repro.core.seeding.pcg64_seed_table`), and replay resets one
+  generator per materialisation to each site's state in turn
+  (:func:`~repro.core.seeding.reseed`).  A kernel nobody primed derives
+  its own seeds' words when it materialises;
 * the metering pipeline runs as one array pass through the shared
   transfers (:meth:`ProcessorSupply.volts_from_wander`,
   :meth:`HallEffectSensor.transfer_codes`) and an exact per-segment
@@ -34,11 +42,12 @@ move (docs/performance.md, "Vectorized path").
 
 Kernels live in the engine's opaque kernel cache and ship to sweep
 workers through ``WorkerSetup.kernels`` alongside the calibration
-snapshot; their materialised draws are dropped on pickle
-(:meth:`PairKernel.__getstate__`) and rebuilt from seeds on first use.
-Pairs the compiler cannot express (unexpected phase shapes) and pairs a
-:class:`~repro.faults.plan.FaultPlan` has armed fall back to the scalar
-path per pair — counted in ``repro_kernel_scalar_fallbacks_total``.
+snapshot; their materialised draws and primed seeding words are dropped
+on pickle (:meth:`PairKernel.__getstate__`) and rebuilt from seeds on
+first use.  Pairs the compiler cannot express (unexpected phase shapes)
+and pairs a :class:`~repro.faults.plan.FaultPlan` has armed fall back to
+the scalar path per pair — counted in
+``repro_kernel_scalar_fallbacks_total``.
 """
 
 from __future__ import annotations
@@ -47,11 +56,11 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.core.seeding import run_key, seed_from_key
+from repro.core.seeding import pcg64_seed_table, reseed, run_key, seed_from_key
 from repro.execution.engine import ExecutionEngine
 from repro.execution.trace import sample_counts
 from repro.hardware.config import Configuration
@@ -226,14 +235,28 @@ class PairKernel:
     rate_hz: float
     max_samples: Optional[int]
     _draws: Optional[_PairDraws] = field(default=None, repr=False, compare=False)
+    # (4n, 4) uint64 PCG64 seeding words of the time, power, supply and
+    # sensor seeds, in that order: set by :func:`prime`, dropped once the
+    # draws exist.
+    _states: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __getstate__(self) -> dict:
-        """Serialise compactly: the materialised draws are pure functions
-        of the seed tables, so they never travel — a worker that adopts
-        this kernel re-derives byte-identical draws on first replay."""
+        """Serialise compactly: the materialised draws and the primed
+        seeding words are pure functions of the seed tables, so they never
+        travel — a worker that adopts this kernel re-derives
+        byte-identical draws on first replay."""
         state = self.__dict__.copy()
         state["_draws"] = None
+        state["_states"] = None
         return state
+
+    @property
+    def seeds(self) -> tuple[int, ...]:
+        """Every site seed, in the order of the ``_states`` rows."""
+        return (
+            self.time_seeds + self.power_seeds
+            + self.supply_seeds + self.sensor_seeds
+        )
 
     @property
     def nbytes(self) -> int:
@@ -258,9 +281,11 @@ class PairKernel:
     def _materialise(self) -> _PairDraws:
         """Re-derive every noise draw the scalar path would have made.
 
-        Per-invocation scalars come from one-value draws on generators
-        seeded exactly as :meth:`ExecutionEngine._noise` seeds them (the
-        stored integers *are* ``seed_from_key`` of the same run keys);
+        Per-invocation scalars come from one-value draws on a generator
+        put in the state :meth:`ExecutionEngine._noise`'s generators start
+        in (the stored integers *are* ``seed_from_key`` of the same run
+        keys; their seeding words come from :func:`prime` or, for an
+        unprimed kernel, from one batch over its own seeds);
         per-sample streams replay :meth:`ProcessorSupply.voltage_samples`
         and :meth:`HallEffectSensor.read_codes` draw-for-draw.  All the
         derived arrays are elementwise float64 arithmetic on the same
@@ -268,19 +293,26 @@ class PairKernel:
         is bit-identical to its scalar twin.
         """
         n = self.invocations
+        states = self._states
+        if states is None:
+            states = pcg64_seed_table(self.seeds)
+        rows = states.tolist()
+        # One generator per call, reset to each site's start state: never
+        # shared, so concurrent replays cannot interleave their streams.
+        rng = np.random.Generator(np.random.PCG64(0))
         if self.sigma_time == 0.0:
             tn = np.ones(n)
         else:
             tn = np.array([
-                np.random.default_rng(seed).lognormal(mean=0.0, sigma=self.sigma_time)
-                for seed in self.time_seeds
+                reseed(rng, row).lognormal(mean=0.0, sigma=self.sigma_time)
+                for row in rows[:n]
             ])
         if self.sigma_power == 0.0:
             pn = np.ones(n)
         else:
             pn = np.array([
-                np.random.default_rng(seed).lognormal(mean=0.0, sigma=self.sigma_power)
-                for seed in self.power_seeds
+                reseed(rng, row).lognormal(mean=0.0, sigma=self.sigma_power)
+                for row in rows[n:2 * n]
             ])
         if self.vendor_performance_factor is not None:
             tn = tn / self.vendor_performance_factor
@@ -323,21 +355,22 @@ class PairKernel:
         peaks = power.max(axis=1)
 
         # Per-sample noise streams, drawn per site salt exactly as the
-        # supply and sensor draw them (one fresh generator per salt, one
-        # normal vector per run) — segment i of the flat arrays holds
-        # precisely what invocation i's scalar measurement would draw.
+        # supply and sensor draw them (each salt's stream from its start
+        # state, one normal vector per run) — segment i of the flat arrays
+        # holds precisely what invocation i's scalar measurement would draw.
         wander = np.empty(total)
         sensor_noise = np.empty(total)
         start = 0
         for i in range(n):
             count = int(counts[i])
-            wander[start:start + count] = np.random.default_rng(
-                self.supply_seeds[i]
-            ).normal(0.0, self.wander_sigma, size=count)
-            sensor_noise[start:start + count] = np.random.default_rng(
-                self.sensor_seeds[i]
-            ).normal(0.0, self.sensor_sigma, size=count)
+            wander[start:start + count] = reseed(rng, rows[2 * n + i]).normal(
+                0.0, self.wander_sigma, size=count
+            )
+            sensor_noise[start:start + count] = reseed(rng, rows[3 * n + i]).normal(
+                0.0, self.sensor_sigma, size=count
+            )
             start += count
+        self._states = None
         return _PairDraws(
             durations=durations,
             counts=counts,
@@ -347,6 +380,28 @@ class PairKernel:
             wander=wander,
             sensor_noise=sensor_noise,
         )
+
+
+def prime(kernels: Iterable[PairKernel]) -> None:
+    """Derive the seeding words of every kernel about to materialise in
+    one vectorised pass.
+
+    Building a site's words alone costs about as much as the generator
+    it replaces; the batch is what makes them cheap, so callers prime a
+    whole sweep's (or a worker chunk's) kernels at once.  Kernels whose
+    draws are already materialised, or that are primed already, are
+    skipped.  Each kernel keeps its own copy of its rows, not a view of
+    the batch, so its rows are freed as soon as its draws exist instead
+    of when the sweep's last kernel materialises."""
+    todo = [k for k in kernels if k._draws is None and k._states is None]
+    if not todo:
+        return
+    table = pcg64_seed_table([seed for kernel in todo for seed in kernel.seeds])
+    start = 0
+    for kernel in todo:
+        stop = start + 4 * kernel.invocations
+        kernel._states = table[start:stop].copy()
+        start = stop
 
 
 def kernel_key(
@@ -494,21 +549,3 @@ def run_pair(
         kernel.parallel_phases * kernel.invocations,
     )
     return draws.durations.tolist(), watts
-
-
-def measure_pair(
-    engine: ExecutionEngine,
-    meter: PowerMeter,
-    benchmark: Benchmark,
-    config: Configuration,
-    protocol: MeasurementProtocol,
-    invocations: int,
-) -> Optional[tuple[list[float], list[float]]]:
-    """The study's entry point: compile-or-fetch, then replay.
-
-    ``None`` means the pair needs the scalar path (the fallback has
-    already been counted)."""
-    kernel = compile_pair(engine, meter, benchmark, config, protocol, invocations)
-    if kernel is None:
-        return None
-    return run_pair(kernel, engine, meter)

@@ -4,7 +4,14 @@ import io
 
 import pytest
 
+from repro.core.normalization import References
 from repro.core.study import Study
+from repro.execution import kernels
+from repro.execution.engine import ExecutionEngine
+from repro.execution.kernels import kernel_stats
+from repro.faults import injector
+from repro.faults.injector import injected
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.hardware.catalog import ATOM_45, CORE_I7_45
 from repro.hardware.config import stock
 from repro.obs.progress import ProgressReporter
@@ -150,3 +157,77 @@ class TestDeterminism:
     def test_java_runs_vary_between_invocations(self, full_study):
         result = full_study.measure(benchmark("db"), stock(ATOM_45))
         assert result.time_ci.half_width > 0.0
+
+
+class TestKernelCounterParity:
+    """A sweep compiles its pairs' kernels up front, to prime their
+    seeding in one batch, and replays them when it measures; each
+    measured pair must still call ``compile_pair`` exactly once, so the
+    kernel counters move as if every pair compiled on its own."""
+
+    COMPILED = ("db", "mcf", "vips", "eclipse")
+    ARMED = "bzip2"  # a fault plan reaches its sites: scalar path
+    DECLINED = "lusearch"  # the compiler declines its plan: scalar path
+
+    @pytest.fixture()
+    def spied(self, monkeypatch):
+        """Disarm any session-wide plan, and count every compile_pair
+        call per benchmark, declining the DECLINED pair's plan."""
+        monkeypatch.setattr(injector, "_ACTIVE", None)
+        real = kernels.compile_pair
+        calls: list[str] = []
+
+        def compile_pair(engine, meter, bench, config, protocol, invocations):
+            calls.append(bench.name)
+            if bench.name == self.DECLINED:
+                kernels.note_fallback("shape")
+                return None
+            return real(engine, meter, bench, config, protocol, invocations)
+
+        monkeypatch.setattr(kernels, "compile_pair", compile_pair)
+        return calls
+
+    def _sweep(self, jobs):
+        """One cold sweep (a fresh engine compiles every kernel anew);
+        returns the kernel counters' movement."""
+        config = stock(CORE_I7_45)
+        names = self.COMPILED + (self.ARMED, self.DECLINED)
+        pairs = [(benchmark(name), config) for name in names]
+        armed = FaultPlan(specs=(FaultSpec(
+            kind="invocation.crash",
+            probability=1e-12,
+            scope=f"{config.key}/{self.ARMED}/*",
+        ),))
+        study = Study(
+            references=References(ExecutionEngine()),
+            invocation_scale=0.2,
+            vectorize=True,
+        )
+        before = kernel_stats()
+        with injected(armed):
+            results = study.run_pairs(pairs + pairs[:2], jobs=jobs)
+        after = kernel_stats()
+        assert len(results) == len(pairs) + 2
+        assert not results.health.quarantined
+
+        def moved(reason):
+            fallbacks = after["fallbacks"], before["fallbacks"]
+            return fallbacks[0].get(reason, 0) - fallbacks[1].get(reason, 0)
+
+        return {
+            "compiles": after["compiles"] - before["compiles"],
+            "cache_hits": after["cache_hits"] - before["cache_hits"],
+            "faults": moved("faults"),
+            "shape": moved("shape"),
+        }
+
+    #: Each compiled pair compiles once and never hits the cache; the
+    #: armed and the declined pair each count one fallback.
+    EXPECTED = {"compiles": len(COMPILED), "cache_hits": 0, "faults": 1, "shape": 1}
+
+    def test_in_process_sweep_compiles_each_pair_once(self, spied):
+        assert self._sweep(jobs=None) == self.EXPECTED
+        assert sorted(spied) == sorted(self.COMPILED + (self.DECLINED,))
+
+    def test_pool_sweep_moves_the_counters_identically(self, spied):
+        assert self._sweep(jobs=1) == self._sweep(jobs=None) == self.EXPECTED

@@ -22,6 +22,7 @@ from repro.execution.kernels import (
     compile_pair,
     kernel_key,
     kernel_stats,
+    prime,
     run_pair,
 )
 from repro.execution.trace import sample_count, sample_counts
@@ -256,6 +257,94 @@ class TestBoundedDrawCache:
         assert not any(thread.is_alive() for thread in threads)
         assert draw_cache.nbytes == len(draw_cache.entries) <= 40
         assert sum(fake._draws is not None for fake in fakes) == draw_cache.nbytes
+
+
+def _fresh_sweep_kernels():
+    """The sweep's kernels compiled on a fresh engine: new objects with
+    nothing materialised or primed."""
+    engine, meter = ExecutionEngine(), meter_for(CORE_I7_45)
+    return [
+        compile_pair(engine, meter, bench, CONFIG, protocol_for(bench), 6)
+        for bench in SWEEP
+    ]
+
+
+def _same_draws(a, b) -> bool:
+    return all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in a.__dataclass_fields__
+    )
+
+
+class TestPrimedSeeding:
+    """Priming batches the seeding words of many kernels; it must change
+    neither the draws nor what a kernel pickles to."""
+
+    def test_primed_and_unprimed_draws_are_identical(self, sweep_kernels):
+        primed = _fresh_sweep_kernels()
+        prime(primed)
+        assert all(kernel._states is not None for kernel in primed)
+        for alone, batched in zip(sweep_kernels, primed):
+            assert alone._states is None
+            assert _same_draws(batched._materialise(), alone._materialise())
+
+    def test_materialise_drops_the_states(self):
+        kernel = _fresh_sweep_kernels()[0]
+        prime([kernel])
+        assert kernel._states.shape == (4 * kernel.invocations, 4)
+        kernel._materialise()
+        assert kernel._states is None
+
+    def test_prime_skips_kernels_that_hold_draws(self, engine, meter):
+        bench = benchmark("mcf")
+        kernel = compile_pair(engine, meter, bench, CONFIG, protocol_for(bench), 3)
+        kernel._draws = kernel._materialise()
+        try:
+            prime([kernel])
+            assert kernel._states is None
+        finally:
+            kernel._draws = None
+
+    def test_priming_leaves_the_pickle_byte_identical(self):
+        kernels = _fresh_sweep_kernels()
+        before = [pickle.dumps(kernel) for kernel in kernels]
+        prime(kernels)
+        assert [pickle.dumps(kernel) for kernel in kernels] == before
+        restored = pickle.loads(before[0])
+        assert restored._states is None and restored._draws is None
+
+    def test_threads_materialising_one_primed_batch_agree(self, sweep_kernels):
+        """Eight threads (more than the cores) materialise kernels primed
+        in one batch, in overlapping orders: every draw equals the
+        single-threaded one, whichever thread consumed the primed words."""
+        expected = [kernel._materialise() for kernel in sweep_kernels]
+        primed = _fresh_sweep_kernels()
+        prime(primed)
+        indices = list(range(len(primed)))
+        orders = [indices[n:] + indices[:n] for n in range(0, 16, 2)]
+        start = threading.Barrier(len(orders))
+        wrong: list[str] = []
+
+        def materialise(order):
+            start.wait()
+            for i in order:
+                if not _same_draws(primed[i]._materialise(), expected[i]):
+                    wrong.append(primed[i].benchmark_name)
+
+        threads = [
+            threading.Thread(target=materialise, args=(o,)) for o in orders
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 class TestScalarEquivalence:
