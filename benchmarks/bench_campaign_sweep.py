@@ -114,7 +114,9 @@ def test_vectorized_vs_scalar():
     references = References(default_engine())
     # Warm everything both sides share — instruction calibration, the
     # execution-plan cache, meters — *and* each side's own warm state:
-    # the kernel cache (with materialised draws) for the vectorized path.
+    # the kernel cache for the vectorized path, each kernel holding its
+    # kept per-invocation state (its per-sample arrays are rebuilt on
+    # every replay, so the timed sweeps pay for them).
     # A warm sweep is the steady-state shape of a long-lived campaign
     # server, and it is the regime the >=3x floor is declared for.
     _timed_sweep(references, jobs=None, vectorize=False)

@@ -198,7 +198,7 @@ class ExecutionEngine:
         saves each worker four probe runs per benchmark); the plan and
         kernel caches do not — plans are bulky and cheap to rebuild, and
         kernels ship separately via ``WorkerSetup.kernels`` so their
-        materialised noise draws never ride along."""
+        kept replay state never rides along."""
         state = self.__dict__.copy()
         state["_plan_cache"] = {}
         state["_kernel_cache"] = {}
@@ -350,8 +350,8 @@ class ExecutionEngine:
     def kernel_snapshot(self) -> dict[tuple, object]:
         """The compiled-kernel table, for preloading pool workers the way
         :meth:`calibration_snapshot` preloads instruction calibration.
-        Kernels serialise compactly: their materialised noise draws are
-        dropped on pickle and rematerialised lazily from stored seeds."""
+        Kernels serialise compactly: their kept replay state is dropped
+        on pickle and redrawn from stored seeds on first replay."""
         return dict(self._kernel_cache)
 
     def preload_kernels(self, snapshot: dict[tuple, object]) -> None:

@@ -16,18 +16,20 @@ as a handful of vectorised array operations:
   order;
 * the per-invocation noise scalars and per-sample noise streams are
   *seeded identically* to the scalar path — the kernel stores the derived
-  integer seeds (``seed_from_key`` over the same ``run_key`` sites) and
-  materialises the draws lazily on replay, keeping them in a per-process
-  LRU bounded by bytes (:data:`DRAW_CACHE_CAP_BYTES`) and rebuilding an
-  evicted pair's draws from its seeds when it replays again;
+  integer seeds (``seed_from_key`` over the same ``run_key`` sites).  On
+  its first replay it draws and keeps its per-invocation scalars (noisy
+  durations, sample counts, per-phase power: a few scalars per
+  invocation); the per-sample arrays (true power, supply wander, sensor
+  noise) are rebuilt on every replay and freed once metered, so a
+  kernel's memory grows with its invocations, never with its samples;
 * each site's stream starts in the state the scalar path's fresh
   per-site generator starts in, without building one per site:
   :func:`prime` derives the PCG64 seeding words of a whole sweep's
   kernels in one vectorised pass
-  (:func:`~repro.core.seeding.pcg64_seed_table`), and replay resets one
-  generator per materialisation to each site's state in turn
+  (:func:`~repro.core.seeding.pcg64_seed_table`), the kernel keeps them,
+  and replay resets one generator per call to each site's state in turn
   (:func:`~repro.core.seeding.reseed`).  A kernel nobody primed derives
-  its own seeds' words when it materialises;
+  its own seeds' words on its first replay;
 * the metering pipeline runs as one array pass through the shared
   transfers (:meth:`ProcessorSupply.volts_from_wander`,
   :meth:`HallEffectSensor.transfer_codes`) and an exact per-segment
@@ -42,9 +44,9 @@ move (docs/performance.md, "Vectorized path").
 
 Kernels live in the engine's opaque kernel cache and ship to sweep
 workers through ``WorkerSetup.kernels`` alongside the calibration
-snapshot; their materialised draws and primed seeding words are dropped
-on pickle (:meth:`PairKernel.__getstate__`) and rebuilt from seeds on
-first use.  Pairs the compiler cannot express (unexpected phase shapes)
+snapshot; their kept replay state and seeding words are dropped on
+pickle (:meth:`PairKernel.__getstate__`) and rebuilt from seeds on first
+use.  Pairs the compiler cannot express (unexpected phase shapes)
 and pairs a :class:`~repro.faults.plan.FaultPlan` has armed fall back to
 the scalar path per pair — counted in
 ``repro_kernel_scalar_fallbacks_total``.
@@ -52,9 +54,6 @@ the scalar path per pair — counted in
 
 from __future__ import annotations
 
-import os
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -86,15 +85,9 @@ _FALLBACKS = _REGISTRY.counter(
 )
 _CACHE_BYTES = _REGISTRY.gauge(
     "repro_kernel_cache_bytes",
-    "Bytes held by compiled kernels: serialized footprint plus the "
-    "materialised draws the bounded draw cache currently keeps",
+    "Serialized footprint of the compiled kernels: factor vectors and "
+    "seed tables",
 )
-
-#: Byte cap on the materialised draws one process keeps.  Sized so the
-#: warm 488-pair stock sweep's draws (79 MiB) stay resident; the whole
-#: 2745-pair campaign's (430 MiB) do not, and a cold campaign, which
-#: replays each pair once, never reads an evicted pair's draws again.
-DRAW_CACHE_CAP_BYTES = 96 * 1024 * 1024
 
 
 def note_fallback(reason: str) -> None:
@@ -120,77 +113,30 @@ def kernel_stats() -> dict:
 
 
 @dataclass
-class _PairDraws:
-    """One pair's fully materialised replay inputs (noise applied).
+class _Invocations:
+    """One pair's per-invocation replay state (noise applied).
 
-    Everything here is a deterministic function of the kernel's stored
-    seeds, so it is rebuilt on demand and never serialised."""
+    A few scalars per invocation, drawn on the kernel's first replay and
+    kept for its life; every field is a deterministic function of the
+    kernel's stored seeds, so it is never serialised."""
 
     durations: np.ndarray  # (n,) per-invocation wall seconds
     counts: np.ndarray  # (n,) int64 samples per invocation
-    offsets: np.ndarray  # (n,) int64 segment starts into the flat arrays
-    true_watts: np.ndarray  # (total,) ground-truth power per sample
+    offsets: np.ndarray  # (n,) int64 segment starts into the per-sample arrays
+    first_ends: np.ndarray  # (n,) noisy end time of the first phase
+    power: np.ndarray  # (n, P) true power per invocation and phase
     peaks: np.ndarray  # (n,) per-invocation true peak power
-    wander: np.ndarray  # (total,) supply-rail wander draws
-    sensor_noise: np.ndarray  # (total,) sensor noise draws (volts)
-
-    @property
-    def nbytes(self) -> int:
-        return (
-            self.durations.nbytes + self.counts.nbytes + self.offsets.nbytes
-            + self.true_watts.nbytes + self.peaks.nbytes
-            + self.wander.nbytes + self.sensor_noise.nbytes
-        )
 
 
-class _DrawCache:
-    """The per-process LRU of kernels whose draws are materialised.
+def _scale_normals(z: np.ndarray, sigma: float) -> None:
+    """Turn standard normals into ``normal(0.0, sigma)`` draws in place.
 
-    Holds a strong reference to every kernel it tracks (keyed by
-    ``id(kernel)``, which the reference keeps from being recycled) and a
-    running byte total; past :data:`DRAW_CACHE_CAP_BYTES` the oldest
-    entries drop their draws (``_draws = None``) and rebuild them from
-    seeds on their next replay.  A kernel is tracked exactly while its
-    ``_draws`` is set through this cache.  Guarded by a lock because the
-    campaign server measures from more than one thread."""
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.entries: OrderedDict[int, PairKernel] = OrderedDict()
-        self.nbytes = 0
-
-    def admit(self, kernel: "PairKernel", draws: _PairDraws) -> _PairDraws:
-        """Record ``kernel`` as most recently used, holding ``draws``
-        (or the draws a concurrent replay already installed), evict
-        past the cap, and return the draws to replay."""
-        with self.lock:
-            key = id(kernel)
-            if key in self.entries:
-                self.entries.move_to_end(key)
-                return kernel._draws  # type: ignore[return-value]
-            kernel._draws = draws
-            self.entries[key] = kernel
-            size = draws.nbytes
-            self.nbytes += size
-            _CACHE_BYTES.inc(size)
-            while self.nbytes > DRAW_CACHE_CAP_BYTES and len(self.entries) > 1:
-                _, oldest = self.entries.popitem(last=False)
-                size = oldest._draws.nbytes  # type: ignore[union-attr]
-                oldest._draws = None
-                self.nbytes -= size
-                _CACHE_BYTES.dec(size)
-            return draws
-
-
-_DRAW_CACHE = _DrawCache()
-# A child forked while another thread held the lock would inherit it
-# locked; taking it across the fork also keeps the entries and the byte
-# total consistent in the child.
-os.register_at_fork(
-    before=_DRAW_CACHE.lock.acquire,
-    after_in_parent=_DRAW_CACHE.lock.release,
-    after_in_child=_DRAW_CACHE.lock.release,
-)
+    numpy's ``normal(loc, scale)`` computes ``loc + scale * z`` per
+    element: the same product, and adding ``0.0`` turns a ``-0.0``
+    product into the ``+0.0`` that ``0.0 + (-0.0)`` gives, so the result
+    is bit-identical for every ``sigma``, zero included."""
+    z *= sigma
+    z += 0.0
 
 
 @dataclass
@@ -199,12 +145,14 @@ class PairKernel:
 
     The stored state is small and picklable: per-phase factor vectors
     (precomputed Python-scalar arithmetic in the scalar model's exact
-    operation order) plus per-invocation integer seed tables.  The bulky
-    per-sample draws (:class:`_PairDraws`) are materialised lazily on
-    replay, kept only while the process's bounded draw cache has room
-    for them, and dropped on pickle, so snapshots shipped to pool workers
-    stay compact, and every rebuild from seeds (in a worker, or after an
-    eviction) is deterministic, hence identical.
+    operation order) plus per-invocation integer seed tables.  Replay
+    state is split by size.  The per-invocation scalars
+    (:class:`_Invocations`) and the PCG64 seeding words are computed on
+    the first replay and kept — under 200 bytes per invocation.  The
+    per-sample arrays (true power, supply wander, sensor noise) are
+    rebuilt on every replay and freed once metered.  The kept state is
+    dropped on pickle, so snapshots shipped to pool workers stay compact,
+    and every rebuild from seeds is deterministic, hence identical.
     """
 
     benchmark_name: str
@@ -234,19 +182,21 @@ class PairKernel:
     sensor_sigma: float
     rate_hz: float
     max_samples: Optional[int]
-    _draws: Optional[_PairDraws] = field(default=None, repr=False, compare=False)
+    _invocations: Optional[_Invocations] = field(
+        default=None, repr=False, compare=False
+    )
     # (4n, 4) uint64 PCG64 seeding words of the time, power, supply and
-    # sensor seeds, in that order: set by :func:`prime`, dropped once the
-    # draws exist.
+    # sensor seeds, in that order: set by :func:`prime` or the first
+    # replay, then kept.
     _states: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __getstate__(self) -> dict:
-        """Serialise compactly: the materialised draws and the primed
-        seeding words are pure functions of the seed tables, so they never
-        travel — a worker that adopts this kernel re-derives
-        byte-identical draws on first replay."""
+        """Serialise compactly: the replay state and the seeding words
+        are pure functions of the seed tables, so they never travel — a
+        worker that adopts this kernel re-derives them, byte-identical,
+        on first replay."""
         state = self.__dict__.copy()
-        state["_draws"] = None
+        state["_invocations"] = None
         state["_states"] = None
         return state
 
@@ -270,33 +220,29 @@ class PairKernel:
 
     # -- replay --------------------------------------------------------------
 
-    def draws(self) -> _PairDraws:
-        """The materialised replay inputs: rebuilt from seeds on a miss,
-        then kept in the bounded draw cache as most recently used."""
-        draws = self._draws
-        if draws is None:
-            draws = self._materialise()
-        return _DRAW_CACHE.admit(self, draws)
+    def _materialise(self) -> _Invocations:
+        """The per-invocation replay state: drawn on the first call, then
+        kept.
 
-    def _materialise(self) -> _PairDraws:
-        """Re-derive every noise draw the scalar path would have made.
-
-        Per-invocation scalars come from one-value draws on a generator
-        put in the state :meth:`ExecutionEngine._noise`'s generators start
-        in (the stored integers *are* ``seed_from_key`` of the same run
+        The noise scalars come from one-value draws on a generator put in
+        the state :meth:`ExecutionEngine._noise`'s generators start in
+        (the stored integers *are* ``seed_from_key`` of the same run
         keys; their seeding words come from :func:`prime` or, for an
-        unprimed kernel, from one batch over its own seeds);
-        per-sample streams replay :meth:`ProcessorSupply.voltage_samples`
-        and :meth:`HallEffectSensor.read_codes` draw-for-draw.  All the
+        unprimed kernel, from one batch over its own seeds).  All the
         derived arrays are elementwise float64 arithmetic on the same
         operands in the same order as the scalar path, so every element
-        is bit-identical to its scalar twin.
+        is bit-identical to its scalar twin.  Two threads replaying an
+        unmaterialised kernel at once both draw it; the draws are equal,
+        so either may be kept.
         """
+        kept = self._invocations
+        if kept is not None:
+            return kept
         n = self.invocations
         states = self._states
         if states is None:
-            states = pcg64_seed_table(self.seeds)
-        rows = states.tolist()
+            states = self._states = pcg64_seed_table(self.seeds)
+        rows = states[:2 * n].tolist()
         # One generator per call, reset to each site's start state: never
         # shared, so concurrent replays cannot interleave their streams.
         rng = np.random.Generator(np.random.PCG64(0))
@@ -312,7 +258,7 @@ class PairKernel:
         else:
             pn = np.array([
                 reseed(rng, row).lognormal(mean=0.0, sigma=self.sigma_power)
-                for row in rows[n:2 * n]
+                for row in rows[n:]
             ])
         if self.vendor_performance_factor is not None:
             tn = tn / self.vendor_performance_factor
@@ -320,8 +266,6 @@ class PairKernel:
         counts = sample_counts(durations, self.rate_hz, self.max_samples)
         offsets = np.zeros(n, dtype=np.int64)
         np.cumsum(counts[:-1], out=offsets[1:])
-        total = int(counts.sum())
-        inv_index = np.repeat(np.arange(n), counts)
 
         # Per-(invocation, phase) power, replaying package_power's exact
         # operation order: ((activity * smt) * switch-blend) scaled by the
@@ -333,10 +277,33 @@ class PairKernel:
         switching = act_phase * self.phase_switch[None, :]
         active = self.phase_coeff[None, :] * switching
         power = (self.phase_const[None, :] + active) * self.phase_turbo[None, :]
+        kept = self._invocations = _Invocations(
+            durations=durations,
+            counts=counts,
+            offsets=offsets,
+            first_ends=self.phase_seconds[0] * tn,
+            power=power,
+            peaks=power.max(axis=1),
+        )
+        return kept
 
-        if power.shape[1] == 1:
+    def _samples(
+        self, inv: _Invocations
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rebuild one replay's per-sample arrays: ``(true_watts, wander,
+        sensor_noise)``, each one value per 50 Hz sample of every
+        invocation, segment ``i`` at ``inv.offsets[i]``.
+
+        The noise streams replay :meth:`ProcessorSupply.voltage_samples`
+        and :meth:`HallEffectSensor.read_codes` draw-for-draw: each salt's
+        stream from its start state, one normal vector per run, drawn
+        straight into its segment and scaled in one pass."""
+        n = self.invocations
+        counts = inv.counts
+        total = int(counts.sum())
+        if inv.power.shape[1] == 1:
             # Constant-power runs never need sample times at all.
-            true_watts = np.repeat(power[:, 0], counts)
+            true_watts = np.repeat(inv.power[:, 0], counts)
         else:
             # Two phases, serial first: the piecewise trace is a single
             # threshold on the serial phase's noisy end time.  The scalar
@@ -344,56 +311,40 @@ class PairKernel:
             # level for anything past the first boundary — exactly this
             # ``>=`` (a clipped time can only move *down*, never across
             # the first boundary in the other direction).
-            first_ends = self.phase_seconds[0] * tn
-            pos = np.arange(total, dtype=np.int64) - offsets[inv_index]
-            times = (pos + 0.5) * (durations / counts)[inv_index]
+            inv_index = np.repeat(np.arange(n), counts)
+            pos = np.arange(total, dtype=np.int64) - inv.offsets[inv_index]
+            times = (pos + 0.5) * (inv.durations / counts)[inv_index]
             true_watts = np.where(
-                times >= first_ends[inv_index],
-                power[:, 1][inv_index],
-                power[:, 0][inv_index],
+                times >= inv.first_ends[inv_index],
+                inv.power[:, 1][inv_index],
+                inv.power[:, 0][inv_index],
             )
-        peaks = power.max(axis=1)
 
-        # Per-sample noise streams, drawn per site salt exactly as the
-        # supply and sensor draw them (each salt's stream from its start
-        # state, one normal vector per run) — segment i of the flat arrays
-        # holds precisely what invocation i's scalar measurement would draw.
+        rows = self._states[2 * n:].tolist()
+        rng = np.random.Generator(np.random.PCG64(0))
         wander = np.empty(total)
         sensor_noise = np.empty(total)
-        start = 0
-        for i in range(n):
-            count = int(counts[i])
-            wander[start:start + count] = reseed(rng, rows[2 * n + i]).normal(
-                0.0, self.wander_sigma, size=count
-            )
-            sensor_noise[start:start + count] = reseed(rng, rows[3 * n + i]).normal(
-                0.0, self.sensor_sigma, size=count
-            )
-            start += count
-        self._states = None
-        return _PairDraws(
-            durations=durations,
-            counts=counts,
-            offsets=offsets,
-            true_watts=true_watts,
-            peaks=peaks,
-            wander=wander,
-            sensor_noise=sensor_noise,
-        )
+        bounds = zip(inv.offsets.tolist(), counts.tolist())
+        for i, (start, count) in enumerate(bounds):
+            stop = start + count
+            reseed(rng, rows[i]).standard_normal(out=wander[start:stop])
+            reseed(rng, rows[n + i]).standard_normal(out=sensor_noise[start:stop])
+        _scale_normals(wander, self.wander_sigma)
+        _scale_normals(sensor_noise, self.sensor_sigma)
+        return true_watts, wander, sensor_noise
 
 
 def prime(kernels: Iterable[PairKernel]) -> None:
-    """Derive the seeding words of every kernel about to materialise in
-    one vectorised pass.
+    """Derive the seeding words of every kernel about to replay in one
+    vectorised pass.
 
     Building a site's words alone costs about as much as the generator
     it replaces; the batch is what makes them cheap, so callers prime a
-    whole sweep's (or a worker chunk's) kernels at once.  Kernels whose
-    draws are already materialised, or that are primed already, are
-    skipped.  Each kernel keeps its own copy of its rows, not a view of
-    the batch, so its rows are freed as soon as its draws exist instead
-    of when the sweep's last kernel materialises."""
-    todo = [k for k in kernels if k._draws is None and k._states is None]
+    whole sweep's (or a worker chunk's) kernels at once.  Kernels that
+    hold their words already (primed, or replayed before) are skipped.
+    Each kernel keeps its own copy of its rows, not a view of the batch,
+    so the batch is freed as soon as this returns."""
+    todo = [k for k in kernels if k._states is None]
     if not todo:
         return
     table = pcg64_seed_table([seed for kernel in todo for seed in kernel.seeds])
@@ -481,13 +432,15 @@ def compile_pair(
         phase_turbo.append(power_multiplier(config, skeleton.turbo))
 
     root = engine.seed_root
-    salts = [f"{config.key}/{benchmark.name}/{i}" for i in range(invocations)]
+    # ``Configuration.key`` rebuilds its string on every read: take it once.
+    config_key, name = config.key, benchmark.name
+    salts = [f"{config_key}/{name}/{i}" for i in range(invocations)]
     supply_key = meter.supply.machine_key
     sensor_key = meter.sensor.sensor_key
     logger = meter.logger
     kernel = PairKernel(
-        benchmark_name=benchmark.name,
-        config_key=config.key,
+        benchmark_name=name,
+        config_key=config_key,
         invocations=invocations,
         base_seconds=plan.base_seconds,
         phase_seconds=np.array(phase_seconds),
@@ -504,11 +457,11 @@ def compile_pair(
         sigma_time=engine.noise_sigma(benchmark, channel="time"),
         sigma_power=engine.noise_sigma(benchmark, channel="power", scale=1.6),
         time_seeds=tuple(
-            seed_from_key(run_key(root, "time", benchmark.name, config.key, i))
+            seed_from_key(run_key(root, "time", name, config_key, i))
             for i in range(invocations)
         ),
         power_seeds=tuple(
-            seed_from_key(run_key(root, "power", benchmark.name, config.key, i))
+            seed_from_key(run_key(root, "power", name, config_key, i))
             for i in range(invocations)
         ),
         supply_seeds=tuple(
@@ -534,18 +487,14 @@ def run_pair(
     """Replay one compiled pair: ``(seconds, watts)`` per invocation,
     byte-identical to the scalar loop's, plus the same telemetry totals
     (bulk execution/phase counters, meter sample/clamp counts)."""
-    draws = kernel.draws()
+    inv = kernel._materialise()
+    true_watts, wander, sensor_noise = kernel._samples(inv)
     watts = meter.measure_kernel(
-        draws.true_watts,
-        draws.counts,
-        draws.offsets,
-        draws.peaks,
-        draws.wander,
-        draws.sensor_noise,
+        true_watts, inv.counts, inv.offsets, inv.peaks, wander, sensor_noise
     )
     engine.record_plan_replays(
         kernel.invocations,
         kernel.serial_phases * kernel.invocations,
         kernel.parallel_phases * kernel.invocations,
     )
-    return draws.durations.tolist(), watts
+    return inv.durations.tolist(), watts

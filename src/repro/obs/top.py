@@ -115,8 +115,8 @@ def render_top(
             f"kernels: {kernels.get('compiles', 0)} compiled  "
             f"{kernels.get('cache_hits', 0)} hits  "
             f"{fallback_total} scalar fallbacks  "
-            f"{float(kernels.get('cache_bytes') or 0) / 1024.0:.1f} KiB cached "
-            "(kernels + draws)"
+            f"{float(kernels.get('cache_bytes') or 0) / 1024.0:.1f} KiB "
+            "of compiled kernels"
         )
 
     availability = slo.get("availability") or {}

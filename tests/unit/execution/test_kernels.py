@@ -3,7 +3,9 @@
 The integration-level byte-identity contract lives in
 ``tests/properties/test_kernel_equivalence.py``; these tests pin the
 kernel machinery itself — compile/cache behaviour, serialisation
-(kernels ship compactly, draws rematerialise), and the low-level
+(kernels ship compactly, replay state is rebuilt from seeds), the
+replay-state lifetime (per-invocation state kept, per-sample arrays
+rebuilt on every replay), and the low-level
 equivalence of one kernel replay against the scalar invocation loop it
 compiles away.
 """
@@ -11,11 +13,12 @@ compiles away.
 import pickle
 import sys
 import threading
-import types
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.core.seeding import pcg64_seed_table, reseed
 from repro.execution import kernels as kernels_module
 from repro.execution.engine import ExecutionEngine
 from repro.execution.kernels import (
@@ -85,9 +88,10 @@ class TestSerialisation:
         protocol = protocol_for(bench)
         kernel = compile_pair(engine, meter, bench, CONFIG, protocol, 3)
         times, powers = run_pair(kernel, engine, meter)
-        assert kernel._draws is not None  # materialised by the replay
+        # kept by the replay, never shipped
+        assert kernel._invocations is not None and kernel._states is not None
         restored = pickle.loads(pickle.dumps(kernel))
-        assert restored._draws is None  # draws never travel
+        assert restored._invocations is None and restored._states is None
         times_2, powers_2 = run_pair(restored, engine, meter)
         assert times_2 == times
         assert powers_2 == powers
@@ -127,78 +131,85 @@ def sweep_kernels(engine, meter):
     return kernels
 
 
-@pytest.fixture()
-def draw_cache(monkeypatch, sweep_kernels):
-    """A fresh draw cache capped at three of the sweep's pairs' draws,
-    emptied (gauge included) afterwards."""
-    sizes = sorted(kernel._materialise().nbytes for kernel in sweep_kernels)
-    cache = kernels_module._DrawCache()
-    monkeypatch.setattr(kernels_module, "_DRAW_CACHE", cache)
-    monkeypatch.setattr(kernels_module, "DRAW_CACHE_CAP_BYTES", sum(sizes[-3:]))
-    yield cache
-    for kernel in cache.entries.values():
-        kernels_module._CACHE_BYTES.dec(kernel._draws.nbytes)
-        kernel._draws = None
+def _held_arrays(kernel) -> list:
+    """Every ndarray the kernel holds, its kept replay state included."""
+    held = list(vars(kernel).values())
+    if kernel._invocations is not None:
+        held += list(vars(kernel._invocations).values())
+    return [value for value in held if isinstance(value, np.ndarray)]
 
 
-def _consistent(cache) -> bool:
-    return cache.nbytes == sum(
-        kernel._draws.nbytes for kernel in cache.entries.values()
-    )
+class TestReplayState:
+    """Per-invocation state is kept for the kernel's life; per-sample
+    arrays are rebuilt on every replay and freed once metered."""
 
-
-class TestBoundedDrawCache:
-    def test_total_never_exceeds_cap(self, engine, meter, sweep_kernels, draw_cache):
-        for _ in range(2):
-            for kernel in sweep_kernels:
-                run_pair(kernel, engine, meter)
-                assert draw_cache.nbytes <= kernels_module.DRAW_CACHE_CAP_BYTES
-                assert _consistent(draw_cache)
-        assert 1 < len(draw_cache.entries) < len(sweep_kernels)
-
-    def test_evicted_kernel_replays_identically(
-        self, engine, meter, sweep_kernels, draw_cache
-    ):
-        first = [run_pair(kernel, engine, meter) for kernel in sweep_kernels]
-        assert sweep_kernels[0]._draws is None  # evicted by later replays
-        again = [run_pair(kernel, engine, meter) for kernel in sweep_kernels]
-        assert again == first
-
-    def test_most_recently_used_keeps_draws(
-        self, engine, meter, sweep_kernels, draw_cache
-    ):
-        for kernel in sweep_kernels + sweep_kernels[::-1]:
-            run_pair(kernel, engine, meter)
-            assert kernel._draws is not None
-            assert next(reversed(draw_cache.entries.values())) is kernel
-
-    def test_gauge_counts_draws_in_and_out(
-        self, engine, meter, sweep_kernels, draw_cache
-    ):
-        base = kernel_stats()["cache_bytes"]
-        rose = fell = False
+    def test_ten_replays_agree(self, engine, meter, sweep_kernels):
         for kernel in sweep_kernels:
-            held = set(draw_cache.entries)
-            before = kernel_stats()["cache_bytes"]
-            run_pair(kernel, engine, meter)
-            size = kernel._draws.nbytes
-            after = kernel_stats()["cache_bytes"]
-            evicted = held - set(draw_cache.entries)
-            assert after - base == draw_cache.nbytes
-            if evicted:
-                fell = True
-                assert after < before + size
-            else:
-                rose = True
-                assert after == before + size
-        assert rose and fell
+            first = run_pair(kernel, engine, meter)
+            kept = kernel._invocations
+            for _ in range(9):
+                assert run_pair(kernel, engine, meter) == first
+            assert kernel._invocations is kept  # drawn once, then kept
 
-    def test_concurrent_replays_agree(self, engine, meter, sweep_kernels, draw_cache):
+    def test_replays_keep_no_sample_array(self, engine, meter, sweep_kernels):
+        for kernel in sweep_kernels:
+            for _ in range(2):
+                run_pair(kernel, engine, meter)
+            total = int(kernel._invocations.counts.sum())
+            assert total > 16 * kernel.invocations
+            assert all(a.size < total for a in _held_arrays(kernel))
+
+    def test_replays_leave_the_bytes_gauge_alone(self, engine, meter, sweep_kernels):
+        """The gauge counts compiled kernels only: replays keep nothing
+        that grows with samples, so they do not move it."""
+        before = kernel_stats()["cache_bytes"]
+        for kernel in sweep_kernels * 2:
+            run_pair(kernel, engine, meter)
+        assert kernel_stats()["cache_bytes"] == before
+
+    def test_per_sample_arrays_are_freed_after_metering(
+        self, monkeypatch, engine, meter, sweep_kernels
+    ):
+        metered: list = []
+        measure = meter.measure_kernel
+
+        def spy(true_watts, counts, offsets, peaks, wander, sensor_noise):
+            metered.extend(
+                weakref.ref(a) for a in (true_watts, wander, sensor_noise)
+            )
+            return measure(true_watts, counts, offsets, peaks, wander, sensor_noise)
+
+        monkeypatch.setattr(meter, "measure_kernel", spy)
+        for kernel in sweep_kernels:
+            run_pair(kernel, engine, meter)
+        assert len(metered) == 3 * len(sweep_kernels)
+        assert all(ref() is None for ref in metered)
+
+    @pytest.mark.parametrize("sigma", [0.0, 5e-324, 1e-300, 0.004, 1.0, 3.5])
+    def test_in_place_draw_equals_normal(self, sigma):
+        """The in-place stream (standard normals scaled in place) equals
+        ``normal(0.0, sigma, size)`` bit for bit, signed zeros included."""
+        seeds = [0, 7, 2**32 + 1]
+        rows = pcg64_seed_table(seeds).tolist()
+        rng = np.random.Generator(np.random.PCG64(0))
+        for seed, row in zip(seeds, rows):
+            expected = np.random.default_rng(seed).normal(0.0, sigma, size=1999)
+            z = np.empty(2001)
+            reseed(rng, row).standard_normal(out=z[1:2000])
+            kernels_module._scale_normals(z[1:2000], sigma)
+            assert z[1:2000].tobytes() == expected.tobytes()
+
+    def test_concurrent_replays_agree(self, engine, meter, sweep_kernels):
         """Four threads (more than the cores) replay overlapping kernels
-        under a short switch interval: same bytes, consistent total."""
+        under a short switch interval, with no lock: same bytes."""
         expected = {id(k): run_pair(k, engine, meter) for k in sweep_kernels}
-        half = len(sweep_kernels) // 2
-        front, back = sweep_kernels[: half + 3], sweep_kernels[half - 3:]
+        fresh = _fresh_sweep_kernels()  # unmaterialised: threads race to draw
+        kernels = sweep_kernels + fresh
+        expected.update(
+            (id(k), expected[id(old)]) for k, old in zip(fresh, sweep_kernels)
+        )
+        half = len(kernels) // 2
+        front, back = kernels[: half + 3], kernels[half - 3:]
         orders = (front * 3, back[::-1] * 3, back * 3, front[::-1] * 3)
         start = threading.Barrier(len(orders))
         wrong: list[str] = []
@@ -221,42 +232,6 @@ class TestBoundedDrawCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
-        assert _consistent(draw_cache)
-        tracked = set(draw_cache.entries)
-        assert all(
-            (id(kernel) in tracked) == (kernel._draws is not None)
-            for kernel in sweep_kernels
-        )
-        assert draw_cache.nbytes <= kernels_module.DRAW_CACHE_CAP_BYTES
-
-
-    def test_admit_under_contention_loses_no_update(self, monkeypatch, draw_cache):
-        """Eight threads hammer admit/evict on one cache with tiny stand-in
-        kernels: the byte total must equal what the entries hold."""
-        monkeypatch.setattr(kernels_module, "DRAW_CACHE_CAP_BYTES", 40)
-        fakes = [types.SimpleNamespace(_draws=None) for _ in range(64)]
-        one_byte = types.SimpleNamespace(nbytes=1)
-
-        def hammer(offset):
-            for i in range(4000):
-                kernel = fakes[(offset + 7 * i) % len(fakes)]
-                draw_cache.admit(kernel, kernel._draws or one_byte)
-
-        threads = [
-            threading.Thread(target=hammer, args=(n,)) for n in range(8)
-        ]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert draw_cache.nbytes == len(draw_cache.entries) <= 40
-        assert sum(fake._draws is not None for fake in fakes) == draw_cache.nbytes
 
 
 def _fresh_sweep_kernels():
@@ -269,11 +244,16 @@ def _fresh_sweep_kernels():
     ]
 
 
+def _draws(kernel) -> list:
+    """One replay's inputs: the kept per-invocation arrays, then the
+    per-sample arrays rebuilt for this replay."""
+    inv = kernel._materialise()
+    kept = [getattr(inv, name) for name in inv.__dataclass_fields__]
+    return kept + list(kernel._samples(inv))
+
+
 def _same_draws(a, b) -> bool:
-    return all(
-        np.array_equal(getattr(a, name), getattr(b, name))
-        for name in a.__dataclass_fields__
-    )
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 class TestPrimedSeeding:
@@ -286,24 +266,31 @@ class TestPrimedSeeding:
         assert all(kernel._states is not None for kernel in primed)
         for alone, batched in zip(sweep_kernels, primed):
             assert alone._states is None
-            assert _same_draws(batched._materialise(), alone._materialise())
+            assert _same_draws(_draws(batched), _draws(alone))
 
-    def test_materialise_drops_the_states(self):
-        kernel = _fresh_sweep_kernels()[0]
-        prime([kernel])
-        assert kernel._states.shape == (4 * kernel.invocations, 4)
-        kernel._materialise()
-        assert kernel._states is None
+    def test_materialise_keeps_the_states(self):
+        primed, unprimed = _fresh_sweep_kernels()[:2]
+        prime([primed])
+        states = primed._states
+        assert states.shape == (4 * primed.invocations, 4)
+        primed._materialise()
+        assert primed._states is states
+        unprimed._materialise()
+        assert unprimed._states.shape == (4 * unprimed.invocations, 4)
 
     def test_prime_skips_kernels_that_hold_draws(self, engine, meter):
         bench = benchmark("mcf")
         kernel = compile_pair(engine, meter, bench, CONFIG, protocol_for(bench), 3)
-        kernel._draws = kernel._materialise()
-        try:
-            prime([kernel])
-            assert kernel._states is None
-        finally:
-            kernel._draws = None
+        kept = kernel._materialise()
+        states = kernel._states
+        prime([kernel])
+        assert kernel._states is states
+        assert kernel._materialise() is kept
+        fresh = _fresh_sweep_kernels()[0]
+        prime([fresh])
+        primed = fresh._states
+        prime([fresh])
+        assert fresh._states is primed
 
     def test_priming_leaves_the_pickle_byte_identical(self):
         kernels = _fresh_sweep_kernels()
@@ -311,13 +298,13 @@ class TestPrimedSeeding:
         prime(kernels)
         assert [pickle.dumps(kernel) for kernel in kernels] == before
         restored = pickle.loads(before[0])
-        assert restored._states is None and restored._draws is None
+        assert restored._states is None and restored._invocations is None
 
     def test_threads_materialising_one_primed_batch_agree(self, sweep_kernels):
-        """Eight threads (more than the cores) materialise kernels primed
-        in one batch, in overlapping orders: every draw equals the
-        single-threaded one, whichever thread consumed the primed words."""
-        expected = [kernel._materialise() for kernel in sweep_kernels]
+        """Eight threads (more than the cores) replay kernels primed in
+        one batch, in overlapping orders, with no lock: every draw equals
+        the single-threaded one, whichever thread drew the kept state."""
+        expected = [_draws(kernel) for kernel in sweep_kernels]
         primed = _fresh_sweep_kernels()
         prime(primed)
         indices = list(range(len(primed)))
@@ -328,7 +315,7 @@ class TestPrimedSeeding:
         def materialise(order):
             start.wait()
             for i in order:
-                if not _same_draws(primed[i]._materialise(), expected[i]):
+                if not _same_draws(_draws(primed[i]), expected[i]):
                     wrong.append(primed[i].benchmark_name)
 
         threads = [
