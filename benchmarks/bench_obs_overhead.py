@@ -7,6 +7,9 @@ way the library offers (global metrics switch off, tracer disabled) —
 and asserts the median per-pair ratio stays within 3%.  The baseline
 still opens a disabled span and makes no-op counter calls, so the
 number is the cost of *recording* telemetry, not of the call sites.
+Each attempt also prints that cost in microseconds per pair, because
+the percentage moves with the denominator: a slower measurement makes
+the same recording cost read smaller.
 
 Pairing at the granularity of a single ``measure`` call is what makes the
 number stable on noisy shared hosts: the two sides of each ratio run
@@ -85,9 +88,13 @@ def _median(values: list[float]) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-def _measure_overhead(baseline: Study, instrumented: Study, pairs) -> tuple[float, float]:
-    """One full overhead estimate: (median overhead, median base seconds)."""
+def _measure_overhead(
+    baseline: Study, instrumented: Study, pairs
+) -> tuple[float, float, float]:
+    """One full overhead estimate: (median overhead, median base seconds,
+    median recording cost in seconds per pair)."""
     pass_ratios: list[list[float]] = [[] for _ in pairs]
+    pass_costs: list[list[float]] = [[] for _ in pairs]
     base_times: list[float] = []
     for rep in range(_REPS):
         for index, (bench, config) in enumerate(pairs):
@@ -114,13 +121,16 @@ def _measure_overhead(baseline: Study, instrumented: Study, pairs) -> tuple[floa
                     study, bench, config, telemetry=side
                 )
             pass_ratios[index].append(total[True] / total[False])
+            # Each side ran twice: half the difference is one run's cost.
+            pass_costs[index].append((total[True] - total[False]) / 2.0)
             base_times.append(total[False] / 2.0)
     default_tracer().clear()
 
     # Median per pair (one preempted pass cannot poison its pair), then
     # median across pairs.
     ratios = [_median(per_pair) for per_pair in pass_ratios]
-    return _median(ratios) - 1.0, _median(base_times)
+    costs = [_median(per_pair) for per_pair in pass_costs]
+    return _median(ratios) - 1.0, _median(base_times), _median(costs)
 
 
 def test_instrumentation_overhead_under_budget():
@@ -141,13 +151,16 @@ def test_instrumentation_overhead_under_budget():
         baseline.measure(bench, config)
 
     overheads: list[float] = []
+    costs: list[float] = []
     for attempt in range(_ATTEMPTS):
-        overhead, base = _measure_overhead(baseline, instrumented, pairs)
+        overhead, base, cost = _measure_overhead(baseline, instrumented, pairs)
         overheads.append(overhead)
+        costs.append(cost)
         print(
             f"\nattempt {attempt + 1}: {len(pairs)} pairs x {_REPS} passes, "
             f"median measure {base * 1e3:.2f} ms, "
-            f"median overhead {overhead * 100:+.2f}%"
+            f"median overhead {overhead * 100:+.2f}% "
+            f"({cost * 1e6:+.1f} us per pair)"
         )
         if overhead <= MAX_OVERHEAD:
             break
@@ -155,5 +168,6 @@ def test_instrumentation_overhead_under_budget():
     assert min(overheads) <= MAX_OVERHEAD, (
         f"instrumentation overhead {min(overheads) * 100:.2f}% exceeds "
         f"{MAX_OVERHEAD * 100:.0f}% budget in {_ATTEMPTS} attempts "
-        f"(all: {[f'{o * 100:+.2f}%' for o in overheads]})"
+        f"(all: {[f'{o * 100:+.2f}%' for o in overheads]}; "
+        f"per pair: {[f'{c * 1e6:+.1f} us' for c in costs]})"
     )

@@ -6,7 +6,9 @@ the whole pipeline (admission, scheduling, a real measurement, the
 store write, and the response encode).  Each request runs twice with
 the default tracer armed and twice disarmed in ABBA order, and the
 median per-request ratio must stay within 5%: tracing a request may
-not cost more than a twentieth of serving it.
+not cost more than a twentieth of serving it.  Each attempt also
+prints the tracing cost in microseconds per request, which does not
+move with the request's own cost as the percentage does.
 
 The pairing discipline is the same as ``bench_obs_overhead.py``: both
 sides of a ratio run microseconds apart so host noise cancels inside
@@ -113,9 +115,11 @@ def _median(values: list[float]) -> float:
 
 def _measure_overhead(
     loop: asyncio.AbstractEventLoop, server: CampaignServer, study: Study
-) -> tuple[float, float]:
-    """One full overhead estimate: (median overhead, median base secs)."""
+) -> tuple[float, float, float]:
+    """One full overhead estimate: (median overhead, median base secs,
+    median tracing cost in seconds per request)."""
     pass_ratios: list[list[float]] = [[] for _ in _CELLS]
+    pass_costs: list[list[float]] = [[] for _ in _CELLS]
     base_times: list[float] = []
     for rep in range(_REPS):
         for index, cell in enumerate(_CELLS):
@@ -134,11 +138,14 @@ def _measure_overhead(
                     loop, server, study, cell, traced=side
                 )
             pass_ratios[index].append(total[True] / total[False])
+            # Each side ran twice: half the difference is one run's cost.
+            pass_costs[index].append((total[True] - total[False]) / 2.0)
             base_times.append(total[False] / 2.0)
     default_tracer().clear()
 
     ratios = [_median(per_cell) for per_cell in pass_ratios]
-    return _median(ratios) - 1.0, _median(base_times)
+    costs = [_median(per_cell) for per_cell in pass_costs]
+    return _median(ratios) - 1.0, _median(base_times), _median(costs)
 
 
 def test_request_tracing_overhead_under_budget():
@@ -159,13 +166,16 @@ def test_request_tracing_overhead_under_budget():
             _timed_handle(loop, server, study, cell, traced=True)
 
         overheads: list[float] = []
+        costs: list[float] = []
         for attempt in range(_ATTEMPTS):
-            overhead, base = _measure_overhead(loop, server, study)
+            overhead, base, cost = _measure_overhead(loop, server, study)
             overheads.append(overhead)
+            costs.append(cost)
             print(
                 f"\nattempt {attempt + 1}: {len(_CELLS)} cells x "
                 f"{_REPS} passes, median request {base * 1e3:.2f} ms, "
-                f"median overhead {overhead * 100:+.2f}%"
+                f"median overhead {overhead * 100:+.2f}% "
+                f"({cost * 1e6:+.1f} us per request)"
             )
             if overhead <= MAX_OVERHEAD:
                 break
@@ -181,5 +191,6 @@ def test_request_tracing_overhead_under_budget():
     assert min(overheads) <= MAX_OVERHEAD, (
         f"request-tracing overhead {min(overheads) * 100:.2f}% exceeds "
         f"{MAX_OVERHEAD * 100:.0f}% budget in {_ATTEMPTS} attempts "
-        f"(all: {[f'{o * 100:+.2f}%' for o in overheads]})"
+        f"(all: {[f'{o * 100:+.2f}%' for o in overheads]}; "
+        f"per request: {[f'{c * 1e6:+.1f} us' for c in costs]})"
     )

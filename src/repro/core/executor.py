@@ -22,14 +22,16 @@ The protocol:
   its chunk — no second study, so no second cache — and returns one
   :class:`~repro.core.study.PairOutcome` per pair (the result or the
   failure, retries, MAD re-measures, the ordered failure events, the
-  pair's spans) and a :func:`~repro.obs.metrics.snapshot_delta` of its
-  metrics registry;
+  measurement's wall time, the pair's spans) and a
+  :func:`~repro.obs.metrics.snapshot_delta` of its metrics registry
+  (engine, kernel and meter telemetry);
 * the parent applies the metric deltas in chunk order and hands the
   outcomes to :meth:`Study.run_pairs <repro.core.study.Study.run_pairs>`,
   whose one merge loop — the same loop an in-process sweep runs — walks
-  the pairs in sweep order, so results, health, failure-dict order,
-  checkpoint bytes and cache telemetry are identical at any worker count
-  and completion order.
+  the pairs in sweep order and alone moves the study's invocation,
+  retry, re-measure and latency metrics, so results, health,
+  failure-dict order, checkpoint bytes and study telemetry are identical
+  at any worker count and completion order.
 
 :class:`SweepPool` owns the worker processes and survives their deaths —
 the dominant threat to a long-lived campaign server is not sensor noise
@@ -113,7 +115,6 @@ class WorkerSetup:
     """Everything a worker process needs, shipped once at pool init."""
 
     references: References
-    calibration: dict[Benchmark, float]
     invocation_scale: float
     retry: RetryPolicy
     metrics_enabled: bool
@@ -122,8 +123,8 @@ class WorkerSetup:
     #: (defaulted so pickled setups from older callers keep working).
     trace_enabled: bool = False
     #: Compiled sweep kernels to preload (an engine ``kernel_snapshot``),
-    #: a warm-start hint like ``calibration`` — workers compile missing
-    #: entries deterministically.  ``None`` ships nothing.
+    #: a warm-start hint — workers compile missing entries
+    #: deterministically.  ``None`` ships nothing.
     kernels: Optional[dict] = None
     #: Route fault-free pairs through compiled kernels in the worker's
     #: pair measurement (result bytes are identical either way; this
@@ -133,9 +134,9 @@ class WorkerSetup:
     def compatible_with(self, other: "WorkerSetup") -> bool:
         """Whether workers built from this setup can serve a sweep that
         asked for ``other`` (the reuse rule of a kept-alive
-        :class:`SweepPool`).  ``calibration`` and ``kernels`` are warm-start
-        hints and never gate; ``vectorize`` does, so a sweep that pins
-        the scalar path is really measured on it."""
+        :class:`SweepPool`).  ``kernels`` is a warm-start hint and never
+        gates; ``vectorize`` does, so a sweep that pins the scalar path
+        is really measured on it."""
         return (
             self.references is other.references
             and self.invocation_scale == other.invocation_scale
@@ -158,9 +159,10 @@ class ChunkResult:
 
 
 def _init_worker(setup: WorkerSetup) -> _PairMeasurement:
-    """Worker start-up: arm faults, preload calibration, build the
-    worker's pair measurement.  Self-sufficient under both fork and
-    spawn."""
+    """Worker start-up: arm faults, preload kernels, build the worker's
+    pair measurement.  Self-sufficient under both fork and spawn: the
+    references' engine carries its instruction calibration either way
+    (inherited by a forked child, pickled for a spawned one)."""
     from repro.faults import injector
     from repro.obs.metrics import set_enabled
 
@@ -181,7 +183,6 @@ def _init_worker(setup: WorkerSetup) -> _PairMeasurement:
         injector.install(setup.fault_plan)
     else:
         injector.uninstall()
-    setup.references.engine.preload_calibration(setup.calibration)
     if setup.kernels:
         setup.references.engine.preload_kernels(setup.kernels)
     return _PairMeasurement(
@@ -287,7 +288,7 @@ class _Beater(threading.Thread):
 
     Beats ride the worker's own result channel, interleaved with its
     chunk results.  The thread is a daemon and starts *before* worker
-    initialisation, so a slow calibration preload cannot read as a dead
+    initialisation, so a slow worker start-up cannot read as a dead
     worker.  ``silence()`` (the ``worker.slow`` fault) suppresses beats
     for a window without stopping the measurement loop; ``stop()`` (the
     ``worker.hang`` fault, and clean shutdown) ends them for good."""

@@ -55,7 +55,7 @@ from repro.core.results import (
 )
 from repro.core.statistics import confidence_interval, mad_outlier_indices
 from repro.execution import kernels as _kernels
-from repro.execution.engine import ExecutionEngine
+from repro.execution.engine import ExecutionEngine, ExecutionPlan
 from repro.faults.errors import (
     InvocationTimeout,
     MeasurementError,
@@ -68,7 +68,7 @@ from repro.hardware.processor import ProcessorSpec
 from repro.measurement.meter import PowerMeter, meter_for
 from repro.obs.metrics import default_registry, enabled as _metrics_enabled
 from repro.obs.progress import ProgressReporter
-from repro.obs.tracing import current_span_id, default_tracer
+from repro.obs.tracing import current_span_id, default_tracer, wall_time_of
 from repro.runtime.methodology import MeasurementProtocol, protocol_for
 from repro.workloads.benchmark import Benchmark
 from repro.workloads.catalog import BENCHMARKS, BENCHMARKS_BY_NAME
@@ -88,7 +88,7 @@ _INVOCATIONS = _REGISTRY.counter(
 )
 _MEASURE_SECONDS = _REGISTRY.histogram(
     "repro_measure_seconds",
-    "Latency of one uncached Study.measure (all invocations)",
+    "Latency of one pair measurement (all invocations)",
 )
 _RETRIES = _REGISTRY.counter(
     "repro_study_retries_total",
@@ -119,8 +119,11 @@ class PairOutcome:
     ``failure_events`` lists the failure type names the pair observed in
     order, so the merge loop replays them at the pair's position in the
     sweep and the failure dict keeps first-observed order at any worker
-    count.  Pool workers fill ``index`` (the pair's position in the
-    pending list) and ``spans`` (its finished span subtree) and drop
+    count.  ``measure_seconds`` is the wall time the measurement took;
+    the merge loop moves the study's invocation, retry, re-measure and
+    latency metrics from these fields, once per pair, wherever the pair
+    was measured.  Pool workers fill ``index`` (the pair's position in
+    the pending list) and ``spans`` (its finished span subtree) and drop
     ``error``, the exception :meth:`Study.measure` re-raises."""
 
     result: Optional[RunResult] = None
@@ -128,6 +131,7 @@ class PairOutcome:
     retries: int = 0
     remeasures: int = 0
     failure_events: Sequence[str] = field(default_factory=list)
+    measure_seconds: float = field(default=0.0, compare=False)
     index: int = 0
     spans: tuple[dict, ...] = ()
     error: Optional[MeasurementError] = field(
@@ -206,27 +210,38 @@ class _PairMeasurement:
             self._prepared.clear()
 
     def measure(self, benchmark: Benchmark, config: Configuration) -> PairOutcome:
-        """Measure one pair under one ``study.measure`` span.
+        """Measure one pair, traced as one finished ``study.measure`` span.
 
-        A pair that exhausts its retries comes back as a failed outcome
-        rather than an exception; the caller decides what a failure
-        means (the study quarantines it)."""
+        The span is recorded after the pair from two clock reads, under
+        the span that was open when the measurement began.  A pair that
+        exhausts its retries comes back as a failed outcome rather than
+        an exception; the caller decides what a failure means (the study
+        quarantines it)."""
         outcome = PairOutcome()
+        tracer = default_tracer()
+        parent = current_span_id() if tracer.is_enabled else None
+        started = time.perf_counter()
         try:
-            with default_tracer().span(
-                "study.measure", benchmark=benchmark.name, config=config.key
-            ) as span:
-                started = time.perf_counter()
-                result = outcome.result = self._measure(benchmark, config, outcome)
-                span.set_attribute("invocations", result.invocations)
-                span.set_attribute("seconds", round(result.seconds, 6))
-                if outcome.retries:
-                    span.set_attribute("retries", outcome.retries)
-                if outcome.remeasures:
-                    span.set_attribute("outlier_remeasures", outcome.remeasures)
-                _MEASURE_SECONDS.observe(time.perf_counter() - started)
+            outcome.result = self._measure(benchmark, config, outcome)
         except MeasurementError as exc:
             outcome.failure, outcome.error = str(exc), exc
+        outcome.measure_seconds = time.perf_counter() - started
+        if tracer.is_enabled:
+            attributes: dict[str, object] = {
+                "benchmark": benchmark.name, "config": config.key,
+            }
+            result = outcome.result
+            if result is not None:
+                attributes["invocations"] = result.invocations
+                attributes["seconds"] = round(result.seconds, 6)
+                if outcome.retries:
+                    attributes["retries"] = outcome.retries
+                if outcome.remeasures:
+                    attributes["outlier_remeasures"] = outcome.remeasures
+            tracer.record_span(
+                "study.measure", parent, wall_time_of(started),
+                outcome.measure_seconds, **attributes,
+            )
         return outcome
 
     def _vectorises(
@@ -248,14 +263,13 @@ class _PairMeasurement:
 
     def _metered_invocation(
         self,
-        benchmark: Benchmark,
-        config: Configuration,
+        plan: ExecutionPlan,
         index: int,
-        protocol: MeasurementProtocol,
         meter: PowerMeter,
         outcome: PairOutcome,
     ) -> tuple[float, float]:
-        """One invocation through engine and meter, with bounded retries.
+        """One invocation of the pair's plan through engine and meter,
+        with bounded retries.
 
         The site key doubles as the run salt, so measurement noise is a
         function of the site alone while injected-fault decisions also see
@@ -263,18 +277,14 @@ class _PairMeasurement:
         a recovered fail-stop fault reproduces the fault-free measurement
         exactly.  Returns ``(seconds, average_watts)``.
         """
-        site = f"{config.key}/{benchmark.name}/{index}"
+        site = f"{plan.config.key}/{plan.benchmark.name}/{index}"
         policy = self.retry
         hung_s = 0.0
         attempt = 0
         while True:
             try:
                 with attempt_scope(attempt):
-                    execution = self.engine.execute(
-                        benchmark, config,
-                        invocation=index,
-                        iteration=protocol.iteration,
-                    )
+                    execution = self.engine.replay(plan, invocation=index)
                     measurement = meter.measure(execution, run_salt=site)
                 return execution.seconds.value, measurement.average_watts
             except RetriesExhausted:
@@ -300,7 +310,6 @@ class _PairMeasurement:
                     ) from exc
                 attempt += 1
                 outcome.retries += 1
-                _RETRIES.inc()
                 delay = policy.delay_for(attempt, site)
                 if delay > 0.0:
                     time.sleep(delay)
@@ -315,46 +324,41 @@ class _PairMeasurement:
         use_kernel = self._vectorises(benchmark, config, invocations)
         if self.vectorize and not use_kernel:
             _kernels.note_fallback("faults")
-        with default_tracer().span(
-            "engine.execute",
-            benchmark=benchmark.name,
-            config=config.key,
-            invocations=invocations,
-        ):
-            kernel = None
-            if use_kernel:
-                # One compiled numpy pass over the whole invocation loop;
-                # ``None`` means the plan's shape isn't compilable and the
-                # pair follows the scalar route below.
-                key = (benchmark, config.key)
-                if key in self._prepared:
-                    kernel = self._prepared.pop(key)
-                else:
-                    kernel = _kernels.compile_pair(
-                        self.engine, meter, benchmark, config, protocol,
-                        invocations,
-                    )
-            if kernel is not None:
-                times, powers = _kernels.run_pair(kernel, self.engine, meter)
-                if self.progress is not None:
-                    self.progress.advance(invocations)
+        kernel = None
+        if use_kernel:
+            # One compiled numpy pass over the whole invocation loop;
+            # ``None`` means the plan's shape isn't compilable and the
+            # pair follows the scalar route below.
+            key = (benchmark, config.key)
+            if key in self._prepared:
+                kernel = self._prepared.pop(key)
             else:
-                # The scalar reference: one invocation at a time through
-                # engine and meter under the retry policy.
-                times, powers = [], []
-                for invocation in range(invocations):
-                    seconds, watts = self._metered_invocation(
-                        benchmark, config, invocation, protocol, meter, outcome
-                    )
-                    times.append(seconds)
-                    powers.append(watts)
-                    if self.progress is not None:
-                        self.progress.advance()
-        _INVOCATIONS.inc(invocations)
+                kernel = _kernels.compile_pair(
+                    self.engine, meter, benchmark, config, protocol,
+                    invocations,
+                )
+        plan = None
+        if kernel is not None:
+            times, powers = _kernels.run_pair(kernel, self.engine, meter)
+            if self.progress is not None:
+                self.progress.advance(invocations)
+        else:
+            # The scalar reference: one plan, replayed one invocation at
+            # a time through engine and meter under the retry policy.
+            plan = self.engine.execution_plan(benchmark, config, protocol.iteration)
+            times, powers = [], []
+            for invocation in range(invocations):
+                seconds, watts = self._metered_invocation(
+                    plan, invocation, meter, outcome
+                )
+                times.append(seconds)
+                powers.append(watts)
+                if self.progress is not None:
+                    self.progress.advance()
 
         self._remeasure_outliers(
-            benchmark, config, protocol, meter, times, powers, invocations,
-            outcome,
+            benchmark, config, protocol, plan, meter, times, powers,
+            invocations, outcome,
         )
 
         time_ci = confidence_interval(times)
@@ -382,6 +386,7 @@ class _PairMeasurement:
         benchmark: Benchmark,
         config: Configuration,
         protocol: MeasurementProtocol,
+        plan: Optional[ExecutionPlan],
         meter: PowerMeter,
         times: list[float],
         powers: list[float],
@@ -390,11 +395,13 @@ class _PairMeasurement:
     ) -> None:
         """MAD outlier screen: re-measure suspect invocations in place.
 
-        Replacement runs use salt indices past the protocol's range, so
-        they draw fresh noise (re-running the same salt would reproduce
-        the same glitch) without disturbing the other invocations'
-        streams.  Off unless the policy sets ``outlier_threshold``, which
-        keeps the default protocol byte-identical to the unscreened one.
+        Replacement runs replay the pair's plan (built here if a kernel
+        measured the pair) with salt indices past the protocol's range,
+        so they draw fresh noise (re-running the same salt would
+        reproduce the same glitch) without disturbing the other
+        invocations' streams.  Off unless the policy sets
+        ``outlier_threshold``, which keeps the default protocol
+        byte-identical to the unscreened one.
         """
         threshold = self.retry.outlier_threshold
         if threshold is None or self.retry.max_remeasures <= 0:
@@ -402,15 +409,16 @@ class _PairMeasurement:
         suspects = sorted(
             set(mad_outlier_indices(powers, threshold))
             | set(mad_outlier_indices(times, threshold))
-        )
-        for index in suspects[: self.retry.max_remeasures]:
+        )[: self.retry.max_remeasures]
+        if suspects and plan is None:
+            plan = self.engine.execution_plan(benchmark, config, protocol.iteration)
+        for index in suspects:
             seconds, watts = self._metered_invocation(
-                benchmark, config, invocations + index, protocol, meter, outcome
+                plan, invocations + index, meter, outcome
             )
             times[index] = seconds
             powers[index] = watts
             outcome.remeasures += 1
-            _REMEASURES.inc()
 
 
 class Study:
@@ -790,7 +798,9 @@ class Study:
         sweep was dispatched; any other uncached pair is measured here,
         lazily through :meth:`measure`, so the checkpoint grows pair by
         pair and every ledger entry lands where it would at any worker
-        count."""
+        count.  It is also the only code that moves the invocation,
+        retry, re-measure and latency metrics, from each outcome's
+        fields, so they read the same however the sweep was measured."""
         # Workers' span subtrees hang off the span that dispatched the
         # sweep, re-issued in sweep order so the merged trace is
         # identical at any worker count.
@@ -824,6 +834,8 @@ class Study:
                 outcome = outcomes[key]
                 retries += outcome.retries
                 remeasures += outcome.remeasures
+                _RETRIES.inc(outcome.retries)
+                _REMEASURES.inc(outcome.remeasures)
                 for name in outcome.failure_events:
                     failures[name] = failures.get(name, 0) + 1
                 if outcome.result is None:
@@ -833,6 +845,8 @@ class Study:
                     _QUARANTINED.inc()
                     quarantined.append(entry)
                     continue
+                _INVOCATIONS.inc(outcome.result.invocations)
+                _MEASURE_SECONDS.observe(outcome.measure_seconds)
                 self._cache_store(key, outcome.result)
                 self._checkpoint_append(outcome.result)
                 results.append(outcome.result)
@@ -897,7 +911,6 @@ class Study:
         injector = _faults_active()
         setup = executor.WorkerSetup(
             references=self._references,
-            calibration=self.engine.calibration_snapshot(),
             invocation_scale=self._pair.invocation_scale,
             retry=self._pair.retry,
             metrics_enabled=_metrics_enabled(),

@@ -76,14 +76,6 @@ _PHASES = _REGISTRY.counter(
 )
 _SERIAL_PHASES = _PHASES.labels(phase="serial")
 _PARALLEL_PHASES = _PHASES.labels(phase="parallel")
-_PLAN_CACHE_HITS = _REGISTRY.counter(
-    "repro_engine_plan_cache_hits_total",
-    "Measured executions answered from the execution-plan cache",
-)
-_PLAN_CACHE_MISSES = _REGISTRY.counter(
-    "repro_engine_plan_cache_misses_total",
-    "Execution plans built from scratch for measured runs",
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,8 +110,9 @@ class ExecutionPlan:
 
     Everything upstream of the noise scalars — JVM service plan, thread
     placement, per-phase CPI and throughput, turbo resolution, event
-    counts — is a pure function of the pair, so the engine computes it
-    once and replays it per invocation, applying only ``time_noise`` and
+    counts — is a pure function of the pair, so a pair measurement
+    builds it once and replays it per invocation
+    (:meth:`ExecutionEngine.replay`), applying only ``time_noise`` and
     ``activity_noise``.  The stored factors are replayed in the exact
     operation order of the unplanned path, so a planned execution is
     bit-identical to an unplanned one.
@@ -182,31 +175,23 @@ class ExecutionEngine:
         self._jvm_vendor = jvm_vendor
         self._native_toolchain = native_toolchain
         self._instruction_cache: dict[Benchmark, float] = {}
-        self._plan_cache: dict[
-            tuple[Benchmark, Configuration, Optional[int]], ExecutionPlan
-        ] = {}
         # Compiled sweep kernels (:mod:`repro.execution.kernels`), keyed
         # by (benchmark, config key, effective iteration, invocations).
         # The engine stores them opaquely — the kernels module owns their
-        # shape — so the snapshot/preload plumbing mirrors calibration's.
+        # shape — and ships them to pool workers by snapshot/preload.
         self._kernel_cache: dict[tuple, object] = {}
 
     def __getstate__(self) -> dict:
         """Pickle support for shipping the engine to pool workers.
 
         The calibration table travels (it is a small dict of floats and
-        saves each worker four probe runs per benchmark); the plan and
-        kernel caches do not — plans are bulky and cheap to rebuild, and
-        kernels ship separately via ``WorkerSetup.kernels`` so their
-        kept replay state never rides along."""
+        saves each worker four probe runs per benchmark); the kernel
+        cache does not — kernels ship separately via
+        ``WorkerSetup.kernels`` so their kept replay state never rides
+        along."""
         state = self.__dict__.copy()
-        state["_plan_cache"] = {}
         state["_kernel_cache"] = {}
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.__dict__.setdefault("_kernel_cache", {})
 
     # -- public API ----------------------------------------------------------
 
@@ -220,7 +205,17 @@ class ExecutionEngine:
         """One measured run following the paper's protocol.
 
         ``iteration`` defaults to the steady-state iteration for Java and
-        is ignored for native benchmarks (they have no warm-up).
+        is ignored for native benchmarks (they have no warm-up).  Builds
+        the pair's plan and replays it once; a loop over invocations
+        builds the plan once and calls :meth:`replay` instead.
+        """
+        return self.replay(
+            self.execution_plan(benchmark, config, iteration), invocation
+        )
+
+    def replay(self, plan: ExecutionPlan, invocation: int) -> Execution:
+        """One measured run of ``plan``: the invocation's noise applied
+        to the pair's deterministic skeleton.
 
         An armed fault injector may abort the invocation here with
         :class:`~repro.faults.InvocationCrash` or
@@ -229,6 +224,7 @@ class ExecutionEngine:
         probes and :meth:`ideal` bypass the hook: they model the
         analytical reference, not a run of the physical rig.
         """
+        benchmark, config = plan.benchmark, plan.config
         injector = _faults_active()
         if injector is not None:
             injector.check_invocation(
@@ -239,7 +235,6 @@ class ExecutionEngine:
         power_noise = self._noise(
             benchmark, config, invocation, channel="power", scale=1.6
         )
-        plan = self.execution_plan(benchmark, config, iteration)
         return self._run_plan(plan, time_noise=noise, activity_noise=power_noise)
 
     def execution_plan(
@@ -248,33 +243,22 @@ class ExecutionEngine:
         config: Configuration,
         iteration: Optional[int] = None,
     ) -> ExecutionPlan:
-        """The cached deterministic skeleton of one measured run.
+        """The deterministic skeleton of one measured run, built anew.
 
-        The plan-cache lookup (and its hit/miss accounting) lives here so
-        that :meth:`execute` and the sweep-kernel compiler
-        (:mod:`repro.execution.kernels`) share one cache and one ledger.
+        ``iteration or STEADY_STATE_ITERATION`` (the falsy-zero default)
+        selects the warm-up overhead for managed benchmarks; native
+        benchmarks have no warm-up.  The sweep-kernel compiler
+        (:mod:`repro.execution.kernels`) and the scalar pair loop each
+        build one plan per pair.
         """
-        # ``iteration or STEADY_STATE_ITERATION`` (the falsy-zero default
-        # of the unplanned path) keys the cache for managed benchmarks;
-        # native benchmarks have no warm-up, so their key collapses.
-        effective_iteration = (
-            (iteration or STEADY_STATE_ITERATION) if benchmark.managed else None
-        )
-        plan_key = (benchmark, config, effective_iteration)
-        plan = self._plan_cache.get(plan_key)
-        if plan is None:
-            _PLAN_CACHE_MISSES.inc()
-            instructions = self.instructions_for(benchmark)
-            warm = 1.0
-            if benchmark.managed:
-                warm = self._warmup.overhead_at(effective_iteration)
-            plan = self._plan_for(
-                benchmark, config, instructions * warm, vendor=self._jvm_vendor
+        instructions = self.instructions_for(benchmark)
+        if benchmark.managed:
+            instructions *= self._warmup.overhead_at(
+                iteration or STEADY_STATE_ITERATION
             )
-            self._plan_cache[plan_key] = plan
-        else:
-            _PLAN_CACHE_HITS.inc()
-        return plan
+        return self._plan_for(
+            benchmark, config, instructions, vendor=self._jvm_vendor
+        )
 
     def ideal(self, benchmark: Benchmark, config: Configuration) -> Execution:
         """A noise-free steady-state run (the model's platonic output)."""
@@ -304,17 +288,6 @@ class ExecutionEngine:
         instructions = _PROBE_INSTRUCTIONS * benchmark.reference_seconds / mean_probe
         self._instruction_cache[benchmark] = instructions
         return instructions
-
-    def calibration_snapshot(self) -> dict[Benchmark, float]:
-        """The instruction-calibration table as a picklable mapping, for
-        preloading pool workers (each probe costs four reference runs)."""
-        return dict(self._instruction_cache)
-
-    def preload_calibration(self, snapshot: dict[Benchmark, float]) -> None:
-        """Adopt a :meth:`calibration_snapshot` wholesale (entries already
-        calibrated locally are kept: both derivations are deterministic)."""
-        for benchmark, instructions in snapshot.items():
-            self._instruction_cache.setdefault(benchmark, instructions)
 
     # -- compiled sweep kernels ----------------------------------------------
 
@@ -348,8 +321,7 @@ class ExecutionEngine:
         self._kernel_cache[key] = kernel
 
     def kernel_snapshot(self) -> dict[tuple, object]:
-        """The compiled-kernel table, for preloading pool workers the way
-        :meth:`calibration_snapshot` preloads instruction calibration.
+        """The compiled-kernel table, for preloading pool workers.
         Kernels serialise compactly: their kept replay state is dropped
         on pickle and redrawn from stored seeds on first replay."""
         return dict(self._kernel_cache)
@@ -416,7 +388,7 @@ class ExecutionEngine:
         """One uncached run: build the deterministic plan, apply noise.
 
         Calibration probes and :meth:`ideal` come through here; measured
-        runs go via :meth:`execute`'s plan cache instead."""
+        runs replay an :meth:`execution_plan` instead."""
         plan = self._plan_for(benchmark, config, instructions, vendor)
         return self._run_plan(plan, time_noise=time_noise, activity_noise=activity_noise)
 
@@ -547,7 +519,7 @@ class ExecutionEngine:
     def _run_plan(
         self, plan: ExecutionPlan, time_noise: float, activity_noise: float
     ) -> Execution:
-        """Apply one invocation's noise scalars to a cached plan.
+        """Apply one invocation's noise scalars to a plan.
 
         The arithmetic replays the unplanned path's exact operation order
         (activity times noise, then the vendor factor; base seconds times

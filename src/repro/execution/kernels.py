@@ -2,14 +2,14 @@
 numpy array program.
 
 The scalar measurement path walks a pair's invocation loop one run at a
-time: plan-cache lookup, two lognormal noise draws, a per-phase power
-replay, a 50 Hz trace sampling, and a sensor/calibration pass per
-invocation.  Every one of those steps is a pure function of the pair and
+time: two lognormal noise draws on the pair's execution plan, a
+per-phase power replay, a 50 Hz trace sampling, and a sensor/calibration
+pass per invocation.  Every one of those steps is a pure function of the pair and
 its per-site seeds, so this module *compiles* the whole loop once — into
 per-phase factor vectors plus per-invocation seed tables — and replays it
 as a handful of vectorised array operations:
 
-* the deterministic skeleton comes from the engine's execution-plan cache
+* the deterministic skeleton is the pair's execution plan, built once
   (:meth:`~repro.execution.engine.ExecutionEngine.execution_plan`), with
   the package-power model folded into per-phase ``const + coeff *
   switching`` factors precomputed in the scalar model's exact operation
@@ -43,11 +43,10 @@ scalar path's — goldens, checkpoint bytes, and campaign health do not
 move (docs/performance.md, "Vectorized path").
 
 Kernels live in the engine's opaque kernel cache and ship to sweep
-workers through ``WorkerSetup.kernels`` alongside the calibration
-snapshot; their kept replay state and seeding words are dropped on
-pickle (:meth:`PairKernel.__getstate__`) and rebuilt from seeds on first
-use.  Pairs the compiler cannot express (unexpected phase shapes)
-and pairs a :class:`~repro.faults.plan.FaultPlan` has armed fall back to
+workers through ``WorkerSetup.kernels``; their kept replay state and
+seeding words are dropped on pickle (:meth:`PairKernel.__getstate__`)
+and rebuilt from seeds on first use.  Pairs the compiler cannot express
+(unexpected phase shapes) and pairs a :class:`~repro.faults.plan.FaultPlan` has armed fall back to
 the scalar path per pair — counted in
 ``repro_kernel_scalar_fallbacks_total``.
 """
@@ -93,7 +92,7 @@ _CACHE_BYTES = _REGISTRY.gauge(
 def note_fallback(reason: str) -> None:
     """Count one pair that took the scalar path (``reason`` is ``faults``
     for fault-armed pairs, ``shape``/``activity`` for plans the compiler
-    declines, ``disabled`` when vectorisation is off)."""
+    declines; a study with vectorisation off counts nothing)."""
     _FALLBACKS.labels(reason=reason).inc()
 
 
@@ -363,9 +362,9 @@ def kernel_key(
 ) -> tuple:
     """The engine kernel-cache key for one pair's compiled loop.
 
-    Mirrors the execution-plan cache's iteration normalisation so two
-    protocols that resolve to the same effective iteration share one
-    kernel."""
+    Mirrors :meth:`~repro.execution.engine.ExecutionEngine.execution_plan`'s
+    iteration normalisation so two protocols that resolve to the same
+    effective iteration share one kernel."""
     effective_iteration = (
         (protocol.iteration or STEADY_STATE_ITERATION) if benchmark.managed else None
     )

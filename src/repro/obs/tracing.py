@@ -81,9 +81,9 @@ class Span:
     """One finished-or-running unit of traced work.
 
     A span opened by :meth:`Tracer.span` is its own context manager
-    (one object per span, not a span plus a handle: ``study.measure``
-    opens two per uncached measurement): entering makes it the ambient
-    parent, leaving finishes it and hands it to its tracer."""
+    (one object per span, not a span plus a handle): entering makes it
+    the ambient parent, leaving finishes it and hands it to its tracer.
+    :meth:`Tracer.record_span` builds one already finished."""
 
     __slots__ = ("name", "span_id", "parent_id",
                  "_start_perf", "duration_s", "attributes", "_tracer", "_token")

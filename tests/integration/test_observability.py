@@ -6,6 +6,9 @@ import pytest
 
 from repro.cli import main
 from repro.core.study import Study
+from repro.faults.injector import injected
+from repro.faults.plan import FaultPlan, FaultSpec, fail_stop_plan
+from repro.faults.retry import RetryPolicy
 from repro.hardware.catalog import ATOM_45, CORE_I7_45
 from repro.hardware.config import stock
 from repro.obs.distributed import build_span_tree, orphan_parent_ids
@@ -30,18 +33,49 @@ def tracer():
     tracer.clear()
 
 
+#: Retried fail-stop faults plus one drifted db invocation per pair, which
+#: the outlier screen of ``_SCREENED`` re-measures.
+_FAULTED = FaultPlan(
+    specs=fail_stop_plan(probability=0.1).specs
+    + (
+        FaultSpec(
+            kind="sensor.drift", probability=1.0, scope="*/db/0", magnitude=400.0
+        ),
+    ),
+    seed="spans",
+)
+_SCREENED = RetryPolicy(max_retries=8, outlier_threshold=3.5)
+
+
 class TestStudySpanTree:
     def test_two_by_two_sweep_emits_expected_spans(self, references, tracer):
-        study = Study(references=references, invocation_scale=0.05)
+        study = Study(
+            references=references, invocation_scale=0.2, retry=_SCREENED
+        )
         benches = (benchmark("db"), benchmark("mcf"))
         configs = (stock(ATOM_45), stock(CORE_I7_45))
 
-        with tracer.span("campaign") as root:
-            study.run(configs, benches)
+        with injected(_FAULTED), tracer.span("campaign") as root:
+            results = study.run(configs, benches)
 
+        # One finished span per measured pair and nothing nested in it.
+        assert {span.name for span in tracer.finished} == {
+            "campaign", "study.measure",
+        }
         measures = tracer.by_name("study.measure")
         assert len(measures) == 4
         assert all(span.parent_id == root.span_id for span in measures)
+        # Retries and re-measures ride on the pair's span, only when
+        # non-zero, and add up to the sweep's health report.
+        health = results.health
+        assert health.retries > 0 and health.remeasured_outliers == 2
+        for key, total in (
+            ("retries", health.retries),
+            ("outlier_remeasures", health.remeasured_outliers),
+        ):
+            counts = [s.attributes[key] for s in measures if key in s.attributes]
+            assert all(count > 0 for count in counts)
+            assert sum(counts) == total
         seen = {
             (span.attributes["benchmark"], span.attributes["config"])
             for span in measures
@@ -51,6 +85,20 @@ class TestStudySpanTree:
         }
         assert all(span.duration_s > 0 for span in measures)
         assert all(span.attributes["invocations"] >= 1 for span in measures)
+
+    def test_failed_pair_still_gets_its_span(self, references, tracer):
+        crash = FaultPlan(
+            specs=(FaultSpec(kind="invocation.crash", probability=1.0),)
+        )
+        study = Study(references=references, invocation_scale=0.05)
+        with injected(crash), tracer.span("campaign") as root:
+            results = study.run((stock(ATOM_45),), (benchmark("mcf"),))
+        assert len(results.health.quarantined) == 1
+        (span,) = tracer.by_name("study.measure")
+        assert span.parent_id == root.span_id
+        assert span.attributes == {
+            "benchmark": "mcf", "config": stock(ATOM_45).key,
+        }
 
     def test_second_pass_is_cached_and_counted(self, references, tracer):
         study = Study(references=references, invocation_scale=0.05)

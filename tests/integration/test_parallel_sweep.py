@@ -222,38 +222,67 @@ class TestTelemetryParity:
         "repro_study_cache_hits_total",
         "repro_study_cache_misses_total",
         "repro_study_invocations_total",
+        "repro_study_retries_total",
+        "repro_study_outlier_remeasures_total",
     )
+    #: Retried fail-stop faults, plus one drifted db invocation that the
+    #: outlier screen re-measures every time db is measured.
+    PLAN = FaultPlan(
+        specs=fail_stop_plan(probability=0.1).specs
+        + (
+            FaultSpec(
+                kind="sensor.drift",
+                probability=1.0,
+                scope="*/db/0",
+                magnitude=400.0,
+            ),
+        ),
+        seed="parity",
+    )
+    RETRY = RetryPolicy(max_retries=8, outlier_threshold=3.5)
 
     def _one_pair_sweeps(self, references, jobs):
         """Sweep pairs A, B, A, B, A one at a time through a study whose
         cache holds one pair, so every sweep re-measures."""
         registry = default_registry()
-        before = [registry.get(name).value for name in self.COUNTERS]
+        latency = registry.get("repro_measure_seconds")
+
+        def _read():
+            return [registry.get(name).value for name in self.COUNTERS] + [
+                latency.count
+            ]
+
+        before = _read()
         study = Study(
             references=references,
             invocation_scale=0.2,
             reuse_pool=True,
             cache_capacity=1,
+            retry=self.RETRY,
         )
         a, b = (BENCHES[0], CONFIGS[0]), (BENCHES[1], CONFIGS[0])
         try:
-            with injected(CLEAN):
+            with injected(self.PLAN):
                 sweeps = [
                     study.run_pairs([pair], jobs=jobs) for pair in (a, b, a, b, a)
                 ]
         finally:
             study.close_pool()
-        moved = [
-            registry.get(name).value - start
-            for name, start in zip(self.COUNTERS, before)
-        ]
+        moved = [now - start for now, start in zip(_read(), before)]
         return [_records(s) for s in sweeps], [s.health for s in sweeps], moved
 
     def test_pool_and_in_process_count_the_same(self, references):
         """Pool workers keep no result cache of their own: a pair the
         parent evicted is re-measured — and counted as a miss — on the
-        pool exactly as in-process."""
+        pool exactly as in-process.  Retries, re-measures, invocations
+        and the latency histogram are counted once, by the merge loop,
+        wherever the pair was measured."""
         records, health, moved = self._one_pair_sweeps(references, jobs=None)
-        assert moved[0] == 0 and moved[1] == 5  # no hits, five misses
+        hits, misses, invocations, retries, remeasures, latencies = moved
+        assert hits == 0 and misses == 5  # no hits, five misses
+        assert retries == sum(h.retries for h in health) > 0
+        assert remeasures == sum(h.remeasured_outliers for h in health) == 2
+        assert invocations == sum(r["invocations"] for s in records for r in s)
+        assert latencies == 5
         pooled = self._one_pair_sweeps(references, jobs=1)
         assert pooled == (records, health, moved)

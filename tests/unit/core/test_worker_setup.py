@@ -1,10 +1,12 @@
-"""Unit tests for the worker-reuse rule of the kept-alive pool.
+"""Unit tests for the worker setup: what travels, and the worker-reuse
+rule of the kept-alive pool.
 
 A kept-alive :class:`~repro.core.executor.SweepPool` may serve a later
 sweep only when ``WorkerSetup.compatible_with`` accepts the sweep's
 setup.
 """
 
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -12,13 +14,14 @@ import pytest
 from repro.core.executor import WorkerSetup
 from repro.faults.plan import fail_stop_plan
 from repro.faults.retry import RetryPolicy
+from repro.obs.metrics import default_registry
+from repro.workloads.catalog import benchmark
 
 
 @pytest.fixture
 def setup(references) -> WorkerSetup:
     return WorkerSetup(
         references=references,
-        calibration={},
         invocation_scale=0.2,
         retry=RetryPolicy(),
         metrics_enabled=True,
@@ -31,7 +34,7 @@ class TestCompatibleWith:
         assert setup.compatible_with(replace(setup))
 
     def test_warm_start_hints_never_gate_reuse(self, setup):
-        grown = replace(setup, calibration={"probe": 1.0}, kernels={"k": 1})
+        grown = replace(setup, kernels={"k": 1})
         assert setup.compatible_with(grown)
 
     @pytest.mark.parametrize(
@@ -55,3 +58,17 @@ class TestCompatibleWith:
         assert not setup.compatible_with(
             replace(setup, references=References(engine))
         )
+
+
+class TestShippedCalibration:
+    def test_unpickled_setup_calibrates_without_probe_runs(self, setup):
+        """The references' engine carries its instruction calibration
+        through pickling, so a spawned worker never re-probes a benchmark
+        the parent calibrated."""
+        probes = default_registry().get("repro_engine_calibration_probes_total")
+        bench = benchmark("mcf")
+        expected = setup.references.engine.instructions_for(bench)
+        shipped = pickle.loads(pickle.dumps(setup))
+        probes_0 = probes.value
+        assert shipped.references.engine.instructions_for(bench) == expected
+        assert probes.value == probes_0

@@ -190,7 +190,7 @@ class TestAdoption:
     def _worker_payload(self):
         worker = Tracer(enabled=True)
         with worker.span("executor.chunk", pair=0) as chunk:
-            with worker.span("engine.execute"):
+            with worker.span("study.measure"):
                 pass
         return [span.as_dict() for span in worker.finished], chunk
 
@@ -203,7 +203,7 @@ class TestAdoption:
         by_name = {span.name: span for span in adopted}
         chunk = by_name["executor.chunk"]
         assert chunk.parent_id == sweep.span_id
-        assert by_name["engine.execute"].parent_id == chunk.span_id
+        assert by_name["study.measure"].parent_id == chunk.span_id
         old_ids = {record["span_id"] for record in payload}
         assert old_ids.isdisjoint({span.span_id for span in adopted})
 
