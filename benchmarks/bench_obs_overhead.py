@@ -71,7 +71,7 @@ def _timed_measure(study: Study, benchmark, config, telemetry: bool) -> float:
     else:
         tracer.disable()
     try:
-        study.clear_cache()
+        study.ledger.clear_cache()
         start = time.perf_counter()
         study.measure(benchmark, config)
         return time.perf_counter() - start

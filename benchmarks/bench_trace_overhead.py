@@ -94,7 +94,7 @@ def _timed_handle(
     else:
         tracer.disable()
     try:
-        study.clear_cache()
+        study.ledger.clear_cache()
         request = _request(*cell)
         start = time.perf_counter()
         response = loop.run_until_complete(server.handle(request))

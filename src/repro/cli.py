@@ -60,13 +60,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.core.study import (
-    Study,
-    fingerprint_mismatch,
-    read_checkpoint_meta,
-    run_fingerprint,
-    write_checkpoint_meta,
-)
+from repro.core.ledger import CheckpointMismatch, run_fingerprint
+from repro.core.study import Study
 from repro.experiments.findings import evaluate_all
 from repro.faults.errors import MeasurementError
 from repro.faults.injector import install as install_faults, uninstall as uninstall_faults
@@ -712,37 +707,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         heartbeat_s=args.heartbeat_interval,
         liveness_misses=args.liveness_misses,
     )
-    if resume is not None:
-        if Path(resume).exists():
-            saved = read_checkpoint_meta(resume)
-            mismatch = (
-                fingerprint_mismatch(saved, fingerprint)
-                if saved is not None
-                else None  # pre-sidecar checkpoints resume unchecked
-            )
-            if mismatch is not None:
-                print(
-                    f"error: --resume checkpoint is from a different run "
-                    f"({mismatch})",
-                    file=sys.stderr,
-                )
-                print(
-                    "hint: re-run with the flags that wrote it (same "
-                    "--quick/--inject) or start a fresh --checkpoint",
-                    file=sys.stderr,
-                )
-                return 4
-            restored = study.restore_checkpoint(resume)
-            print(f"resumed {restored} results from {resume}", file=sys.stderr)
-        elif resume != checkpoint:
-            # A missing --resume that is also the --checkpoint target is a
-            # cold start (first run of a resumable campaign), not an error.
-            print(f"error: --resume file does not exist: {resume}", file=sys.stderr)
-            return 2
-    if checkpoint is not None:
-        # Stamp the sidecar up front so even an interrupted first run
-        # leaves a checkpoint that --resume can validate.
-        write_checkpoint_meta(checkpoint, fingerprint)
+    try:
+        restored = study.ledger.resume(resume, fingerprint)
+    except FileNotFoundError:
+        print(f"error: --resume file does not exist: {resume}", file=sys.stderr)
+        return 2
+    except CheckpointMismatch as exc:
+        print(
+            f"error: --resume checkpoint is from a different run ({exc})\n"
+            "hint: re-run with the flags that wrote it (same "
+            "--quick/--inject) or start a fresh --checkpoint",
+            file=sys.stderr,
+        )
+        return 4
+    if restored is not None:
+        print(f"resumed {restored} results from {resume}", file=sys.stderr)
     if plan is not None:
         install_faults(plan)
 

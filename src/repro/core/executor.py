@@ -27,7 +27,8 @@ The protocol:
   (engine, kernel and meter telemetry);
 * the parent applies the metric deltas in chunk order and hands the
   outcomes to :meth:`Study.run_pairs <repro.core.study.Study.run_pairs>`,
-  whose one merge loop — the same loop an in-process sweep runs — walks
+  whose ledger's one merge loop (:meth:`~repro.core.ledger.Ledger.merge`,
+  the same loop an in-process sweep runs) walks
   the pairs in sweep order and alone moves the study's invocation,
   retry, re-measure and latency metrics, so results, health,
   failure-dict order, checkpoint bytes and study telemetry are identical
@@ -78,6 +79,7 @@ paths work.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import queue
@@ -343,6 +345,11 @@ def _worker_main(
     while the operator restarts it with ``--recover``."""
     from repro.faults import injector
 
+    # A forked worker inherits the parent's heap.  Frozen, it is never
+    # traversed by the worker's own collections, whose copy-on-write
+    # faults over every inherited object held the GIL (and so the beats)
+    # for 0.2-0.3 s in a full test session: past a tight liveness deadline.
+    gc.freeze()
     sending = threading.Lock()
 
     def send(message) -> None:

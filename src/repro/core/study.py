@@ -6,53 +6,41 @@ following the paper's measurement protocol (3/5 executions for native,
 20 JVM invocations reporting the fifth iteration for Java), producing a
 :class:`~repro.core.results.ResultSet`.
 
-Two layers.  The pure **pair measurement** measures one (benchmark,
-configuration) pair — a compiled sweep kernel or the per-invocation
-scalar reference through engine and meter, under a bounded
-:class:`~repro.faults.RetryPolicy` (backoff + jitter, a simulated-timeout
-budget), the MAD outlier re-measure and the 95% confidence intervals, in
-one ``study.measure`` span — and returns a :class:`PairOutcome`: the
-result or the failure, with its retries, re-measures and failure events.
-It holds no cache, quarantine or checkpoint, so pool workers run it
-directly.  Before measuring, a sweep compiles the kernels of the pairs
-it measures in-process (a pool worker: of its chunk) and primes their
-generator states in one batch (:meth:`_PairMeasurement.prepared`).  The **study** keeps the campaign ledger and one merge loop:
-every sweep — in-process, on the worker pool, or falling back from the
-pool — walks its pairs in sweep order through that loop, which alone
-turns outcomes into cache entries, hit/miss counts, checkpoint lines,
-quarantine entries, adopted worker spans and the sweep's
-:class:`~repro.core.results.CampaignHealth`.
+The pure **pair measurement** (:class:`_PairMeasurement`) measures one
+(benchmark, configuration) pair — a compiled sweep kernel or the
+per-invocation scalar reference through engine and meter, under a
+bounded :class:`~repro.faults.RetryPolicy` (backoff + jitter, a
+simulated-timeout budget), the MAD outlier re-measure and the 95%
+confidence intervals, in one ``study.measure`` span — and returns a
+:class:`PairOutcome`: the result or the failure, with its retries,
+re-measures and failure events.  It holds no cache, quarantine or
+checkpoint, so pool workers run it directly.  Before measuring, a sweep
+compiles the kernels of the pairs it measures in-process (a pool
+worker: of its chunk) and primes their generator states in one batch
+(:meth:`_PairMeasurement.prepared`).
 
-The cache keys by the benchmark *value* — not its name — for the same
-reason the engine's instruction cache does: synthetic workloads may share
-a name while differing in signature.  The paper's physical rig really
-failed, and the authors silently re-ran invocations; here recovery is
-explicit: a pair that exhausts its retries is quarantined instead of
-aborting the sweep, ``run()`` returns a partial :class:`ResultSet`
-carrying the health report, and an optional JSONL checkpoint lets an
-interrupted campaign resume where it stopped.  Cache, invocation, retry,
-quarantine and restore counts feed the metrics registry, and an optional
-:class:`~repro.obs.progress.ProgressReporter` gets one tick per invocation.
+The **study** measures and dispatches: it runs the worker pool and
+hands each sweep's outcomes, and the pair measurement for whatever the
+pool did not measure, to the merge loop of its campaign ledger
+(``study.ledger``, :class:`~repro.core.ledger.Ledger`), which keeps the
+cache, quarantine, checkpoint and study metrics.  A pair that exhausts
+its retries is quarantined instead of aborting the sweep, and ``run()``
+returns a partial :class:`ResultSet` carrying the health report.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
 import math
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
+from repro.core.ledger import Ledger
 from repro.core.normalization import References
-from repro.core.results import (
-    CampaignHealth,
-    QuarantineEntry,
-    ResultSet,
-    RunResult,
-)
+from repro.core.results import ResultSet, RunResult
 from repro.core.statistics import confidence_interval, mad_outlier_indices
 from repro.execution import kernels as _kernels
 from repro.execution.engine import ExecutionEngine, ExecutionPlan
@@ -66,50 +54,12 @@ from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.hardware.config import Configuration
 from repro.hardware.processor import ProcessorSpec
 from repro.measurement.meter import PowerMeter, meter_for
-from repro.obs.metrics import default_registry, enabled as _metrics_enabled
+from repro.obs.metrics import enabled as _metrics_enabled
 from repro.obs.progress import ProgressReporter
 from repro.obs.tracing import current_span_id, default_tracer, wall_time_of
 from repro.runtime.methodology import MeasurementProtocol, protocol_for
 from repro.workloads.benchmark import Benchmark
-from repro.workloads.catalog import BENCHMARKS, BENCHMARKS_BY_NAME
-
-_REGISTRY = default_registry()
-_CACHE_HITS = _REGISTRY.counter(
-    "repro_study_cache_hits_total",
-    "Measurements answered from the study's result cache",
-)
-_CACHE_MISSES = _REGISTRY.counter(
-    "repro_study_cache_misses_total",
-    "Measurements that had to be performed",
-)
-_INVOCATIONS = _REGISTRY.counter(
-    "repro_study_invocations_total",
-    "Individual benchmark invocations executed and metered",
-)
-_MEASURE_SECONDS = _REGISTRY.histogram(
-    "repro_measure_seconds",
-    "Latency of one pair measurement (all invocations)",
-)
-_RETRIES = _REGISTRY.counter(
-    "repro_study_retries_total",
-    "Invocation retries after a measurement-pipeline failure",
-)
-_QUARANTINED = _REGISTRY.counter(
-    "repro_study_quarantined_pairs_total",
-    "(benchmark, configuration) pairs quarantined after exhausting retries",
-)
-_REMEASURES = _REGISTRY.counter(
-    "repro_study_outlier_remeasures_total",
-    "Invocations re-measured after the MAD outlier screen flagged them",
-)
-_RESTORED = _REGISTRY.counter(
-    "repro_study_checkpoint_restores_total",
-    "Cache entries restored from a checkpoint file",
-)
-_CACHE_EVICTIONS = _REGISTRY.counter(
-    "repro_study_cache_evictions_total",
-    "Results evicted from a capacity-bounded study cache (LRU order)",
-)
+from repro.workloads.catalog import BENCHMARKS
 
 
 @dataclass
@@ -422,16 +372,16 @@ class _PairMeasurement:
 
 
 class Study:
-    """The measurement campaign harness.
+    """The measurement campaign harness: measurement and dispatch.
 
     ``invocation_scale`` proportionally reduces the protocol's repetition
     counts (floored at one) for quick exploratory sweeps; the default of
     1.0 is the paper's full protocol.  ``progress`` receives one tick per
     invocation.  ``retry`` governs recovery from measurement failures
     (the default retries each invocation up to three times without
-    sleeping); ``checkpoint_path`` appends every new result to a JSONL
-    file so a killed campaign can :meth:`restore_checkpoint` and
-    continue where it stopped.
+    sleeping).  ``checkpoint_path`` and ``cache_capacity`` configure the
+    campaign's :class:`~repro.core.ledger.Ledger` (``study.ledger``),
+    which keeps the cache, quarantine and checkpoint.
 
     Every uncached pair is metered by a compiled sweep kernel
     (``vectorize``) or, byte-identically, by the per-invocation scalar
@@ -450,12 +400,6 @@ class Study:
     invocation telemetry are identical at any worker count (see
     docs/performance.md).  ``reuse_pool`` keeps the pool alive between
     sweeps (the campaign server); :meth:`close_pool` releases it.
-
-    ``cache_capacity`` bounds the in-memory result cache: past that many
-    pairs the least-recently-used result is evicted (counted in
-    ``repro_study_cache_evictions_total``) and, measurements being pure,
-    re-measures to the byte-identical result if asked for again.
-    ``None`` (the default) keeps the cache unbounded.
     """
 
     def __init__(
@@ -479,19 +423,11 @@ class Study:
                 f"invocation scale must be positive and finite, "
                 f"got {invocation_scale!r}"
             )
-        if cache_capacity is not None and cache_capacity < 1:
-            raise ValueError(
-                f"cache capacity must be >= 1 (or None for unbounded), "
-                f"got {cache_capacity!r}"
-            )
         self._references = references or References(engine)
         self._benchmarks = tuple(benchmarks)
+        self.ledger = Ledger(self._benchmarks, cache_capacity, checkpoint_path)
         self._progress = progress
-        self._checkpoint_path = (
-            Path(checkpoint_path) if checkpoint_path is not None else None
-        )
         self._jobs = jobs
-        self._cache_capacity = cache_capacity
         self._reuse_pool = reuse_pool
         self._pool = None  # lazily created when reuse_pool is set
         self._heartbeat_s = heartbeat_s
@@ -511,12 +447,6 @@ class Study:
             bool(vectorize),
             progress,
         )
-        self._cache: dict[tuple[Benchmark, str], RunResult] = {}
-        self._restored_keys: set[tuple[Benchmark, str]] = set()
-        self._quarantine: dict[tuple[Benchmark, str], QuarantineEntry] = {}
-        # The outcomes of the sweep the merge loop is walking (None
-        # between sweeps); :meth:`measure` adds the in-process ones.
-        self._sweep_outcomes: Optional[dict] = None
 
     @property
     def engine(self) -> ExecutionEngine:
@@ -531,74 +461,8 @@ class Study:
         return self._benchmarks
 
     @property
-    def progress(self) -> Optional[ProgressReporter]:
-        return self._progress
-
-    @property
     def retry_policy(self) -> RetryPolicy:
         return self._pair.retry
-
-    @property
-    def vectorize(self) -> bool:
-        """Whether fault-free pairs run through compiled sweep kernels."""
-        return self._pair.vectorize
-
-    @property
-    def quarantined(self) -> tuple[QuarantineEntry, ...]:
-        """Pairs that exhausted their retries, in quarantine order."""
-        return tuple(self._quarantine.values())
-
-    # -- caching / planning ----------------------------------------------------
-
-    @property
-    def cache_capacity(self) -> Optional[int]:
-        return self._cache_capacity
-
-    @property
-    def cached_pairs(self) -> int:
-        """Results currently held in the in-memory cache."""
-        return len(self._cache)
-
-    def clear_cache(self) -> None:
-        """Evict every cached result (measurements are pure, so a re-run
-        reproduces the identical dataset)."""
-        self._cache.clear()
-        self._restored_keys.clear()
-
-    def _cache_get(
-        self, key: tuple[Benchmark, str]
-    ) -> Optional[RunResult]:
-        """Cache lookup that refreshes LRU recency on a hit.
-
-        The cache dict's insertion order doubles as the recency order:
-        re-inserting a hit key moves it to the far (young) end, so
-        eviction can always take the dict's first key."""
-        result = self._cache.get(key)
-        if result is not None and self._cache_capacity is not None:
-            self._cache[key] = self._cache.pop(key)
-        return result
-
-    def _cache_store(self, key: tuple[Benchmark, str], result: RunResult) -> None:
-        """Insert one result, evicting the least-recently-used entries
-        past ``cache_capacity`` (unbounded when the capacity is None)."""
-        self._cache[key] = result
-        if self._cache_capacity is None:
-            return
-        while len(self._cache) > self._cache_capacity:
-            oldest = next(iter(self._cache))
-            del self._cache[oldest]
-            self._restored_keys.discard(oldest)
-            _CACHE_EVICTIONS.inc()
-
-    def clear_quarantine(self) -> None:
-        """Give quarantined pairs another chance on the next sweep."""
-        self._quarantine.clear()
-
-    def is_cached(self, benchmark: Benchmark, config: Configuration) -> bool:
-        return (benchmark, config.key) in self._cache
-
-    def is_quarantined(self, benchmark: Benchmark, config: Configuration) -> bool:
-        return (benchmark, config.key) in self._quarantine
 
     def scaled_invocations(self, benchmark: Benchmark) -> int:
         """Protocol repetitions after ``invocation_scale`` (floored at 1)."""
@@ -609,128 +473,35 @@ class Study:
         configurations: Iterable[Configuration],
         benchmarks: Optional[Sequence[Benchmark]] = None,
     ) -> int:
-        """Invocations a sweep would actually execute (uncached,
-        unquarantined pairs, each once)."""
+        """Invocations a sweep would actually execute: those of the
+        ledger's pending pairs (uncached, unquarantined, each once)."""
         chosen = tuple(benchmarks) if benchmarks is not None else self._benchmarks
-        pending = self._pending(
+        pending = self.ledger.pending(
             [(benchmark, config) for config in configurations for benchmark in chosen]
         )
         return sum(self.scaled_invocations(benchmark) for benchmark, _ in pending)
-
-    def _pending(
-        self, pairs: Iterable[tuple[Benchmark, Configuration]]
-    ) -> list[tuple[Benchmark, Configuration]]:
-        """The pairs a sweep must measure: uncached, unquarantined, each
-        once, in sweep order."""
-        pending: dict[tuple[Benchmark, str], tuple[Benchmark, Configuration]] = {}
-        for benchmark, config in pairs:
-            key = (benchmark, config.key)
-            if not (
-                key in pending or key in self._cache or key in self._quarantine
-            ):
-                pending[key] = (benchmark, config)
-        return list(pending.values())
-
-    # -- checkpointing ---------------------------------------------------------
-
-    def enable_checkpoint(self, path: Path | str) -> None:
-        """Start appending every newly measured result to ``path``."""
-        self._checkpoint_path = Path(path)
-
-    def save_checkpoint(self, path: Path | str) -> Path:
-        """Write the entire result cache as one JSONL checkpoint.
-
-        Records are emitted in sorted (benchmark, configuration) order,
-        so the file's bytes are independent of the order the cache was
-        populated in — the same dataset produces the same checkpoint
-        whether it was measured sequentially, in parallel, or resumed."""
-        out = Path(path)
-        ordered = sorted(self._cache, key=lambda key: (key[0].name, key[1]))
-        with out.open("w", encoding="utf-8") as fh:
-            for key in ordered:
-                fh.write(json.dumps(self._cache[key].as_record()) + "\n")
-        return out
-
-    def restore_checkpoint(self, path: Path | str) -> int:
-        """Load a JSONL checkpoint into the result cache.
-
-        Returns the number of entries restored.  Records for benchmarks
-        this study does not know (e.g. synthetics from another session)
-        and malformed trailing lines — the expected residue of a campaign
-        killed mid-write — are skipped, not fatal: a checkpoint is a
-        cache, and the worst a skipped line costs is one re-measurement.
-        """
-        results = []
-        with Path(path).open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    results.append(RunResult.from_record(json.loads(line)))
-                except (ValueError, KeyError, TypeError):
-                    continue  # truncated / malformed line: re-measure instead
-        return self.restore_records(results)
-
-    def restore_records(self, records: Iterable[RunResult]) -> int:
-        """Load pre-measured results straight into the result cache.
-
-        The warm-start primitive shared by :meth:`restore_checkpoint` and
-        the campaign server's persistent store: records for unknown
-        benchmarks are skipped, already-cached pairs keep their existing
-        result, and restored pairs are accounted as ``restored`` (not
-        ``cached``) in later campaign health reports.  Returns the number
-        of entries actually restored."""
-        by_name = {b.name: b for b in self._benchmarks}
-        restored = 0
-        for result in records:
-            benchmark = by_name.get(result.benchmark_name) or (
-                BENCHMARKS_BY_NAME.get(result.benchmark_name)
-            )
-            if benchmark is None:
-                continue
-            key = (benchmark, result.config_key)
-            if key not in self._cache:
-                self._cache_store(key, result)
-                self._restored_keys.add(key)
-                restored += 1
-        if restored:
-            _RESTORED.inc(restored)
-        return restored
-
-    def _checkpoint_append(self, result: RunResult) -> None:
-        if self._checkpoint_path is None:
-            return
-        with self._checkpoint_path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(result.as_record()) + "\n")
 
     # -- measurement ----------------------------------------------------------
 
     def measure(self, benchmark: Benchmark, config: Configuration) -> RunResult:
         """Measure one benchmark on one configuration (cached).
 
-        Called on its own, this is a one-pair in-process sweep through
-        the merge loop, so the pair is cached, checkpointed and accounted
-        as in any sweep.  Raises :class:`~repro.faults.RetriesExhausted`
-        if an invocation keeps failing through the retry policy (the pair
-        is then quarantined), or at once if the pair is quarantined.  The
-        merge loop calls it for each uncached pair it measures in-process
-        and takes the pair's outcome from ``_sweep_outcomes``.
+        A one-pair sweep through the ledger's merge, so the pair is
+        cached, checkpointed and counted as in any sweep, whenever it is
+        called — also from inside another sweep (a progress callback).
+        Raises :class:`~repro.faults.RetriesExhausted` if an invocation
+        keeps failing through the retry policy (the pair is then
+        quarantined), or at once if the pair is quarantined.
         """
-        key = (benchmark, config.key)
-        if self._sweep_outcomes is not None:
-            outcome = self._pair.measure(benchmark, config)
-            self._sweep_outcomes[key] = outcome
-            return outcome.result
         outcomes: dict[tuple[Benchmark, str], PairOutcome] = {}
-        swept = self._merge(((benchmark, config),), outcomes)
+        swept = self.ledger.merge(((benchmark, config),), outcomes, self._pair.measure)
         if swept:
             return swept.single()
-        if key in outcomes:  # measured and failed in this sweep
-            raise outcomes[key].error
+        if outcomes:  # measured and failed in this sweep
+            raise outcomes[(benchmark, config.key)].error
+        (entry,) = swept.health.quarantined
         raise RetriesExhausted(
-            f"{benchmark.name} @ {config.key} is quarantined: "
-            f"{self._quarantine[key].reason}",
+            f"{benchmark.name} @ {config.key} is quarantined: {entry.reason}",
             site=f"{config.key}/{benchmark.name}",
         )
 
@@ -772,7 +543,7 @@ class Study:
         and each occurrence reported, exactly as ``run`` treats a repeated
         configuration."""
         pairs = list(pairs)
-        pending = self._pending(pairs)
+        pending = self.ledger.pending(pairs)
         if self._progress is not None:
             self._progress.extend_total(
                 sum(self.scaled_invocations(benchmark) for benchmark, _ in pending)
@@ -784,86 +555,7 @@ class Study:
         # Whatever the pool did not measure, the merge loop measures
         # in-process: compile it and prime its seeding in one batch first.
         with self._pair.prepared(() if outcomes else pending):
-            return self._merge(pairs, outcomes)
-
-    def _merge(
-        self,
-        pairs: Sequence[tuple[Benchmark, Configuration]],
-        outcomes: dict[tuple[Benchmark, str], PairOutcome],
-    ) -> ResultSet:
-        """The one merge loop: walk the sweep's pairs in order and turn
-        each into a quarantine entry, a cache hit, or a measured outcome.
-
-        ``outcomes`` holds the pool's outcomes (in pending order) when the
-        sweep was dispatched; any other uncached pair is measured here,
-        lazily through :meth:`measure`, so the checkpoint grows pair by
-        pair and every ledger entry lands where it would at any worker
-        count.  It is also the only code that moves the invocation,
-        retry, re-measure and latency metrics, from each outcome's
-        fields, so they read the same however the sweep was measured."""
-        # Workers' span subtrees hang off the span that dispatched the
-        # sweep, re-issued in sweep order so the merged trace is
-        # identical at any worker count.
-        parent = current_span_id()
-        for outcome in outcomes.values():
-            default_tracer().adopt(outcome.spans, parent_id=parent)
-        measured = cached = restored = retries = remeasures = 0
-        failures: dict[str, int] = {}
-        quarantined: list[QuarantineEntry] = []
-        results: list[RunResult] = []
-        self._sweep_outcomes = outcomes
-        try:
-            for benchmark, config in pairs:
-                key = (benchmark, config.key)
-                entry = self._quarantine.get(key)
-                if entry is not None:
-                    quarantined.append(entry)
-                    continue
-                result = self._cache_get(key)
-                if result is not None:
-                    _CACHE_HITS.inc()
-                    results.append(result)
-                    if key in self._restored_keys:
-                        restored += 1
-                    else:
-                        cached += 1
-                    continue
-                _CACHE_MISSES.inc()
-                if key not in outcomes:
-                    self.measure(benchmark, config)
-                outcome = outcomes[key]
-                retries += outcome.retries
-                remeasures += outcome.remeasures
-                _RETRIES.inc(outcome.retries)
-                _REMEASURES.inc(outcome.remeasures)
-                for name in outcome.failure_events:
-                    failures[name] = failures.get(name, 0) + 1
-                if outcome.result is None:
-                    entry = self._quarantine[key] = QuarantineEntry(
-                        benchmark.name, config.key, outcome.failure
-                    )
-                    _QUARANTINED.inc()
-                    quarantined.append(entry)
-                    continue
-                _INVOCATIONS.inc(outcome.result.invocations)
-                _MEASURE_SECONDS.observe(outcome.measure_seconds)
-                self._cache_store(key, outcome.result)
-                self._checkpoint_append(outcome.result)
-                results.append(outcome.result)
-                measured += 1
-        finally:
-            self._sweep_outcomes = None
-        health = CampaignHealth(
-            attempted_pairs=len(pairs),
-            measured_pairs=measured,
-            cached_pairs=cached,
-            restored_pairs=restored,
-            retries=retries,
-            remeasured_outliers=remeasures,
-            failures=failures,
-            quarantined=tuple(quarantined),
-        )
-        return ResultSet(results, health=health)
+            return self.ledger.merge(pairs, outcomes, self._pair.measure)
 
     # -- parallel sweeps -------------------------------------------------------
 
@@ -971,87 +663,6 @@ class Study:
     ) -> ResultSet:
         """Measure one configuration across benchmarks."""
         return self.run((configuration,), benchmarks)
-
-
-# -- checkpoint fingerprints -------------------------------------------------
-#
-# A JSONL checkpoint is a cache of measured records, and the records are
-# only valid for the run parameters that produced them: the library root
-# seed, the protocol's invocation scale, and the armed fault plan.  The
-# fingerprint lives in a *sidecar* file (``<checkpoint>.meta``) so the
-# checkpoint itself stays pure JSONL with bytes identical across
-# sequential, parallel, and resumed campaigns.
-
-CHECKPOINT_META_VERSION = 1
-
-
-def checkpoint_meta_path(path: Path | str) -> Path:
-    """Sidecar metadata path for a JSONL checkpoint (``<path>.meta``)."""
-    path = Path(path)
-    return path.with_name(path.name + ".meta")
-
-
-def run_fingerprint(
-    invocation_scale: float = 1.0, plan: Optional[object] = None
-) -> dict[str, object]:
-    """The parameters that make two campaigns byte-comparable.
-
-    Worker count, checkpointing, and telemetry never affect result
-    bytes, so they are deliberately absent; ``plan`` is the armed
-    :class:`~repro.faults.plan.FaultPlan` (or None when disarmed), whose
-    content fingerprint — not just its seed — is recorded."""
-    from repro.core.seeding import ROOT_SEED
-
-    return {
-        "version": CHECKPOINT_META_VERSION,
-        "root_seed": ROOT_SEED,
-        "invocation_scale": invocation_scale,
-        "fault_plan": plan.fingerprint if plan is not None else None,
-    }
-
-
-def write_checkpoint_meta(
-    path: Path | str, fingerprint: Mapping[str, object]
-) -> Path:
-    meta = checkpoint_meta_path(path)
-    meta.write_text(
-        json.dumps(dict(fingerprint), sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return meta
-
-
-def read_checkpoint_meta(path: Path | str) -> Optional[dict]:
-    """The fingerprint recorded beside a checkpoint, or ``None`` for
-    checkpoints without a readable sidecar (every pre-sidecar one)."""
-    try:
-        data = json.loads(
-            checkpoint_meta_path(path).read_text(encoding="utf-8")
-        )
-    except (OSError, ValueError):
-        return None
-    return data if isinstance(data, dict) else None
-
-
-def fingerprint_mismatch(
-    saved: Mapping[str, object],
-    current: Mapping[str, object],
-    fields: tuple[str, ...] = ("root_seed", "invocation_scale", "fault_plan"),
-) -> Optional[str]:
-    """One-line description of the first differing fingerprint field, or
-    ``None`` when the checkpoint is compatible with the current run.
-
-    ``fields`` narrows the comparison: checkpoints compare everything
-    (a fault plan changes *which pairs* a checkpoint holds), while the
-    result store skips ``fault_plan`` (stored bytes are plan-invariant,
-    and crash recovery restarts without the plan that killed the
-    coordinator)."""
-    for field in fields:
-        if saved.get(field) != current.get(field):
-            return (
-                f"{field}: saved run had {saved.get(field)!r}, "
-                f"this run has {current.get(field)!r}"
-            )
-    return None
 
 
 _SHARED_STUDY: Optional[Study] = None

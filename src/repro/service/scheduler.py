@@ -370,7 +370,7 @@ class CampaignScheduler:
             "rejected": self.rejected,
             "failed": self.failed,
             "shed": self.shed,
-            "quarantined": len(self._study.quarantined),
+            "quarantined": len(self._study.ledger.quarantined),
             "store_records": len(self._store) if self._store is not None else 0,
             "drain_timed_out": timed_out,
             "cancelled": cancelled,

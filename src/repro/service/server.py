@@ -231,7 +231,7 @@ class CampaignServer:
 
     ``store`` is a :class:`ResultStore`, a path, or ``None`` (a private
     in-memory store, so ``/results`` and ``/pareto`` behave uniformly).
-    ``fingerprint`` (see :func:`repro.core.study.run_fingerprint`) binds
+    ``fingerprint`` (see :func:`repro.core.ledger.run_fingerprint`) binds
     a persistent store to one set of run parameters; a mismatched store
     raises :class:`~repro.service.store.StoreError` at startup rather
     than serving mixed data.  ``rate``/``burst`` configure per-client
@@ -334,7 +334,7 @@ class CampaignServer:
             tracer = default_tracer()
             self._tracer_was_enabled = tracer.is_enabled
             tracer.enable()
-        self.restored = self._store.warm_start(self._study)
+        self.restored = self._study.ledger.restore_records(self._store.records())
         await self._scheduler.start()
         if self._recover:
             self._start_recovery()
@@ -1023,8 +1023,8 @@ class CampaignServer:
             "rejected": self._scheduler.rejected,
             "failed": self._scheduler.failed,
             "shed": self._scheduler.shed,
-            "cached_pairs": self._study.cached_pairs,
-            "quarantined": len(self._study.quarantined),
+            "cached_pairs": self._study.ledger.cached_pairs,
+            "quarantined": len(self._study.ledger.quarantined),
             "store_records": len(self._store),
             "restored": self.restored,
             "in_flight": self._scheduler.inflight_snapshot(),

@@ -6,7 +6,7 @@ must answer queries from every measurement it has ever made.  This store
 is the serving path's durability layer: one row per (benchmark,
 configuration) holding the full-precision :meth:`RunResult.as_record`
 JSON, plus a metadata table carrying the run fingerprint
-(:func:`repro.core.study.run_fingerprint`) so a restarted server refuses
+(:func:`repro.core.ledger.run_fingerprint`) so a restarted server refuses
 to serve records measured under different run parameters instead of
 silently mixing datasets.
 
@@ -139,7 +139,7 @@ class ResultStore:
     database file created on first use.  The store is a *superset* cache:
     ``put`` is idempotent (INSERT OR REPLACE on the pair key) and
     :meth:`records` returns rows in sorted (benchmark, config) order, the
-    same canonical order ``Study.save_checkpoint`` uses.
+    same canonical order ``Ledger.save_checkpoint`` uses.
     """
 
     def __init__(
@@ -536,7 +536,7 @@ class ResultStore:
         restart against the store *without* the plan that crashed the
         previous coordinator.  Raises :class:`StoreError` on mismatch.
         """
-        from repro.core.study import fingerprint_mismatch
+        from repro.core.ledger import fingerprint_mismatch
 
         stored = self.get_meta("fingerprint")
         if stored is None:
@@ -552,12 +552,7 @@ class ResultStore:
                 f"re-launch with the matching flags"
             )
 
-    # -- warm start / lifecycle ------------------------------------------------
-
-    def warm_start(self, study) -> int:
-        """Preload every stored record into ``study``'s result cache;
-        returns the number restored (skipping pairs already cached)."""
-        return study.restore_records(self.records())
+    # -- lifecycle -------------------------------------------------------------
 
     def flush(self) -> None:
         with self._lock:

@@ -110,7 +110,7 @@ class TestKillAndResume:
                 invocation_scale=0.2,
                 checkpoint_path=checkpoint,
             )
-            assert second.restore_checkpoint(checkpoint) == 3
+            assert second.ledger.restore_checkpoint(checkpoint) == 3
             results = second.run(CONFIGS, BENCHES)
             results.to_csv(resumed_csv)
 
@@ -130,7 +130,7 @@ class TestKillAndResume:
             )
             writer.run(CONFIGS[:1], BENCHES)
             reader = Study(references=references, invocation_scale=0.2)
-            reader.restore_checkpoint(checkpoint)
+            reader.ledger.restore_checkpoint(checkpoint)
             health = reader.run(CONFIGS[:1], BENCHES).health
         assert health.measured_pairs == 0
         assert health.restored_pairs == len(BENCHES)

@@ -78,8 +78,8 @@ class TestCleanEquivalence:
         with injected(CLEAN):
             seq_study.run(CONFIGS, BENCHES)
             par_study.run(CONFIGS, BENCHES, jobs=2)
-        seq_file = seq_study.save_checkpoint(tmp_path / "seq.jsonl")
-        par_file = par_study.save_checkpoint(tmp_path / "par.jsonl")
+        seq_file = seq_study.ledger.save_checkpoint(tmp_path / "seq.jsonl")
+        par_file = par_study.ledger.save_checkpoint(tmp_path / "par.jsonl")
         assert par_file.read_bytes() == seq_file.read_bytes()
 
 
@@ -165,7 +165,7 @@ class TestParallelResume:
                 invocation_scale=0.2,
                 checkpoint_path=checkpoint,
             )
-            assert second.restore_checkpoint(checkpoint) == len(BENCHES)
+            assert second.ledger.restore_checkpoint(checkpoint) == len(BENCHES)
             results = second.run(CONFIGS, BENCHES, jobs=2)
             results.to_csv(resumed_csv)
 

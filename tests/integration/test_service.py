@@ -22,7 +22,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core.study import Study, run_fingerprint
+from repro.core.ledger import run_fingerprint
+from repro.core.study import Study
 from repro.hardware.catalog import ATOM_45, CORE2DUO_45, CORE_I7_45
 from repro.hardware.config import stock
 from repro.obs.metrics import default_registry

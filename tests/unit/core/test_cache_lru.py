@@ -33,25 +33,25 @@ def _evictions() -> float:
 class TestCapacity:
     def test_unbounded_by_default(self, references):
         study = _study(references)
-        assert study.cache_capacity is None
+        assert study.ledger.cache_capacity is None
         for config in (I7, ATOM, CORE2):
             study.measure(MCF, config)
-        assert study.cached_pairs == 3
+        assert study.ledger.cached_pairs == 3
 
     def test_capacity_bounds_the_cache(self, references):
         study = _study(references, cache_capacity=2)
         for config in (I7, ATOM, CORE2):
             study.measure(MCF, config)
-        assert study.cached_pairs == 2
+        assert study.ledger.cached_pairs == 2
 
     def test_oldest_entry_is_evicted_first(self, references):
         study = _study(references, cache_capacity=2)
         study.measure(MCF, I7)
         study.measure(MCF, ATOM)
         study.measure(MCF, CORE2)  # evicts I7, the oldest
-        assert not study.is_cached(MCF, I7)
-        assert study.is_cached(MCF, ATOM)
-        assert study.is_cached(MCF, CORE2)
+        assert not study.ledger.is_cached(MCF, I7)
+        assert study.ledger.is_cached(MCF, ATOM)
+        assert study.ledger.is_cached(MCF, CORE2)
 
     def test_cache_hit_refreshes_recency(self, references):
         study = _study(references, cache_capacity=2)
@@ -59,8 +59,8 @@ class TestCapacity:
         study.measure(MCF, ATOM)
         study.measure(MCF, I7)  # hit: I7 becomes most recent
         study.measure(MCF, CORE2)  # so ATOM is evicted, not I7
-        assert study.is_cached(MCF, I7)
-        assert not study.is_cached(MCF, ATOM)
+        assert study.ledger.is_cached(MCF, I7)
+        assert not study.ledger.is_cached(MCF, ATOM)
 
     @pytest.mark.parametrize("capacity", [0, -1])
     def test_rejects_degenerate_capacity(self, references, capacity):
@@ -100,7 +100,7 @@ class TestEvictionAccounting:
         source = _study(references)
         records = [source.measure(MCF, c) for c in (I7, ATOM)]
         study = _study(references, cache_capacity=1)
-        assert study.restore_records(records) == 2  # second restore evicts first
-        assert study.cached_pairs == 1
+        assert study.ledger.restore_records(records) == 2  # second restore evicts first
+        assert study.ledger.cached_pairs == 1
         # The evicted pair restores cleanly a second time.
-        assert study.restore_records(records[:1]) == 1
+        assert study.ledger.restore_records(records[:1]) == 1

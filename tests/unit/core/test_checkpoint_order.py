@@ -35,8 +35,8 @@ class TestSaveCheckpointOrder:
                 forward.measure(bench, config)
             for bench, config in reversed(PAIRS):
                 backward.measure(bench, config)
-        a = forward.save_checkpoint(tmp_path / "forward.jsonl")
-        b = backward.save_checkpoint(tmp_path / "backward.jsonl")
+        a = forward.ledger.save_checkpoint(tmp_path / "forward.jsonl")
+        b = backward.ledger.save_checkpoint(tmp_path / "backward.jsonl")
         assert a.read_bytes() == b.read_bytes()
 
     def test_records_are_sorted_by_benchmark_then_config(
@@ -46,7 +46,7 @@ class TestSaveCheckpointOrder:
         with injected(CLEAN):
             for bench, config in PAIRS:
                 study.measure(bench, config)
-        path = study.save_checkpoint(tmp_path / "sorted.jsonl")
+        path = study.ledger.save_checkpoint(tmp_path / "sorted.jsonl")
         keys = [
             (record["benchmark"], record["configuration"])
             for record in map(json.loads, path.read_text().splitlines())
@@ -58,8 +58,8 @@ class TestSaveCheckpointOrder:
         with injected(CLEAN):
             for bench, config in PAIRS:
                 writer.measure(bench, config)
-        path = writer.save_checkpoint(tmp_path / "roundtrip.jsonl")
+        path = writer.ledger.save_checkpoint(tmp_path / "roundtrip.jsonl")
         reader = Study(references=references, invocation_scale=0.2)
-        assert reader.restore_checkpoint(path) == len(PAIRS)
+        assert reader.ledger.restore_checkpoint(path) == len(PAIRS)
         for bench, config in PAIRS:
-            assert reader.is_cached(bench, config)
+            assert reader.ledger.is_cached(bench, config)

@@ -149,7 +149,7 @@ class TestResumeFingerprint:
         return checkpoint
 
     def test_checkpoint_writes_fingerprint_sidecar(self, capsys, tmp_path):
-        from repro.core.study import read_checkpoint_meta
+        from repro.core.ledger import read_checkpoint_meta
 
         checkpoint = self._write_checkpoint(capsys, tmp_path)
         meta = read_checkpoint_meta(checkpoint)
@@ -183,7 +183,7 @@ class TestResumeFingerprint:
     def test_checkpoint_without_sidecar_resumes_unchecked(
         self, capsys, tmp_path
     ):
-        from repro.core.study import checkpoint_meta_path
+        from repro.core.ledger import checkpoint_meta_path
 
         checkpoint = self._write_checkpoint(capsys, tmp_path)
         checkpoint_meta_path(checkpoint).unlink()  # a pre-sidecar checkpoint

@@ -67,7 +67,7 @@ class TestQuarantine:
         assert not health.ok
         assert [q.benchmark_name for q in health.quarantined] == ["mcf"]
         assert health.failures.get("InvocationCrash", 0) > 0
-        assert study.is_quarantined(BENCHES[0], CONFIGS[0])
+        assert study.ledger.is_quarantined(BENCHES[0], CONFIGS[0])
 
     def test_measure_raises_for_quarantined_pair_without_rerunning(
         self, references
@@ -84,8 +84,8 @@ class TestQuarantine:
         ctx, study = self._always_crashing(references)
         with ctx:
             study.run(CONFIGS[:1], BENCHES[:1])
-        study.clear_quarantine()
-        assert study.quarantined == ()
+        study.ledger.clear_quarantine()
+        assert study.ledger.quarantined == ()
         with injected(CLEAN):
             result = study.measure(BENCHES[0], CONFIGS[0])
         assert math.isfinite(result.watts)
@@ -158,7 +158,7 @@ class TestCheckpoint:
             assert len(path.read_text().splitlines()) == 2
 
             reader = _study(references)
-            assert reader.restore_checkpoint(path) == 2
+            assert reader.ledger.restore_checkpoint(path) == 2
             resumed = reader.run(CONFIGS[:1], BENCHES)
         assert _records(resumed) == _records(original)
         assert resumed.health.restored_pairs == 2
@@ -181,15 +181,15 @@ class TestCheckpoint:
             + good.splitlines()[0][: len(good) // 2]  # killed mid-write
         )
         reader = _study(references)
-        assert reader.restore_checkpoint(path) == 1
+        assert reader.ledger.restore_checkpoint(path) == 1
 
     def test_save_checkpoint_dumps_the_whole_cache(self, references, tmp_path):
         with injected(CLEAN):
             study = _study(references)
             study.run(CONFIGS[:1], BENCHES)
-            path = study.save_checkpoint(tmp_path / "dump.jsonl")
+            path = study.ledger.save_checkpoint(tmp_path / "dump.jsonl")
             reader = _study(references)
-            assert reader.restore_checkpoint(path) == 2
+            assert reader.ledger.restore_checkpoint(path) == 2
 
     def test_enable_checkpoint_starts_appending(self, references, tmp_path):
         path = tmp_path / "late.jsonl"
@@ -197,7 +197,7 @@ class TestCheckpoint:
             study = _study(references)
             study.measure(BENCHES[0], CONFIGS[0])
             assert not path.exists()
-            study.enable_checkpoint(path)
+            study.ledger.enable_checkpoint(path)
             study.measure(BENCHES[1], CONFIGS[0])
         assert len(path.read_text().splitlines()) == 1
 

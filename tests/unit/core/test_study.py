@@ -1,6 +1,7 @@
 """Unit tests for the study harness."""
 
 import io
+import json
 
 import pytest
 
@@ -10,10 +11,12 @@ from repro.execution import kernels
 from repro.execution.engine import ExecutionEngine
 from repro.execution.kernels import kernel_stats
 from repro.faults import injector
+from repro.faults.errors import RetriesExhausted
 from repro.faults.injector import injected
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.hardware.catalog import ATOM_45, CORE_I7_45
 from repro.hardware.config import stock
+from repro.obs.metrics import default_registry
 from repro.obs.progress import ProgressReporter
 from repro.runtime.methodology import protocol_for
 from repro.workloads.catalog import benchmark
@@ -91,9 +94,9 @@ class TestCacheKeying:
         study = Study(references=references, invocation_scale=0.2)
         config = stock(ATOM_45)
         first = study.measure(benchmark("db"), config)
-        assert study.is_cached(benchmark("db"), config)
-        study.clear_cache()
-        assert not study.is_cached(benchmark("db"), config)
+        assert study.ledger.is_cached(benchmark("db"), config)
+        study.ledger.clear_cache()
+        assert not study.ledger.is_cached(benchmark("db"), config)
         assert study.measure(benchmark("db"), config) is not first
 
 
@@ -105,7 +108,7 @@ class TestMeasurePurity:
         config = stock(CORE_I7_45)
         for name in ("db", "mcf"):
             first = study.measure(benchmark(name), config)
-            study.clear_cache()
+            study.ledger.clear_cache()
             second = study.measure(benchmark(name), config)
             assert first == second
 
@@ -157,6 +160,84 @@ class TestDeterminism:
     def test_java_runs_vary_between_invocations(self, full_study):
         result = full_study.measure(benchmark("db"), stock(ATOM_45))
         assert result.time_ci.half_width > 0.0
+
+
+class TestMeasureInsideASweep:
+    """``Study.measure`` called mid-sweep — here from a progress callback
+    — is a one-pair sweep of its own: the pair is cached, appended to the
+    checkpoint and counted, and a pair that fails raises."""
+
+    OUTER = ("db", "mcf")
+
+    class Nesting(ProgressReporter):
+        """Measures ``pair`` on ``study`` from its first tick, once."""
+
+        def __init__(self):
+            super().__init__(stream=io.StringIO())
+            self.study = self.pair = self.result = self.error = None
+
+        def advance(self, n=1):
+            super().advance(n)
+            study, self.study = self.study, None
+            if study is not None:
+                try:
+                    self.result = study.measure(*self.pair)
+                except RetriesExhausted as exc:
+                    self.error = exc
+
+    def _sweep(self, references, tmp_path, nested):
+        """Sweep OUTER in-process while the callback measures ``nested``;
+        returns the study, the callback, the sweep's results, the cache
+        misses it counted and the checkpoint's benchmark names."""
+        config = stock(ATOM_45)
+        progress = self.Nesting()
+        checkpoint = tmp_path / "sweep.jsonl"
+        study = Study(
+            references=references, invocation_scale=0.2, progress=progress,
+            checkpoint_path=checkpoint,
+        )
+        progress.study, progress.pair = study, (benchmark(nested), config)
+        misses = default_registry().get("repro_study_cache_misses_total")
+        before = misses.value
+        results = study.run((config,), [benchmark(name) for name in self.OUTER])
+        names = [
+            json.loads(line)["benchmark"]
+            for line in checkpoint.read_text().splitlines()
+        ]
+        return study, progress, results, misses.value - before, names
+
+    def test_nested_pair_is_cached_checkpointed_and_counted(
+        self, references, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(injector, "_ACTIVE", None)
+        study, progress, results, misses, names = self._sweep(
+            references, tmp_path, "vips"
+        )
+        assert progress.error is None
+        assert study.ledger.is_cached(benchmark("vips"), stock(ATOM_45))
+        assert study.measure(benchmark("vips"), stock(ATOM_45)) is progress.result
+        assert sorted(names) == ["db", "mcf", "vips"]
+        assert misses == 3
+        assert [r.benchmark_name for r in results] == list(self.OUTER)
+        assert results.health.measured_pairs == 2
+
+    def test_nested_pair_that_fails_raises(self, references, tmp_path, monkeypatch):
+        monkeypatch.setattr(injector, "_ACTIVE", None)
+        plan = FaultPlan(specs=(FaultSpec(
+            kind="invocation.crash",
+            probability=1.0,
+            scope=f"{stock(ATOM_45).key}/bzip2/*",
+        ),))
+        with injected(plan):
+            study, progress, results, misses, names = self._sweep(
+                references, tmp_path, "bzip2"
+            )
+        assert isinstance(progress.error, RetriesExhausted)
+        assert progress.result is None
+        assert study.ledger.is_quarantined(benchmark("bzip2"), stock(ATOM_45))
+        assert sorted(names) == ["db", "mcf"]
+        assert misses == 3
+        assert [r.benchmark_name for r in results] == list(self.OUTER)
 
 
 class TestKernelCounterParity:

@@ -6,11 +6,15 @@ sweep only when ``WorkerSetup.compatible_with`` accepts the sweep's
 setup.
 """
 
+import gc
+import multiprocessing
 import pickle
+import queue
 from dataclasses import replace
 
 import pytest
 
+from repro.core import executor
 from repro.core.executor import WorkerSetup
 from repro.faults.plan import fail_stop_plan
 from repro.faults.retry import RetryPolicy
@@ -72,3 +76,31 @@ class TestShippedCalibration:
         probes_0 = probes.value
         assert shipped.references.engine.instructions_for(bench) == expected
         assert probes.value == probes_0
+
+
+def _freeze_count_after_start(setup, conn) -> None:
+    """Forked-child body: start a worker that shuts down at once, then
+    report how many objects the child's collector has frozen."""
+    tasks = queue.Queue()
+    tasks.put(None)
+    executor._worker_main(0, setup, tasks, conn, 60.0)
+    conn.send(gc.get_freeze_count())
+
+
+class TestWorkerStartup:
+    def test_forked_worker_freezes_the_heap_it_inherits(self, setup):
+        """A forked worker's collections must not walk the parent's heap:
+        a full one held the GIL, and so the heartbeats, for 0.2-0.3 s in
+        a full test session."""
+        context = multiprocessing.get_context("fork")
+        parent_end, child_end = context.Pipe()
+        child = context.Process(
+            target=_freeze_count_after_start, args=(setup, child_end)
+        )
+        child.start()
+        try:
+            assert parent_end.poll(30.0)
+            assert parent_end.recv() > 0
+        finally:
+            child.join(timeout=30.0)
+        assert not child.is_alive()

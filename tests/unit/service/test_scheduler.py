@@ -66,7 +66,7 @@ class TestCoalescing:
         assert len({id(r) for r in results}) == 1  # literally the same result
         assert scheduler.completed == 1
         assert scheduler.coalesced == 4
-        assert study.cached_pairs == 1
+        assert study.ledger.cached_pairs == 1
 
     def test_coalesced_result_matches_sequential_run(self, references):
         study = _study(references)
@@ -197,7 +197,7 @@ class TestFailuresAndPersistence:
 
         _run(main())
         assert scheduler.failed == 1
-        assert study.quarantined  # the pair is quarantined, not retried forever
+        assert study.ledger.quarantined  # the pair is quarantined, not retried forever
 
     def test_fail_stop_plan_reproduces_fault_free_bytes(self, references):
         """Retried fail-stop faults must serve the fault-free record."""
@@ -299,7 +299,7 @@ class TestDeadlinesAndJournal:
         assert scheduler.completed == 0
         assert store.journal_entry("rk").status == "shed"
         # Shed before the engine: nothing was measured or stored.
-        assert scheduler.study.cached_pairs == 0
+        assert scheduler.study.ledger.cached_pairs == 0
         assert len(store) == 0
 
     def test_no_deadline_waiter_unbounds_a_coalesced_job(self, references):

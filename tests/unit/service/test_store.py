@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.core.study import Study, run_fingerprint
+from repro.core.ledger import run_fingerprint
+from repro.core.study import Study
 from repro.faults.plan import fail_stop_plan
 from repro.hardware.catalog import ATOM_45, CORE_I7_45
 from repro.hardware.config import stock
@@ -154,8 +155,8 @@ class TestWarmStart:
         store = ResultStore()
         store.put_many(results)
         fresh = Study(references=references, invocation_scale=0.2)
-        assert store.warm_start(fresh) == 2
-        assert fresh.cached_pairs == 2
+        assert fresh.ledger.restore_records(store.records()) == 2
+        assert fresh.ledger.cached_pairs == 2
         # Preloaded pairs answer without re-measuring, byte-identically.
         again = fresh.measure(benchmark("mcf"), stock(CORE_I7_45))
         assert json.dumps(again.as_record()) == json.dumps(
@@ -166,8 +167,8 @@ class TestWarmStart:
         store = ResultStore()
         store.put_many(results)
         fresh = Study(references=references, invocation_scale=0.2)
-        store.warm_start(fresh)
-        assert store.warm_start(fresh) == 0
+        fresh.ledger.restore_records(store.records())
+        assert fresh.ledger.restore_records(store.records()) == 0
 
 
 class TestWriteAheadLog:
