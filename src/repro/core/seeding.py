@@ -10,15 +10,18 @@ generator per noise site.
 The scalar path builds that generator with :func:`rng_for`
 (``np.random.default_rng(seed)``).  The compiled sweep kernels replay tens of
 thousands of sites per campaign, and building a generator costs far more
-than drawing from it, so they derive the same streams in two steps instead:
-:func:`pcg64_seed_table` runs numpy's seeding (NEP 19's ``SeedSequence``
-mixing, pool size 4, ``generate_state(4, uint64)``) vectorised over a whole
-batch of seeds, and :func:`reseed` puts one row of that table into a
-generator the caller owns, leaving it in exactly the state
-``np.random.PCG64(seed)`` starts in.  Draws from it are byte-identical to
-``default_rng(seed)``'s; ``tests/unit/core/test_seeding.py`` pins the
-equivalence, so a numpy release that changes its seeding fails there
-instead of drifting the bytes.
+than drawing from it, so they derive the same streams in batches instead:
+:func:`site_seeds` hashes a run of sites that share a key prefix in one
+pass, :func:`pcg64_seed_table` runs numpy's seeding (NEP 19's
+``SeedSequence`` mixing, pool size 4, ``generate_state(4, uint64)``)
+vectorised over a whole batch of seeds, :func:`pcg64_states` steps those
+words into PCG64's 128-bit ``(state, inc)`` the way ``PCG64`` seeds
+itself, and :func:`reseed` puts one such row into a generator the caller
+owns, leaving it in exactly the state ``np.random.PCG64(seed)`` starts in.
+Draws from it are byte-identical to ``default_rng(seed)``'s;
+``tests/unit/core/test_seeding.py`` pins the equivalence, so a numpy
+release that changes its seeding fails there instead of drifting the
+bytes.
 """
 
 from __future__ import annotations
@@ -44,6 +47,22 @@ def seed_from_key(key: str, root: str = ROOT_SEED) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def site_seeds(prefix: str, count: int) -> np.ndarray:
+    """``seed_from_key(prefix + str(i))`` for ``i`` in ``range(count)``,
+    as one ``uint64`` array.
+
+    The sites of one noise stream differ only in a trailing index, so
+    their keys are formatted from one prefix and the digests' first eight
+    bytes are read little-endian in a single ``frombuffer``."""
+    head = f"{ROOT_SEED}::{prefix}"
+    digests = b"".join(
+        hashlib.sha256(f"{head}{i}".encode("utf-8")).digest()
+        for i in range(count)
+    )
+    # Each digest is four uint64 words; the seed is the first of them.
+    return np.frombuffer(digests, "<u8")[::4].copy()
+
+
 def rng_for(key: str, root: str = ROOT_SEED) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` dedicated to ``key``.
 
@@ -61,9 +80,11 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-#: PCG64's 128-bit LCG multiplier (``PCG_DEFAULT_MULTIPLIER_128``).
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_M128 = (1 << 128) - 1
+#: PCG64's 128-bit LCG multiplier (``PCG_DEFAULT_MULTIPLIER_128``), as
+#: its high and low uint64 limbs.
+_PCG_MULT_HI = np.uint64(2549297995355413924)
+_PCG_MULT_LO = np.uint64(4865540595714422341)
+_U32 = np.uint64(_M32)
 
 
 def _hash_schedule(init: int, mult: int, count: int) -> np.ndarray:
@@ -99,8 +120,8 @@ def pcg64_seed_table(seeds: Sequence[int]) -> np.ndarray:
 
     Returns an ``(N, 4)`` ``uint64`` array whose row ``i`` equals
     ``np.random.SeedSequence(seeds[i]).generate_state(4, np.uint64)``;
-    :func:`reseed` turns a row into the generator state.  Each seed must
-    lie in ``[0, 2**64)`` (what :func:`seed_from_key` returns).
+    :func:`pcg64_states` turns the rows into generator states.  Each seed
+    must lie in ``[0, 2**64)`` (what :func:`seed_from_key` returns).
 
     ``SeedSequence`` hashes a seed's uint32 words into a pool of four:
     one word for a seed below ``2**32``, two otherwise, and zero for the
@@ -136,21 +157,62 @@ def pcg64_seed_table(seeds: Sequence[int]) -> np.ndarray:
     return np.ascontiguousarray((low | (high << np.uint64(32))).T)
 
 
+def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """The high 64 bits of each 128-bit product ``a * b``, from 32-bit
+    limbs (every partial product and partial sum fits in uint64)."""
+    shift = np.uint64(32)
+    a0, a1 = a & _U32, a >> shift
+    b0, b1 = b & _U32, b >> shift
+    low_cross = a0 * b1
+    high_cross = a1 * b0
+    mid = ((a0 * b0) >> shift) + (low_cross & _U32) + (high_cross & _U32)
+    return a1 * b1 + (low_cross >> shift) + (high_cross >> shift) + (mid >> shift)
+
+
+def pcg64_states(table: np.ndarray) -> np.ndarray:
+    """PCG64's own seeding step over rows of :func:`pcg64_seed_table`.
+
+    Returns an ``(N, 4)`` ``uint64`` array of ``(state_hi, state_lo,
+    inc_hi, inc_lo)``: the second word pair of a row, shifted left once
+    with the low bit set, is the stream increment; the first pair is
+    added to it and stepped once through the 128-bit LCG.  All
+    arithmetic is modulo ``2**128`` on (high, low) uint64 limbs, with the
+    carries taken explicitly."""
+    w0, w1, w2, w3 = np.asarray(table, dtype=np.uint64).reshape(-1, 4).T
+    one = np.uint64(1)
+    inc_hi = (w2 << one) | (w3 >> np.uint64(63))
+    inc_lo = (w3 << one) | one
+    seed_lo = inc_lo + w1
+    seed_hi = inc_hi + w0 + (seed_lo < inc_lo)
+    # (seed * MULT) mod 2**128: the low limbs' full product, plus both
+    # cross products in the high limb (their own high halves overflow
+    # past 2**128).
+    prod_lo = seed_lo * _PCG_MULT_LO
+    prod_hi = (
+        _mulhi(seed_lo, _PCG_MULT_LO)
+        + seed_hi * _PCG_MULT_LO
+        + seed_lo * _PCG_MULT_HI
+    )
+    state_lo = prod_lo + inc_lo
+    state_hi = prod_hi + inc_hi + (state_lo < inc_lo)
+    return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=1)
+
+
 def reseed(generator: np.random.Generator, row: Sequence[int]) -> np.random.Generator:
     """Put ``generator`` (PCG64-backed, owned by the caller) in the state
     ``np.random.PCG64(seed)`` starts in, given ``seed``'s row of
-    :func:`pcg64_seed_table`; returns ``generator`` for chaining.
+    :func:`pcg64_states`; returns ``generator`` for chaining.
 
-    This is PCG64's own seeding step in Python ints: the second word pair
-    is the stream increment, the first is added to it and stepped once
-    through the 128-bit LCG.  The buffered 32-bit half-draw is cleared, so
-    nothing of an earlier stream leaks into the next."""
-    w0, w1, w2, w3 = map(int, row)
-    inc = (((w2 << 64) | w3) << 1 | 1) & _M128
-    state = ((inc + ((w0 << 64) | w1)) * _PCG_MULT + inc) & _M128
+    The row's limbs are joined into the 128-bit ``state`` and ``inc`` and
+    set through the public state setter.  The buffered 32-bit half-draw
+    is cleared, so nothing of an earlier stream leaks into the next."""
+    state_hi, state_lo, inc_hi, inc_lo = map(int, row)
     generator.bit_generator.state = {
         "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
+        "state": {
+            "state": state_hi << 64 | state_lo,
+            "inc": inc_hi << 64 | inc_lo,
+        },
         "has_uint32": 0,
         "uinteger": 0,
     }

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import stdtrit as _stdtrit
 
 
 def mean(samples: Sequence[float]) -> float:
@@ -88,10 +88,17 @@ def confidence_interval(
 
 @functools.lru_cache(maxsize=256)
 def _t_crit(confidence: float, df: int) -> float:
-    """The two-sided Student-t critical value.  A campaign asks for a
-    handful of ``(confidence, df)`` values thousands of times, and
-    ``scipy.stats.t.ppf`` costs tens of microseconds a call."""
-    return float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df=df))
+    """The two-sided Student-t critical value: the ``0.5 + confidence/2``
+    quantile of Student's t with ``df`` degrees of freedom.
+
+    ``scipy.special.stdtrit`` is the function ``scipy.stats.t.ppf``
+    evaluates (scipy's ``t`` distribution computes its quantile as
+    ``stdtrit(df, q)`` and only adds ``* 1.0 + 0.0``), so the value is the
+    same float, while importing ``scipy.special`` alone spares every
+    process the ~0.8 s ``scipy.stats`` import.  A campaign asks for a
+    handful of ``(confidence, df)`` values thousands of times, hence the
+    memo."""
+    return float(_stdtrit(df, 0.5 + confidence / 2.0))
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,7 +16,8 @@ as a handful of vectorised array operations:
   order;
 * the per-invocation noise scalars and per-sample noise streams are
   *seeded identically* to the scalar path — the kernel stores the derived
-  integer seeds (``seed_from_key`` over the same ``run_key`` sites).  On
+  integer seeds (``seed_from_key`` over the same ``run_key`` sites, hashed
+  a stream at a time by :func:`~repro.core.seeding.site_seeds`).  On
   its first replay it draws and keeps its per-invocation scalars (noisy
   durations, sample counts, per-phase power: a few scalars per
   invocation); the per-sample arrays (true power, supply wander, sensor
@@ -24,12 +25,13 @@ as a handful of vectorised array operations:
   kernel's memory grows with its invocations, never with its samples;
 * each site's stream starts in the state the scalar path's fresh
   per-site generator starts in, without building one per site:
-  :func:`prime` derives the PCG64 seeding words of a whole sweep's
+  :func:`prime` derives the PCG64 start states of a whole sweep's
   kernels in one vectorised pass
-  (:func:`~repro.core.seeding.pcg64_seed_table`), the kernel keeps them,
+  (:func:`~repro.core.seeding.pcg64_seed_table` and
+  :func:`~repro.core.seeding.pcg64_states`), the kernel keeps them,
   and replay resets one generator per call to each site's state in turn
   (:func:`~repro.core.seeding.reseed`).  A kernel nobody primed derives
-  its own seeds' words on its first replay;
+  its own seeds' states on its first replay;
 * the metering pipeline runs as one array pass through the shared
   transfers (:meth:`ProcessorSupply.volts_from_wander`,
   :meth:`HallEffectSensor.transfer_codes`) and an exact per-segment
@@ -58,7 +60,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.core.seeding import pcg64_seed_table, reseed, run_key, seed_from_key
+from repro.core.seeding import pcg64_seed_table, pcg64_states, reseed, site_seeds
 from repro.execution.engine import ExecutionEngine
 from repro.execution.trace import sample_counts
 from repro.hardware.config import Configuration
@@ -125,6 +127,7 @@ class _Invocations:
     first_ends: np.ndarray  # (n,) noisy end time of the first phase
     power: np.ndarray  # (n, P) true power per invocation and phase
     peaks: np.ndarray  # (n,) per-invocation true peak power
+    peak: float  # the pair's true peak power, max of ``peaks``
 
 
 def _scale_normals(z: np.ndarray, sigma: float) -> None:
@@ -144,9 +147,9 @@ class PairKernel:
 
     The stored state is small and picklable: per-phase factor vectors
     (precomputed Python-scalar arithmetic in the scalar model's exact
-    operation order) plus per-invocation integer seed tables.  Replay
+    operation order) plus per-invocation ``uint64`` seed tables.  Replay
     state is split by size.  The per-invocation scalars
-    (:class:`_Invocations`) and the PCG64 seeding words are computed on
+    (:class:`_Invocations`) and the PCG64 start states are computed on
     the first replay and kept — under 200 bytes per invocation.  The
     per-sample arrays (true power, supply wander, sensor noise) are
     rebuilt on every replay and freed once metered.  The kept state is
@@ -173,10 +176,10 @@ class PairKernel:
     # --- per-invocation noise parameters and seed tables
     sigma_time: float
     sigma_power: float
-    time_seeds: tuple[int, ...]
-    power_seeds: tuple[int, ...]
-    supply_seeds: tuple[int, ...]
-    sensor_seeds: tuple[int, ...]
+    time_seeds: np.ndarray  # (n,) uint64
+    power_seeds: np.ndarray
+    supply_seeds: np.ndarray
+    sensor_seeds: np.ndarray
     wander_sigma: float
     sensor_sigma: float
     rate_hz: float
@@ -184,13 +187,13 @@ class PairKernel:
     _invocations: Optional[_Invocations] = field(
         default=None, repr=False, compare=False
     )
-    # (4n, 4) uint64 PCG64 seeding words of the time, power, supply and
-    # sensor seeds, in that order: set by :func:`prime` or the first
-    # replay, then kept.
+    # (4n, 4) uint64 PCG64 start states ``(state_hi, state_lo, inc_hi,
+    # inc_lo)`` of the time, power, supply and sensor seeds, in that
+    # order: set by :func:`prime` or the first replay, then kept.
     _states: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __getstate__(self) -> dict:
-        """Serialise compactly: the replay state and the seeding words
+        """Serialise compactly: the replay state and the start states
         are pure functions of the seed tables, so they never travel — a
         worker that adopts this kernel re-derives them, byte-identical,
         on first replay."""
@@ -200,12 +203,12 @@ class PairKernel:
         return state
 
     @property
-    def seeds(self) -> tuple[int, ...]:
+    def seeds(self) -> np.ndarray:
         """Every site seed, in the order of the ``_states`` rows."""
-        return (
-            self.time_seeds + self.power_seeds
-            + self.supply_seeds + self.sensor_seeds
-        )
+        return np.concatenate((
+            self.time_seeds, self.power_seeds,
+            self.supply_seeds, self.sensor_seeds,
+        ))
 
     @property
     def nbytes(self) -> int:
@@ -226,11 +229,11 @@ class PairKernel:
         The noise scalars come from one-value draws on a generator put in
         the state :meth:`ExecutionEngine._noise`'s generators start in
         (the stored integers *are* ``seed_from_key`` of the same run
-        keys; their seeding words come from :func:`prime` or, for an
-        unprimed kernel, from one batch over its own seeds).  All the
-        derived arrays are elementwise float64 arithmetic on the same
-        operands in the same order as the scalar path, so every element
-        is bit-identical to its scalar twin.  Two threads replaying an
+        keys; their start states come from :func:`prime`, which an
+        unprimed kernel runs on its own seeds).  All the derived arrays
+        are elementwise float64 arithmetic on the same operands in the
+        same order as the scalar path, so every element is bit-identical
+        to its scalar twin.  Two threads replaying an
         unmaterialised kernel at once both draw it; the draws are equal,
         so either may be kept.
         """
@@ -238,10 +241,8 @@ class PairKernel:
         if kept is not None:
             return kept
         n = self.invocations
-        states = self._states
-        if states is None:
-            states = self._states = pcg64_seed_table(self.seeds)
-        rows = states[:2 * n].tolist()
+        prime((self,))
+        rows = self._states[:2 * n].tolist()
         # One generator per call, reset to each site's start state: never
         # shared, so concurrent replays cannot interleave their streams.
         rng = np.random.Generator(np.random.PCG64(0))
@@ -276,13 +277,15 @@ class PairKernel:
         switching = act_phase * self.phase_switch[None, :]
         active = self.phase_coeff[None, :] * switching
         power = (self.phase_const[None, :] + active) * self.phase_turbo[None, :]
+        peaks = power.max(axis=1)
         kept = self._invocations = _Invocations(
             durations=durations,
             counts=counts,
             offsets=offsets,
             first_ends=self.phase_seconds[0] * tn,
             power=power,
-            peaks=power.max(axis=1),
+            peaks=peaks,
+            peak=float(peaks.max()),
         )
         return kept
 
@@ -334,19 +337,21 @@ class PairKernel:
 
 
 def prime(kernels: Iterable[PairKernel]) -> None:
-    """Derive the seeding words of every kernel about to replay in one
-    vectorised pass.
+    """Derive the PCG64 start states of every kernel about to replay in
+    one vectorised pass.
 
-    Building a site's words alone costs about as much as the generator
+    Building a site's state alone costs about as much as the generator
     it replaces; the batch is what makes them cheap, so callers prime a
     whole sweep's (or a worker chunk's) kernels at once.  Kernels that
-    hold their words already (primed, or replayed before) are skipped.
+    hold their states already (primed, or replayed before) are skipped.
     Each kernel keeps its own copy of its rows, not a view of the batch,
     so the batch is freed as soon as this returns."""
     todo = [k for k in kernels if k._states is None]
     if not todo:
         return
-    table = pcg64_seed_table([seed for kernel in todo for seed in kernel.seeds])
+    table = pcg64_states(
+        pcg64_seed_table(np.concatenate([kernel.seeds for kernel in todo]))
+    )
     start = 0
     for kernel in todo:
         stop = start + 4 * kernel.invocations
@@ -431,9 +436,11 @@ def compile_pair(
         phase_turbo.append(power_multiplier(config, skeleton.turbo))
 
     root = engine.seed_root
-    # ``Configuration.key`` rebuilds its string on every read: take it once.
     config_key, name = config.key, benchmark.name
-    salts = [f"{config_key}/{name}/{i}" for i in range(invocations)]
+    # Every site key is ``run_key(...)`` of its stream's parts with the
+    # invocation index last, so each stream hashes from one prefix; the
+    # meter's per-run salt is ``{config_key}/{name}/{i}``.
+    salt = f"{config_key}/{name}/"
     supply_key = meter.supply.machine_key
     sensor_key = meter.sensor.sensor_key
     logger = meter.logger
@@ -455,20 +462,10 @@ def compile_pair(
         vendor_performance_factor=plan.vendor_performance_factor,
         sigma_time=engine.noise_sigma(benchmark, channel="time"),
         sigma_power=engine.noise_sigma(benchmark, channel="power", scale=1.6),
-        time_seeds=tuple(
-            seed_from_key(run_key(root, "time", name, config_key, i))
-            for i in range(invocations)
-        ),
-        power_seeds=tuple(
-            seed_from_key(run_key(root, "power", name, config_key, i))
-            for i in range(invocations)
-        ),
-        supply_seeds=tuple(
-            seed_from_key(run_key("supply", supply_key, salt)) for salt in salts
-        ),
-        sensor_seeds=tuple(
-            seed_from_key(run_key("sensor-read", sensor_key, salt)) for salt in salts
-        ),
+        time_seeds=site_seeds(f"{root}/time/{name}/{config_key}/", invocations),
+        power_seeds=site_seeds(f"{root}/power/{name}/{config_key}/", invocations),
+        supply_seeds=site_seeds(f"supply/{supply_key}/{salt}", invocations),
+        sensor_seeds=site_seeds(f"sensor-read/{sensor_key}/{salt}", invocations),
         wander_sigma=meter.supply.wander_sigma,
         sensor_sigma=meter.sensor.noise_sigma_volts,
         rate_hz=logger.rate_hz,
@@ -489,7 +486,8 @@ def run_pair(
     inv = kernel._materialise()
     true_watts, wander, sensor_noise = kernel._samples(inv)
     watts = meter.measure_kernel(
-        true_watts, inv.counts, inv.offsets, inv.peaks, wander, sensor_noise
+        true_watts, inv.counts, inv.offsets, inv.peaks, inv.peak, wander,
+        sensor_noise,
     )
     engine.record_plan_replays(
         kernel.invocations,

@@ -9,7 +9,7 @@ an unsupported combination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.core.quantities import Hertz, Volts
 from repro.hardware.processor import ProcessorSpec
@@ -35,6 +35,10 @@ class Configuration:
     threads_per_core: int
     clock_ghz: float
     turbo_enabled: bool = False
+    #: Stable identifier, e.g. ``i7_45/4C2T@2.66``; built once here, since
+    #: every measured pair reads it several times.  It is derived from the
+    #: fields above, so it takes no part in equality, hashing or ``repr``.
+    key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         spec = self.spec
@@ -62,19 +66,17 @@ class Configuration:
                 raise UnsupportedConfigurationError(
                     "Turbo Boost is only available at the stock clock"
                 )
+        turbo = "+TB" if self.turbo_enabled else ""
+        if spec.has_turbo and not self.turbo_enabled:
+            turbo = "-TB"
+        object.__setattr__(
+            self,
+            "key",
+            f"{spec.key}/{self.active_cores}C{self.threads_per_core}T"
+            f"@{self.clock_ghz:g}{turbo}",
+        )
 
     # -- identity -----------------------------------------------------------
-
-    @property
-    def key(self) -> str:
-        """Stable identifier, e.g. ``i7_45/4C2T@2.66``."""
-        turbo = "+TB" if self.turbo_enabled else ""
-        if self.spec.has_turbo and not self.turbo_enabled:
-            turbo = "-TB"
-        return (
-            f"{self.spec.key}/{self.active_cores}C{self.threads_per_core}T"
-            f"@{self.clock_ghz:g}{turbo}"
-        )
 
     @property
     def label(self) -> str:

@@ -167,6 +167,7 @@ class PowerMeter:
         counts: np.ndarray,
         offsets: np.ndarray,
         peaks: np.ndarray,
+        peak: float,
         wander: np.ndarray,
         sensor_noise: np.ndarray,
     ) -> list[float]:
@@ -185,7 +186,9 @@ class PowerMeter:
         :meth:`measure` on that invocation alone.  Saturation telemetry
         follows :meth:`measure`'s fault-free gate: segments whose true
         peak (``peaks``) clears the scan threshold contribute their
-        clamped samples to the clamp counter.
+        clamped samples to the clamp counter, and the pair's peak
+        (``peak``, the kernel's ``peaks.max()``, taken once per kernel)
+        skips the scan when no segment does.
         """
         voltages = self._supply.volts_from_wander(wander)
         currents = true_watts / voltages
@@ -196,9 +199,9 @@ class PowerMeter:
         watts = (mean_codes - fit.intercept) / fit.slope * self._supply.nominal.value
         if _metrics_enabled():
             # The flat sample array's length is the pair's sample total,
-            # and one max over the runs' peaks gates the per-sample scan.
+            # and the pair's peak gates the per-sample scan.
             self._samples_metric.inc(true_watts.size)
-            if peaks.max() >= self._sat_scan_watts:
+            if peak >= self._sat_scan_watts:
                 hot = peaks >= self._sat_scan_watts
                 railed = (codes <= self._sat_code_low) | (codes >= self._sat_code_high)
                 per_run = np.add.reduceat(railed.astype(np.int64), offsets)

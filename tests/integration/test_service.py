@@ -54,10 +54,19 @@ class _LiveServer:
         return self
 
     def __exit__(self, *exc: object) -> None:
-        self.shutdown()
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self.thread.join(timeout=30)
-        self.loop.close()
+        # A failed drain must not leave the loop running or a kept-alive
+        # worker pool (``reuse_pool=True``) behind: either keeps the
+        # pytest process from exiting.
+        try:
+            self.shutdown()
+        finally:
+            try:
+                self.loop.call_soon_threadsafe(self.loop.stop)
+                self.thread.join(timeout=30)
+                if not self.thread.is_alive():
+                    self.loop.close()
+            finally:
+                self.server.scheduler.study.close_pool()
 
     def shutdown(self) -> dict:
         if self.server.scheduler.draining:
@@ -159,6 +168,29 @@ class TestCoalescingByteIdentity:
             benchmark("mcf"), stock(CORE_I7_45)
         )
         assert body == json.dumps(clean.as_record()).encode("utf-8")
+
+
+class TestLiveServerTeardown:
+    def test_failed_shutdown_still_closes_the_kept_alive_pool(
+        self, references, monkeypatch
+    ):
+        study = _quick_study(references, reuse_pool=True)
+        server = CampaignServer(study=study, jobs=2)
+
+        async def broken_shutdown() -> dict:
+            raise RuntimeError("drain failed")
+
+        live = _LiveServer(server)
+        with pytest.raises(RuntimeError, match="drain failed"):
+            with live:
+                status, _, _ = live.measure(MEASURE_MCF_I7)
+                assert status == 200
+                processes = [h.process for h in study._pool._workers]
+                assert processes and all(p.is_alive() for p in processes)
+                monkeypatch.setattr(server, "shutdown", broken_shutdown)
+        assert study._pool is None
+        assert not any(p.is_alive() for p in processes)
+        assert not live.thread.is_alive()
 
 
 class TestAdmissionControl:

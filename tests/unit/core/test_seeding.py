@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from repro.core.seeding import (
     pcg64_seed_table,
+    pcg64_states,
     reseed,
     rng_for,
     run_key,
     seed_from_key,
+    site_seeds,
 )
 
 
@@ -48,8 +50,45 @@ class TestRunKey:
         assert run_key("a", "b/c") != run_key("a", "b", "d")
 
 
+class TestSiteSeeds:
+    """A stream's sites hashed from one prefix are the seeds the per-site
+    keys give, for each of the kernels' four streams."""
+
+    ROOT = "root-seed"
+    CONFIG, NAME, MACHINE, SENSOR = "i7_45/4C2T@2.66-TB", "mcf", "i7_45", "i7_45/hall"
+
+    @pytest.mark.parametrize("stream", ["time", "power", "supply", "sensor-read"])
+    def test_prefix_seeds_equal_per_site_keys(self, stream):
+        count = 23
+        if stream in ("time", "power"):
+            parts = (self.ROOT, stream, self.NAME, self.CONFIG)
+        else:
+            machine = self.MACHINE if stream == "supply" else self.SENSOR
+            parts = (stream, machine, self.CONFIG, self.NAME)
+        seeds = site_seeds(run_key(*parts) + "/", count)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [
+            seed_from_key(run_key(*parts, i)) for i in range(count)
+        ]
+
+    def test_empty_run(self):
+        assert site_seeds("k/", 0).shape == (0,)
+
+
 #: Both sides of the one-word/two-word boundary, and the range's ends.
 EDGE_SEEDS = (0, 1, 2, 2**32 - 1, 2**32, 2**64 - 1)
+
+
+def _python_state(words) -> list[int]:
+    """PCG64's seeding step on one row of seeding words, in Python ints:
+    the reference :func:`pcg64_states` must equal limb for limb."""
+    w0, w1, w2, w3 = map(int, words)
+    mult = (2549297995355413924 << 64) + 4865540595714422341
+    mask = (1 << 128) - 1
+    inc = (((w2 << 64) | w3) << 1 | 1) & mask
+    state = ((inc + ((w0 << 64) | w1)) * mult + inc) & mask
+    low = (1 << 64) - 1
+    return [state >> 64, state & low, inc >> 64, inc & low]
 
 
 def _state(row) -> tuple[int, int]:
@@ -82,9 +121,25 @@ class TestBatchedSeeding:
             assert np.array_equal(row, expected)
 
     def test_edge_seeds_match_pcg64_in_one_batch(self):
-        table = pcg64_seed_table(EDGE_SEEDS).tolist()
+        table = pcg64_states(pcg64_seed_table(EDGE_SEEDS)).tolist()
         for seed, row in zip(EDGE_SEEDS, table):
             assert _state(row) == _numpy_state(seed), seed
+
+    def test_edge_state_rows_equal_the_python_int_step(self):
+        words = pcg64_seed_table(EDGE_SEEDS)
+        states = pcg64_states(words)
+        assert states.shape == (len(EDGE_SEEDS), 4)
+        assert states.dtype == np.uint64
+        assert states.tolist() == [_python_state(row) for row in words.tolist()]
+
+    def test_state_rows_carry_across_limbs(self):
+        """All-ones and all-zero words push every carry and wrap of the
+        limb arithmetic."""
+        ones = 2**64 - 1
+        words = [[ones] * 4, [0] * 4, [ones, 0, ones, 0], [0, ones, 0, ones]]
+        assert pcg64_states(np.array(words, dtype=np.uint64)).tolist() == [
+            _python_state(row) for row in words
+        ]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -96,14 +151,16 @@ class TestBatchedSeeding:
     def test_random_batches_match_pcg64(self, seeds, one_word, two_word, at):
         # Both seed widths sit in every batch, at a drawn position.
         batch = seeds[:at] + [one_word, two_word] + seeds[at:]
-        table = pcg64_seed_table(batch)
-        assert table.shape == (len(batch), 4)
-        for seed, row in zip(batch, table.tolist()):
+        words = pcg64_seed_table(batch)
+        assert words.shape == (len(batch), 4)
+        table = pcg64_states(words).tolist()
+        assert table == [_python_state(row) for row in words.tolist()]
+        for seed, row in zip(batch, table):
             assert _state(row) == _numpy_state(seed), seed
 
     @pytest.mark.parametrize("seed", EDGE_SEEDS + (seed_from_key("sensor/i7"),))
     def test_reseeded_generator_draws_like_default_rng(self, seed):
-        row = pcg64_seed_table([seed])[0]
+        row = pcg64_states(pcg64_seed_table([seed]))[0]
         generator = np.random.Generator(np.random.PCG64(12345))
         generator.normal(size=3)  # an earlier stream must not leak through
         assert reseed(generator, row).lognormal(mean=0.0, sigma=0.1) == (
@@ -115,7 +172,7 @@ class TestBatchedSeeding:
         )
 
     def test_reseed_accepts_numpy_and_int_rows(self):
-        table = pcg64_seed_table([2**40 + 7])
+        table = pcg64_states(pcg64_seed_table([2**40 + 7]))
         assert _state(table[0]) == _state(table.tolist()[0])
 
     def test_empty_batch_gives_empty_table(self):

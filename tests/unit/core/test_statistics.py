@@ -1,6 +1,11 @@
 """Unit tests for the statistics primitives (Table 2, §2.5 machinery)."""
 
 import math
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +120,38 @@ class TestMemoisedCriticalValue:
                 n=n,
             )
             assert confidence_interval(samples, confidence) == expected
+
+
+    def test_equals_scipy_byte_for_byte_over_a_wide_grid(self):
+        """``scipy.special.stdtrit`` is what ``scipy.stats.t.ppf``
+        evaluates: the same float bits at every confidence and df."""
+        for confidence in (0.5, 0.9, 0.95, 0.99, 0.999):
+            for df in [*range(1, 400), 1000, 10**5]:
+                direct = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=df))
+                got = _t_crit(confidence, df)
+                assert struct.pack("<d", got) == struct.pack("<d", direct), (
+                    confidence, df,
+                )
+
+
+class TestColdImport:
+    def test_entry_points_do_not_import_scipy_stats(self):
+        """A fresh interpreter loading the CLI, the study and the
+        normalisation references never pays for ``scipy.stats``."""
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = (
+            "import sys\n"
+            "import repro.cli, repro.core.study, repro.core.normalization\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestLinearFit:

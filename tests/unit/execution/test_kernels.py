@@ -18,7 +18,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.core.seeding import pcg64_seed_table, reseed
+from repro.core.seeding import pcg64_seed_table, pcg64_states, reseed
 from repro.execution import kernels as kernels_module
 from repro.execution.engine import ExecutionEngine
 from repro.execution.kernels import (
@@ -173,11 +173,13 @@ class TestReplayState:
         metered: list = []
         measure = meter.measure_kernel
 
-        def spy(true_watts, counts, offsets, peaks, wander, sensor_noise):
+        def spy(true_watts, counts, offsets, peaks, peak, wander, sensor_noise):
             metered.extend(
                 weakref.ref(a) for a in (true_watts, wander, sensor_noise)
             )
-            return measure(true_watts, counts, offsets, peaks, wander, sensor_noise)
+            return measure(
+                true_watts, counts, offsets, peaks, peak, wander, sensor_noise
+            )
 
         monkeypatch.setattr(meter, "measure_kernel", spy)
         for kernel in sweep_kernels:
@@ -190,7 +192,7 @@ class TestReplayState:
         """The in-place stream (standard normals scaled in place) equals
         ``normal(0.0, sigma, size)`` bit for bit, signed zeros included."""
         seeds = [0, 7, 2**32 + 1]
-        rows = pcg64_seed_table(seeds).tolist()
+        rows = pcg64_states(pcg64_seed_table(seeds)).tolist()
         rng = np.random.Generator(np.random.PCG64(0))
         for seed, row in zip(seeds, rows):
             expected = np.random.default_rng(seed).normal(0.0, sigma, size=1999)

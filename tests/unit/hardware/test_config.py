@@ -1,5 +1,8 @@
 """Unit tests for BIOS-style configurations (§2.8)."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.hardware.catalog import ATOM_45, CORE2DUO_65, CORE_I5_32, CORE_I7_45
@@ -64,6 +67,48 @@ class TestIdentity:
 
         keys = [c.key for c in all_configurations()]
         assert len(keys) == len(set(keys))
+
+
+class TestStoredKey:
+    """``key`` is built once at construction; equality, hashing, pickling
+    and ``dataclasses.replace`` behave as they do over the five declared
+    fields alone."""
+
+    FIELDS = (CORE_I7_45, 4, 2, 2.66, True)
+
+    def test_equality_ignores_the_key(self):
+        assert Configuration(*self.FIELDS) == Configuration(*self.FIELDS)
+        other = Configuration(CORE_I7_45, 4, 1, 2.66, True)
+        assert Configuration(*self.FIELDS) != other
+        compared = [f.name for f in dataclasses.fields(Configuration) if f.compare]
+        assert compared == [
+            "spec", "active_cores", "threads_per_core", "clock_ghz", "turbo_enabled"
+        ]
+
+    def test_hash_is_the_field_tuple_hash(self):
+        assert hash(Configuration(*self.FIELDS)) == hash(self.FIELDS)
+
+    def test_pickle_round_trip_keeps_value_and_key(self):
+        config = Configuration(*self.FIELDS)
+        restored = pickle.loads(pickle.dumps(config))
+        assert restored == config
+        assert hash(restored) == hash(config)
+        assert restored.key == config.key == "i7_45/4C2T@2.66+TB"
+
+    def test_replace_rebuilds_the_key(self):
+        config = Configuration(*self.FIELDS)
+        derived = dataclasses.replace(config, active_cores=2, turbo_enabled=False)
+        assert derived == Configuration(CORE_I7_45, 2, 2, 2.66)
+        assert derived.key == "i7_45/2C2T@2.66-TB"
+        assert config.without_smt().key == "i7_45/4C1T@2.66+TB"
+        with pytest.raises(ValueError):
+            dataclasses.replace(config, key="forged")
+
+    def test_key_is_read_only_and_not_in_repr(self):
+        config = Configuration(*self.FIELDS)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.key = "forged"
+        assert config.key not in repr(config)
 
 
 class TestDerived:
