@@ -53,7 +53,7 @@ _REPS = 3
 
 
 def _timed_sweep(
-    references: References, jobs, vectorize=None
+    references: References, jobs, vectorize: bool = True
 ) -> tuple[float, list[dict]]:
     """One fresh-study sweep; returns (seconds, result records)."""
     study = Study(

@@ -69,7 +69,11 @@ from repro.faults.plan import plan_from_arg
 from repro.faults.retry import RetryPolicy
 from repro.experiments.registry import EXPERIMENTS, EXTENSIONS, run_experiment
 from repro.hardware.catalog import ATOM_45, CORE_I7_45, PROCESSORS, processor
-from repro.hardware.config import stock
+from repro.hardware.config import (
+    UnsupportedConfigurationError,
+    configure,
+    stock,
+)
 from repro.hardware.configurations import (
     all_configurations,
     node_45nm_configurations,
@@ -437,18 +441,13 @@ def _list(what: str) -> str:
 
 def _measure(args: argparse.Namespace, study: Study) -> str:
     bench = benchmark(args.benchmark)
-    spec = processor(args.processor)
-    config = stock(spec)
-    if args.cores is not None:
-        config = config.with_cores(args.cores)
-    if args.threads is not None:
-        config = (
-            config.without_smt() if args.threads == 1 else config.with_smt()
-        )
-    if args.clock is not None:
-        config = config.at_clock(args.clock)
-    if args.no_turbo:
-        config = config.without_turbo()
+    config = configure(
+        processor(args.processor),
+        cores=args.cores,
+        threads=args.threads,
+        clock=args.clock,
+        turbo=False if args.no_turbo else None,
+    )
     result = study.measure(bench, config)
     return render_rows([result.as_row()])
 
@@ -758,6 +757,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # (`dataset`) absorb failures into CampaignHealth instead.
         print(f"error: measurement failed: {exc}", file=sys.stderr)
         return 3
+    except UnsupportedConfigurationError as exc:
+        print(f"error: unsupported configuration: {exc}", file=sys.stderr)
+        return 2
     finally:
         if inject is not None:
             uninstall_faults()

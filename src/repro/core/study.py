@@ -384,10 +384,11 @@ class Study:
     which keeps the cache, quarantine and checkpoint.
 
     Every uncached pair is metered by a compiled sweep kernel
-    (``vectorize``) or, byte-identically, by the per-invocation scalar
-    loop: ``vectorize=False`` studies, pairs a kernel declines, and
-    fault-armed pairs.  Telemetry is always recorded; turn it off with
-    :func:`repro.obs.metrics.set_enabled` and a disabled tracer.
+    (``vectorize``, on by default) or, byte-identically, by the
+    per-invocation scalar loop: ``vectorize=False`` studies, pairs a
+    kernel declines, and fault-armed pairs.  Telemetry is always
+    recorded; turn it off with :func:`repro.obs.metrics.set_enabled` and
+    a disabled tracer.
 
     ``jobs`` shards sweeps across a
     :class:`~repro.core.executor.SweepPool`: ``None`` (the default) runs
@@ -416,13 +417,16 @@ class Study:
         reuse_pool: bool = False,
         heartbeat_s: float = 0.25,
         liveness_misses: int = 4,
-        vectorize: Optional[bool] = None,
+        vectorize: bool = True,
     ) -> None:
         if not math.isfinite(invocation_scale) or invocation_scale <= 0:
             raise ValueError(
                 f"invocation scale must be positive and finite, "
                 f"got {invocation_scale!r}"
             )
+        if not isinstance(vectorize, bool):
+            # A falsy non-bool (None) would silently pin the scalar path.
+            raise TypeError(f"vectorize must be a bool, got {vectorize!r}")
         self._references = references or References(engine)
         self._benchmarks = tuple(benchmarks)
         self.ledger = Ledger(self._benchmarks, cache_capacity, checkpoint_path)
@@ -432,19 +436,11 @@ class Study:
         self._pool = None  # lazily created when reuse_pool is set
         self._heartbeat_s = heartbeat_s
         self._liveness_misses = liveness_misses
-        # ``vectorize`` routes fault-free pairs through compiled sweep
-        # kernels (:mod:`repro.execution.kernels`) — byte-identical
-        # results, one numpy pass per pair.  ``None`` defers to the
-        # REPRO_SWEEP_KERNELS env switch (on unless explicitly "0"/"off"/
-        # "false"/"no"), so CI and the benchmark can pin either path.
-        if vectorize is None:
-            env = os.environ.get("REPRO_SWEEP_KERNELS", "").strip().lower()
-            vectorize = env not in ("0", "off", "false", "no")
         self._pair = _PairMeasurement(
             self._references,
             invocation_scale,
             retry or DEFAULT_RETRY_POLICY,
-            bool(vectorize),
+            vectorize,
             progress,
         )
 

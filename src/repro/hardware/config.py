@@ -9,6 +9,7 @@ an unsupported combination.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.core.quantities import Hertz, Volts
@@ -147,3 +148,57 @@ def stock(spec: ProcessorSpec) -> Configuration:
         clock_ghz=spec.stock_clock.ghz,
         turbo_enabled=spec.has_turbo,
     )
+
+
+def configure(
+    spec: ProcessorSpec,
+    *,
+    cores: object = None,
+    threads: object = None,
+    clock: object = None,
+    turbo: object = None,
+) -> Configuration:
+    """``stock(spec)`` with the BIOS settings a caller asked for: what
+    ``repro measure`` and ``POST /measure`` build from their inputs.
+
+    ``cores`` is a positive integer, ``threads`` (per core) 1 or 2,
+    ``clock`` a finite positive number of GHz and ``turbo`` a bool;
+    ``None`` keeps the stock setting.  A value of another kind, or one
+    the part cannot express, raises
+    :class:`UnsupportedConfigurationError` instead of being coerced into
+    some other machine (``True`` is not one core, 2.9 is not two)."""
+    config = stock(spec)
+    if cores is not None:
+        if not _is_int(cores) or cores < 1:
+            raise UnsupportedConfigurationError(
+                f"cores must be a positive integer, got {cores!r}"
+            )
+        config = config.with_cores(cores)
+    if threads is not None:
+        if not _is_int(threads) or threads not in (1, 2):
+            raise UnsupportedConfigurationError(
+                f"threads must be 1 or 2, got {threads!r}"
+            )
+        config = replace(config, threads_per_core=threads)
+    if clock is not None:
+        if (
+            not isinstance(clock, (int, float))
+            or isinstance(clock, bool)
+            or not math.isfinite(clock)
+            or clock <= 0
+        ):
+            raise UnsupportedConfigurationError(
+                f"clock must be a finite positive number of GHz, got {clock!r}"
+            )
+        config = config.at_clock(float(clock))
+    if turbo is not None:
+        if not isinstance(turbo, bool):
+            raise UnsupportedConfigurationError(
+                f"turbo must be true or false, got {turbo!r}"
+            )
+        config = replace(config, turbo_enabled=turbo)
+    return config
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)

@@ -74,7 +74,7 @@ from repro.faults.plan import (
     worker_chaos_plan,
 )
 from repro.hardware.catalog import processor
-from repro.hardware.config import UnsupportedConfigurationError, stock
+from repro.hardware.config import UnsupportedConfigurationError, configure
 from repro.hardware.configurations import all_configurations
 from repro.obs.distributed import (
     REQUEST_ID_HEADER,
@@ -859,27 +859,19 @@ class CampaignServer:
         if not isinstance(proc, str):
             raise BadRequest("need 'config' (a configuration key) or 'processor'")
         try:
-            config = stock(processor(proc))
-            cores = payload.get("cores")
-            if cores is not None:
-                config = config.with_cores(int(cores))  # type: ignore[arg-type]
-            threads = payload.get("threads")
-            if threads is not None:
-                config = (
-                    config.without_smt()
-                    if int(threads) == 1  # type: ignore[arg-type]
-                    else config.with_smt()
-                )
-            clock = payload.get("clock")
-            if clock is not None:
-                config = config.at_clock(float(clock))  # type: ignore[arg-type]
-            if payload.get("turbo") is False:
-                config = config.without_turbo()
+            spec = processor(proc)
         except KeyError as exc:
             raise BadRequest(f"unknown processor {proc!r}") from exc
-        except (UnsupportedConfigurationError, TypeError, ValueError) as exc:
+        try:
+            return configure(
+                spec,
+                cores=payload.get("cores"),
+                threads=payload.get("threads"),
+                clock=payload.get("clock"),
+                turbo=payload.get("turbo"),
+            )
+        except UnsupportedConfigurationError as exc:
             raise BadRequest(f"unsupported configuration: {exc}") from exc
-        return config
 
     async def _results(self, request: Request) -> Response:
         records = self._store.records(

@@ -32,6 +32,9 @@ from repro.faults.injector import uninstall as uninstall_faults
 from repro.faults.plan import plan_from_arg
 from repro.faults.retry import RetryPolicy
 
+pytest.register_assert_rewrite("tests.equivalence")
+from tests.equivalence import PAIRS, Mode, sweep  # noqa: E402
+
 
 @pytest.fixture(scope="session", autouse=True)
 def _env_fault_plan():
@@ -83,6 +86,24 @@ def full_study(references: References) -> Study:
         invocation_scale=1.0,
         retry=_fault_matrix_retry(),
     )
+
+
+@pytest.fixture(scope="session")
+def reference(references: References, tmp_path_factory):
+    """:func:`tests.equivalence.sweep`, memoised for the session: each run
+    the equivalence suites compare against is measured once."""
+    captured = {}
+
+    def run(mode=Mode(), campaign=PAIRS, retry=None):
+        key = (mode, campaign, retry)
+        if key not in captured:
+            workdir = tmp_path_factory.mktemp("reference")
+            captured[key] = sweep(
+                references, mode, campaign, workdir=workdir, retry=retry
+            )
+        return captured[key]
+
+    return run
 
 
 @pytest.fixture

@@ -44,6 +44,7 @@ from repro.service.server import BIND_ATTEMPTS, CampaignServer
 from repro.service.store import ResultStore
 from repro.workloads.catalog import benchmark
 
+from tests.equivalence import Capture, assert_campaign_equivalent
 from tests.integration.test_service import _LiveServer  # noqa: the harness
 
 MCF = benchmark("mcf")
@@ -59,10 +60,16 @@ def _cache_misses() -> float:
     return default_registry().get("repro_study_cache_misses_total").value
 
 
-def _golden_record(references) -> bytes:
-    """The byte-identity reference: a sequential quick-study record."""
-    result = _quick_study(references).measure(MCF, I7)
-    return json.dumps(result.as_record()).encode("utf-8")
+def _golden(references) -> Capture:
+    """The byte-identity reference: a sequential quick-study record, as
+    the response body and as the one store row serving it leaves."""
+    record = _quick_study(references).measure(MCF, I7).as_record()
+    return Capture(rows=(record,), artifacts={"body": json.dumps(record).encode()})
+
+
+def _served(body: bytes, stored=None) -> Capture:
+    rows = None if stored is None else tuple(r.as_record() for r in stored)
+    return Capture(rows=rows, artifacts={"body": body})
 
 
 def _raw_post(port: int, body: bytes, headers: dict | None = None):
@@ -144,7 +151,9 @@ class TestIdempotencyOverHttp:
             health = json.loads(live.request("GET", "/healthz")[2])
         misses = _cache_misses() - misses_before
         assert first[0] == 200 and second[0] == 200
-        assert second[2] == first[2] == _golden_record(references)
+        golden = _golden(references).only("artifacts")
+        assert_campaign_equivalent(golden, _served(first[2]))
+        assert_campaign_equivalent(golden, _served(second[2]))
         assert second[1].get("Idempotent-Replay") == "true"
         assert misses == 1
         assert health["journal"]["done"] == 1
@@ -183,7 +192,9 @@ class TestDeadlineShedding:
         with _LiveServer(CampaignServer(study=_quick_study(references))) as live:
             outcome = live.measure(MEASURE_MCF_I7, {"X-Deadline-Ms": "60000"})
         assert outcome[0] == 200
-        assert outcome[2] == _golden_record(references)
+        assert_campaign_equivalent(
+            _golden(references).only("artifacts"), _served(outcome[2])
+        )
 
     def test_shed_requests_are_visible_in_slo_report(self, references):
         with _LiveServer(CampaignServer(study=_quick_study(references))) as live:
@@ -235,10 +246,13 @@ class TestRecoveryReplay:
             outcome = live.measure(
                 MEASURE_MCF_I7, {"Idempotency-Key": "lost-req"}
             )
+            stored = live.server.store.records()
         misses = _cache_misses() - misses_before
         assert outcome[0] == 200
-        assert outcome[2] == _golden_record(references)
         assert misses == 1  # the replay measured exactly once
+        assert_campaign_equivalent(
+            _golden(references), _served(outcome[2], stored)
+        )
 
     def test_unresolvable_entry_fails_loudly_not_fatally(
         self, references, tmp_path
@@ -325,8 +339,11 @@ class TestDrainLeavesJournal:
                 MEASURE_MCF_I7, {"Idempotency-Key": "mid-batch"}
             )
             health = json.loads(live.request("GET", "/healthz")[2])
+            stored = live.server.store.records()
         assert outcome[0] == 200
-        assert outcome[2] == _golden_record(references)
+        assert_campaign_equivalent(
+            _golden(references), _served(outcome[2], stored)
+        )
         assert health["journal"]["pending"] == 0
         assert health["journal"]["done"] == 1
 
@@ -479,7 +496,6 @@ def _kill_and_recover_cell(tmp_path, references, phase, pre_args=(),
             MEASURE_MCF_I7, {"Idempotency-Key": "kill-cell"}
         )
         assert status == 200
-        assert body == _golden_record(references)
         health = json.loads(
             urllib.request.urlopen(
                 f"http://127.0.0.1:{recovered.port}/healthz", timeout=60
@@ -490,6 +506,10 @@ def _kill_and_recover_cell(tmp_path, references, phase, pre_args=(),
         assert health["store_records"] == 1  # exactly-once effects
     finally:
         assert recovered.stop() == 0
+    # The store keeps rows by pair: their order is no part of the contract.
+    with ResultStore(store) as stored:
+        served = _served(body, stored.records())
+    assert_campaign_equivalent(_golden(references), served, bag=True)
 
 
 class TestCoordinatorKillMatrix:

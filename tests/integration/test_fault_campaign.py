@@ -15,17 +15,16 @@ import pytest
 
 from repro.core.study import Study
 from repro.faults.injector import injected
-from repro.faults.plan import FaultPlan, demo_plan, fail_stop_plan
+from repro.faults.plan import demo_plan, fail_stop_plan
 from repro.faults.retry import RetryPolicy
-from repro.hardware.catalog import ATOM_45, CORE_I7_45
-from repro.hardware.config import stock
-from repro.workloads.catalog import benchmark
-
-CLEAN = FaultPlan()
-
-CONFIGS = (stock(CORE_I7_45), stock(ATOM_45))
-BENCHES = tuple(
-    benchmark(name) for name in ("mcf", "db", "eclipse", "lusearch")
+from tests.equivalence import (
+    BENCHES,
+    CLEAN,
+    CONFIGS,
+    Mode,
+    assert_campaign_equivalent,
+    capture,
+    sweep,
 )
 
 
@@ -57,37 +56,29 @@ class TestFaultyCampaign:
         for result in results:
             assert result.watts > 0 and result.seconds > 0
 
-    def test_fail_stop_faults_leave_no_trace_in_the_data(self, references):
+    def test_fail_stop_faults_leave_no_trace_in_the_data(
+        self, references, reference, tmp_path
+    ):
         """A fail-stop plan plus retries reproduces the clean dataset."""
-        clean_study = Study(references=references, invocation_scale=0.2)
-        faulted_study = Study(
-            references=references,
-            invocation_scale=0.2,
+        faulted = sweep(
+            references,
+            Mode(plan=fail_stop_plan(probability=0.1, seed="no-trace")),
+            workdir=tmp_path,
             retry=RetryPolicy(max_retries=10),
         )
-        with injected(CLEAN):
-            clean = clean_study.run(CONFIGS, BENCHES)
-        with injected(fail_stop_plan(probability=0.1, seed="no-trace")):
-            faulted = faulted_study.run(CONFIGS, BENCHES)
         assert faulted.health.ok
-        assert [r.as_record() for r in faulted] == [
-            r.as_record() for r in clean
-        ]
+        assert_campaign_equivalent(
+            reference().only("records", "checkpoint"), faulted
+        )
 
 
 class TestKillAndResume:
     def test_interrupted_campaign_resumes_byte_identical(
-        self, references, tmp_path
+        self, references, reference, tmp_path
     ):
         checkpoint = tmp_path / "campaign.jsonl"
-        baseline_csv = tmp_path / "baseline.csv"
-        resumed_csv = tmp_path / "resumed.csv"
 
         with injected(CLEAN):
-            # The uninterrupted campaign.
-            baseline = Study(references=references, invocation_scale=0.2)
-            baseline.run(CONFIGS, BENCHES).to_csv(baseline_csv)
-
             # First attempt: measures three pairs, then is "killed" —
             # mid-write, leaving a truncated trailing line.
             first = Study(
@@ -112,11 +103,11 @@ class TestKillAndResume:
             )
             assert second.ledger.restore_checkpoint(checkpoint) == 3
             results = second.run(CONFIGS, BENCHES)
-            results.to_csv(resumed_csv)
 
         assert results.health.restored_pairs == 3
         assert results.health.measured_pairs == len(CONFIGS) * len(BENCHES) - 3
-        assert resumed_csv.read_bytes() == baseline_csv.read_bytes()
+        # The uninterrupted campaign's dataset, record for record.
+        assert_campaign_equivalent(reference().only("records"), capture(results))
 
     def test_completed_checkpoint_resumes_without_measuring(
         self, references, tmp_path

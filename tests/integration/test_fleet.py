@@ -24,16 +24,12 @@ from repro.core.executor import CRASH_EXIT_CODE
 from repro.core.study import Study
 from repro.faults.injector import injected
 from repro.faults.plan import FaultPlan, FaultSpec, worker_chaos_plan
-from repro.hardware.catalog import ATOM_45, CORE_I7_45
-from repro.hardware.config import stock
-from repro.workloads.catalog import benchmark
-from tests.helpers import records as _records
-
-CLEAN = FaultPlan()
-
-CONFIGS = (stock(CORE_I7_45), stock(ATOM_45))
-BENCHES = tuple(
-    benchmark(name) for name in ("mcf", "db", "eclipse", "lusearch")
+from tests.equivalence import (
+    BENCHES,
+    CONFIGS,
+    Mode,
+    assert_campaign_equivalent,
+    sweep,
 )
 
 WORKER_COUNTS = (1, 2, 4)
@@ -64,77 +60,38 @@ def _tear_and_die(results) -> None:
     os._exit(CRASH_EXIT_CODE)
 
 
-def _sweep(references, checkpoint, *, jobs=None, **kwargs):
-    study = Study(
-        references=references,
-        invocation_scale=0.2,
-        checkpoint_path=checkpoint,
-        **kwargs,
-    )
-    return study.run(CONFIGS, BENCHES, jobs=jobs)
-
-
-@pytest.fixture(scope="module")
-def baseline(references, tmp_path_factory):
-    """Clean *sequential* sweep: records, health, checkpoint bytes."""
-    checkpoint = tmp_path_factory.mktemp("fleet-seq") / "campaign.jsonl"
-    with injected(CLEAN):
-        results = _sweep(references, checkpoint)
-    return _records(results), results.health, checkpoint.read_bytes()
-
-
 class TestDeathMatrix:
     """jobs x injected worker deaths — every cell byte-identical."""
 
     @pytest.mark.parametrize("jobs", WORKER_COUNTS)
     @pytest.mark.parametrize("deaths", (0, 1, 2))
     def test_supervised_sweep_is_byte_identical(
-        self, references, tmp_path, baseline, jobs, deaths
+        self, references, reference, tmp_path, jobs, deaths
     ):
-        seq_records, seq_health, seq_checkpoint = baseline
-        checkpoint = tmp_path / "campaign.jsonl"
-        with injected(_death_plan(deaths)):
-            results = _sweep(references, checkpoint, jobs=jobs)
-        assert _records(results) == seq_records
-        assert results.health == seq_health
-        assert checkpoint.read_bytes() == seq_checkpoint
+        mode = Mode(dispatch=jobs, kernels=True, plan=_death_plan(deaths))
+        actual = sweep(references, mode, workdir=tmp_path)
+        assert_campaign_equivalent(reference(), actual)
 
-    def test_deaths_actually_happen(self, references, tmp_path, baseline):
+    def test_deaths_actually_happen(self, references, reference, tmp_path):
         """The matrix must not pass vacuously: with the pool kept alive
         (``reuse_pool``) its restart/requeue counters are
         inspectable, and two scoped crashes mean two respawns."""
-        seq_records, seq_health, seq_checkpoint = baseline
-        checkpoint = tmp_path / "campaign.jsonl"
-        study = Study(
-            references=references,
-            invocation_scale=0.2,
-            checkpoint_path=checkpoint,
-            reuse_pool=True,
-        )
-        try:
-            with injected(_death_plan(2)):
-                results = study.run(CONFIGS, BENCHES, jobs=2)
-            snapshot = study.fleet_snapshot()
-            assert snapshot is not None
-            assert snapshot["restarts"] == 2
-            assert snapshot["requeues"] == 2
-            assert snapshot["live"] >= 1
-        finally:
-            study.close_pool()
-        assert _records(results) == seq_records
-        assert results.health == seq_health
-        assert checkpoint.read_bytes() == seq_checkpoint
+        mode = Mode(dispatch=2, kernels=True, plan=_death_plan(2))
+        result = sweep(references, mode, workdir=tmp_path, reuse_pool=True)
+        assert result.fleet is not None
+        assert result.fleet["restarts"] == 2
+        assert result.fleet["requeues"] == 2
+        assert result.fleet["live"] >= 1
+        assert_campaign_equivalent(reference(), result)
 
 
 class TestHangAndChaos:
     def test_hung_worker_is_reaped_past_liveness_deadline(
-        self, references, tmp_path, baseline
+        self, references, reference, tmp_path
     ):
         """A ``worker.hang`` stops the victim's heartbeats; the liveness
         loop must SIGKILL it after ``heartbeat_s * liveness_misses`` and
         the requeued chunk must land byte-identically."""
-        seq_records, seq_health, seq_checkpoint = baseline
-        checkpoint = tmp_path / "campaign.jsonl"
         plan = FaultPlan(
             specs=(
                 FaultSpec(
@@ -143,27 +100,19 @@ class TestHangAndChaos:
             ),
             seed="fleet-hang",
         )
-        study = Study(
-            references=references,
-            invocation_scale=0.2,
-            checkpoint_path=checkpoint,
+        result = sweep(
+            references,
+            Mode(dispatch=2, kernels=True, plan=plan),
+            workdir=tmp_path,
             reuse_pool=True,
             heartbeat_s=0.05,
             liveness_misses=3,
         )
-        try:
-            with injected(plan):
-                results = study.run(CONFIGS, BENCHES, jobs=2)
-            snapshot = study.fleet_snapshot()
-            assert snapshot["restarts"] == 1
-        finally:
-            study.close_pool()
-        assert _records(results) == seq_records
-        assert results.health == seq_health
-        assert checkpoint.read_bytes() == seq_checkpoint
+        assert result.fleet["restarts"] == 1
+        assert_campaign_equivalent(reference(), result)
 
     def test_worker_torn_mid_message_silences_no_sibling(
-        self, references, tmp_path, baseline, monkeypatch
+        self, references, reference, tmp_path, monkeypatch
     ):
         """A worker that dies halfway through writing a message tears
         only its own result pipe: its sibling keeps beating and
@@ -173,6 +122,7 @@ class TestHangAndChaos:
         sibling silent.)"""
         import repro.core.executor as executor
 
+        expected = reference()
         spawn = executor.SweepPool._default_factory
 
         def _factory(pool, worker_id, tasks, results):
@@ -185,50 +135,22 @@ class TestHangAndChaos:
             return process
 
         monkeypatch.setattr(executor.SweepPool, "_default_factory", _factory)
-        seq_records, seq_health, seq_checkpoint = baseline
-        checkpoint = tmp_path / "campaign.jsonl"
-        study = Study(
-            references=references,
-            invocation_scale=0.2,
-            checkpoint_path=checkpoint,
-            reuse_pool=True,
-        )
-        try:
-            with injected(CLEAN):
-                results = study.run(CONFIGS, BENCHES, jobs=2)
-            snapshot = study.fleet_snapshot()
-            assert snapshot["restarts"] == 1
-            assert snapshot["live"] == 2
-        finally:
-            study.close_pool()
-        assert _records(results) == seq_records
-        assert results.health == seq_health
-        assert checkpoint.read_bytes() == seq_checkpoint
+        mode = Mode(dispatch=2, kernels=True)
+        result = sweep(references, mode, workdir=tmp_path, reuse_pool=True)
+        assert result.fleet["restarts"] == 1
+        assert result.fleet["live"] == 2
+        assert_campaign_equivalent(expected, result)
 
     def test_chaos_plan_kills_every_chunks_first_worker(
-        self, references, tmp_path, baseline
+        self, references, reference, tmp_path
     ):
         """The canned ``chaos`` plan (``--inject chaos``) crashes the
         first assignee of *every* chunk — maximum churn, same bytes."""
-        seq_records, seq_health, seq_checkpoint = baseline
-        checkpoint = tmp_path / "campaign.jsonl"
-        study = Study(
-            references=references,
-            invocation_scale=0.2,
-            checkpoint_path=checkpoint,
-            reuse_pool=True,
-        )
-        try:
-            with injected(worker_chaos_plan()):
-                results = study.run(CONFIGS, BENCHES, jobs=2)
-            snapshot = study.fleet_snapshot()
-            # 8 pairs at jobs=2 shard into 8 chunks: 8 crashed workers.
-            assert snapshot["restarts"] == 8
-        finally:
-            study.close_pool()
-        assert _records(results) == seq_records
-        assert results.health == seq_health
-        assert checkpoint.read_bytes() == seq_checkpoint
+        mode = Mode(dispatch=2, kernels=True, plan=worker_chaos_plan())
+        result = sweep(references, mode, workdir=tmp_path, reuse_pool=True)
+        # 8 pairs at jobs=2 shard into 8 chunks: 8 crashed workers.
+        assert result.fleet["restarts"] == 8
+        assert_campaign_equivalent(reference(), result)
 
 
 class TestCrashLoopQuarantine:

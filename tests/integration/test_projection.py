@@ -17,15 +17,16 @@ import asyncio
 import hashlib
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.cli import main
-from repro.core.study import Study
 from repro.faults.retry import RetryPolicy
 from repro.projection import evaluate_projection_finding, search
 from repro.reporting.figures import projection_figure
 from repro.service.server import CampaignServer, Request
+from tests.equivalence import Capture, Mode, assert_campaign_equivalent, sweep
 
 #: The small search every equivalence axis re-runs: two nodes bracket the
 #: projected era, samples kept low so each fresh study stays quick.
@@ -42,47 +43,45 @@ _SEED = 0
 _GOLDEN_SHA = "ee19c9d56877d023889cfc37557e0f2f66a0f09437ac045bf470ab6437541f58"
 
 
-def _retry() -> RetryPolicy | None:
-    if not os.environ.get("REPRO_FAULT_PLAN"):
-        return None
-    return RetryPolicy(max_retries=8)
+#: Retry headroom for a session-wide ``REPRO_FAULT_PLAN``.
+_RETRY = RetryPolicy(max_retries=8) if os.environ.get("REPRO_FAULT_PLAN") else None
+
+#: The in-process, vectorized search, under the ambient fault plan like
+#: every golden here; every other run must match it.
+_BASELINE = Mode(kernels=True, plan=None)
 
 
-def _fresh_search(references, jobs=None, vectorize=None):
-    study = Study(
-        references=references,
-        invocation_scale=0.2,
-        retry=_retry(),
-        vectorize=vectorize,
+def _search(study, jobs):
+    """The small search on ``study``: its dataset and figure bytes."""
+    dataset = search(study=study, nodes=_NODES, samples=_SAMPLES, seed=_SEED, jobs=jobs)
+    figure = projection_figure(dataset).encode()
+    return Capture(
+        artifacts={"frontier.json": dataset.to_json_bytes(), "figure.txt": figure}
     )
-    return search(study=study, nodes=_NODES, samples=_SAMPLES, seed=_SEED, jobs=jobs)
 
 
 class TestByteIdentity:
-    @pytest.fixture(scope="class")
-    def baseline(self, references):
-        dataset = _fresh_search(references)
-        return dataset.to_json_bytes(), projection_figure(dataset)
-
     @pytest.mark.parametrize("jobs", [1, 4])
-    def test_any_worker_count_matches_sequential(self, references, baseline, jobs):
-        dataset = _fresh_search(references, jobs=jobs)
-        assert dataset.to_json_bytes() == baseline[0]
-        assert projection_figure(dataset) == baseline[1]
+    def test_any_worker_count_matches_sequential(
+        self, references, reference, tmp_path, jobs
+    ):
+        mode = replace(_BASELINE, dispatch=jobs)
+        actual = sweep(references, mode, _search, workdir=tmp_path, retry=_RETRY)
+        assert_campaign_equivalent(reference(_BASELINE, _search, _RETRY), actual)
 
-    def test_scalar_kernels_match_vectorized(self, references, baseline):
-        dataset = _fresh_search(references, vectorize=False)
-        assert dataset.to_json_bytes() == baseline[0]
+    def test_scalar_kernels_match_vectorized(self, references, reference, tmp_path):
+        mode = replace(_BASELINE, kernels=False)
+        actual = sweep(references, mode, _search, workdir=tmp_path, retry=_RETRY)
+        assert_campaign_equivalent(reference(_BASELINE, _search, _RETRY), actual)
 
-    def test_golden_digest(self, baseline):
-        assert hashlib.sha256(baseline[0]).hexdigest() == _GOLDEN_SHA
+    def test_golden_digest(self, reference):
+        dataset = reference(_BASELINE, _search, _RETRY).artifacts["frontier.json"]
+        assert hashlib.sha256(dataset).hexdigest() == _GOLDEN_SHA
 
-    def test_repeat_on_a_warm_study_is_identical(self, study, baseline):
+    def test_repeat_on_a_warm_study_is_identical(self, study, reference):
         """The session study's warm cache must not perturb the bytes."""
-        dataset = search(
-            study=study, nodes=_NODES, samples=_SAMPLES, seed=_SEED
-        )
-        assert dataset.to_json_bytes() == baseline[0]
+        expected = reference(_BASELINE, _search, _RETRY)
+        assert_campaign_equivalent(expected, _search(study, None))
 
 
 class TestFourNodeSearch:
@@ -127,12 +126,14 @@ class TestCliProject:
             text = capsys.readouterr().out
             assert "searched" in text
             assert "finding P1" in text
-            out[jobs] = (
-                (target / "frontier.json").read_bytes(),
-                (target / "figure.txt").read_bytes(),
+            out[jobs] = Capture(
+                artifacts={
+                    name: (target / name).read_bytes()
+                    for name in ("frontier.json", "figure.txt")
+                }
             )
-        assert out["1"] == out["2"]
-        json.loads(out["1"][0])  # the dataset file is valid JSON
+        assert_campaign_equivalent(out["1"], out["2"])
+        json.loads(out["1"].artifacts["frontier.json"])  # valid JSON
 
     def test_bad_nodes_exit_with_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -27,7 +27,7 @@ from repro.core.study import Study
 from repro.hardware.catalog import ATOM_45, CORE2DUO_45, CORE_I7_45
 from repro.hardware.config import stock
 from repro.obs.metrics import default_registry
-from repro.service.server import CampaignServer
+from repro.service.server import CampaignServer, Request
 from repro.service.store import ResultStore
 from repro.workloads.catalog import benchmark
 
@@ -374,6 +374,51 @@ class TestProtocolErrors:
         )
         assert status == 200
         assert json.loads(body)["configuration"] == "i7_45/4C2T@2.66+TB"
+
+
+#: Configuration inputs POST /measure refuses with a 400.  Before the
+#: shared ``configure`` builder, threads 7 and 0 enabled SMT, cores true
+#: measured one core, 2.9 two, and turbo "off" left turbo on.
+BAD_CONFIGURATION_INPUTS = [
+    ("threads", 7),
+    ("threads", 0),
+    ("threads", True),
+    ("threads", "1"),
+    ("cores", True),
+    ("cores", 2.9),
+    ("cores", 0),
+    ("cores", -2),
+    ("cores", "2"),
+    ("clock", True),
+    ("clock", 0),
+    ("clock", -1.6),
+    ("clock", float("nan")),
+    ("clock", float("inf")),
+    ("clock", "1.6"),
+    ("turbo", "off"),
+    ("turbo", 0),
+]
+
+
+class TestConfigurationInputs:
+    @pytest.fixture(scope="class")
+    def server(self, study):
+        return CampaignServer(study=study)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        BAD_CONFIGURATION_INPUTS,
+        ids=[f"{field}={value!r}" for field, value in BAD_CONFIGURATION_INPUTS],
+    )
+    def test_rejected_with_400(self, server, field, value):
+        body = json.dumps({**MEASURE_MCF_I7, field: value}).encode()
+        request = Request(
+            method="POST", path="/measure", query={}, headers={}, body=body,
+            peer="test",
+        )
+        response = asyncio.run(server.handle(request))
+        assert response.status == 400
+        assert f"{field} must" in json.loads(response.body)["error"]
 
 
 def _header(headers: dict, name: str) -> str | None:

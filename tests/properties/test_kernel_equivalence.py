@@ -20,13 +20,18 @@ from repro.execution import kernels
 from repro.execution.kernels import kernel_stats
 from repro.faults import injector
 from repro.faults.injector import injected
-from repro.faults.plan import FaultPlan, fail_stop_plan
+from repro.faults.plan import fail_stop_plan
 from repro.hardware.catalog import CORE_I5_32, CORE_I7_45, reference_processors
 from repro.hardware.config import Configuration, stock
 from repro.workloads.catalog import BENCHMARKS
 from repro.workloads.synthetic import synthetic
-
-CLEAN = FaultPlan()
+from tests.equivalence import (
+    CLEAN,
+    Mode,
+    assert_campaign_equivalent,
+    capture,
+    sweep,
+)
 
 #: jobs=None is the in-process path; 1 exercises the full dispatch/merge
 #: protocol through a single worker; 4 adds real interleaving.
@@ -56,74 +61,52 @@ def _sample_pairs():
         )
         for i in range(3)
     ]
-    return [(bench, rng.choice(configs)) for bench in benches] + [
-        (benches[0], configs[0]),  # a stock catalog cell is always present
-    ]
+    return tuple(
+        [(bench, rng.choice(configs)) for bench in benches]
+        + [(benches[0], configs[0])]  # a stock catalog cell is always present
+    )
 
 
 PAIRS = _sample_pairs()
 
 
-def _sweep(references, checkpoint, vectorize, jobs=None):
-    study = Study(
-        references=references,
-        invocation_scale=0.2,
-        checkpoint_path=checkpoint,
-        vectorize=vectorize,
-    )
-    return study.run_pairs(PAIRS, jobs=jobs)
-
-
 class TestKernelEquivalence:
-    def test_vectorized_sweep_is_byte_identical(self, references, tmp_path):
-        scalar_checkpoint = tmp_path / "scalar.jsonl"
-        with injected(CLEAN):
-            scalar = _sweep(references, scalar_checkpoint, vectorize=False)
+    def test_vectorized_sweep_is_byte_identical(
+        self, references, reference, tmp_path
+    ):
+        expected = reference(campaign=PAIRS)
         compiled_before = kernel_stats()["compiles"]
         for jobs in WORKER_COUNTS:
-            checkpoint = tmp_path / f"vector-{jobs}.jsonl"
-            with injected(CLEAN):
-                vectorized = _sweep(
-                    references, checkpoint, vectorize=True, jobs=jobs
-                )
-            assert [r.as_record() for r in vectorized] == [
-                r.as_record() for r in scalar
-            ]
-            assert vectorized.health == scalar.health
-            assert checkpoint.read_bytes() == scalar_checkpoint.read_bytes()
+            mode = Mode(dispatch=jobs, kernels=True)
+            assert_campaign_equivalent(
+                expected, sweep(references, mode, PAIRS, workdir=tmp_path)
+            )
         # The equivalence must not have been vacuous: the in-process
         # vectorized sweep really compiled kernels.
         assert kernel_stats()["compiles"] > compiled_before
 
     def test_fault_armed_pairs_fall_back_byte_identically(
-        self, references, tmp_path
+        self, references, reference, tmp_path
     ):
         """A wildcard fail-stop plan arms every site, so every pair must
         take the scalar fallback — and reproduce the scalar campaign's
         records, health (including fired faults), and checkpoint bytes."""
         plan = fail_stop_plan(probability=0.02, seed="kernel-fallback")
-        scalar_checkpoint = tmp_path / "scalar.jsonl"
-        vector_checkpoint = tmp_path / "vector.jsonl"
-        with injected(plan):
-            scalar = _sweep(references, scalar_checkpoint, vectorize=False)
+        expected = reference(Mode(plan=plan), PAIRS)
         fallbacks_before = kernel_stats()["fallbacks"].get("faults", 0)
-        with injected(plan):
-            vectorized = _sweep(references, vector_checkpoint, vectorize=True)
-        assert [r.as_record() for r in vectorized] == [
-            r.as_record() for r in scalar
-        ]
-        assert vectorized.health == scalar.health
-        assert list(vectorized.health.failures) == list(scalar.health.failures)
-        assert vector_checkpoint.read_bytes() == scalar_checkpoint.read_bytes()
+        vectorized = sweep(
+            references, Mode(kernels=True, plan=plan), PAIRS, workdir=tmp_path
+        )
+        assert_campaign_equivalent(expected, vectorized)
         assert kernel_stats()["fallbacks"]["faults"] > fallbacks_before
 
-
     def test_declined_kernel_falls_back_byte_identically(
-        self, references, tmp_path, monkeypatch
+        self, references, reference, tmp_path, monkeypatch
     ):
         """With no fault plan armed, a pair whose plan the compiler
         declines runs the per-invocation scalar loop — and reproduces the
         ``vectorize=False`` campaign record for record."""
+        expected = reference(campaign=PAIRS)
         # Disarm any session-wide plan: this is the fault-free fallback.
         monkeypatch.setattr(injector, "_ACTIVE", None)
         declined = []
@@ -133,17 +116,12 @@ class TestKernelEquivalence:
             kernels.note_fallback("shape")
             return None
 
-        scalar_checkpoint = tmp_path / "scalar.jsonl"
-        vector_checkpoint = tmp_path / "vector.jsonl"
-        scalar = _sweep(references, scalar_checkpoint, vectorize=False)
         monkeypatch.setattr(kernels, "compile_pair", decline)
         fallbacks_before = kernel_stats()["fallbacks"].get("shape", 0)
-        vectorized = _sweep(references, vector_checkpoint, vectorize=True)
-        assert [r.as_record() for r in vectorized] == [
-            r.as_record() for r in scalar
-        ]
-        assert vectorized.health == scalar.health
-        assert vector_checkpoint.read_bytes() == scalar_checkpoint.read_bytes()
+        # plan=None: no plan armed at all (the injector is disarmed above).
+        mode = Mode(kernels=True, plan=None)
+        vectorized = sweep(references, mode, PAIRS, workdir=tmp_path)
+        assert_campaign_equivalent(expected, vectorized)
         assert len(declined) == len(set(PAIRS))
         assert kernel_stats()["fallbacks"]["shape"] > fallbacks_before
 
@@ -178,4 +156,4 @@ class TestGeneratedPairEquivalence:
             vectorized = Study(
                 references=references, invocation_scale=0.2, vectorize=True
             ).measure(bench, config)
-        assert vectorized == scalar
+        assert_campaign_equivalent(capture([scalar]), capture([vectorized]))

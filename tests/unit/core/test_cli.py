@@ -48,6 +48,23 @@ class TestMeasure:
         with pytest.raises(KeyError):
             main(["--quick", "measure", "nope", "i7_45"])
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--threads", "7"),
+            ("--threads", "0"),
+            ("--cores", "0"),
+            ("--cores", "-2"),
+            ("--clock", "0"),
+            ("--clock", "-1.6"),
+            ("--clock", "nan"),
+            ("--clock", "inf"),
+        ],
+    )
+    def test_bad_configuration_exits_2(self, capsys, flag, value):
+        assert main(["--quick", "measure", "db", "i7_45", flag, value]) == 2
+        assert f"{flag[2:]} must" in capsys.readouterr().err
+
 
 class TestRobustnessFlags:
     def test_measure_under_injection_recovers(self, capsys):

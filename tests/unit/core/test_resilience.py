@@ -20,7 +20,7 @@ from repro.faults.retry import RetryPolicy
 from repro.hardware.catalog import ATOM_45, CORE_I7_45
 from repro.hardware.config import stock
 from repro.workloads.catalog import benchmark
-from tests.helpers import records as _records
+from tests.equivalence import assert_campaign_equivalent, capture
 
 CLEAN = FaultPlan()  # no specs: overrides any session-wide plan with silence
 
@@ -48,7 +48,7 @@ class TestRetryTransparency:
         assert faulted.health is not None
         assert faulted.health.retries > 0  # the plan really fired
         assert faulted.health.ok
-        assert _records(faulted) == _records(clean)
+        assert_campaign_equivalent(capture(clean).only("records"), capture(faulted))
 
 
 class TestQuarantine:
@@ -160,7 +160,7 @@ class TestCheckpoint:
             reader = _study(references)
             assert reader.ledger.restore_checkpoint(path) == 2
             resumed = reader.run(CONFIGS[:1], BENCHES)
-        assert _records(resumed) == _records(original)
+        assert_campaign_equivalent(capture(original).only("records"), capture(resumed))
         assert resumed.health.restored_pairs == 2
         assert resumed.health.measured_pairs == 0
 
