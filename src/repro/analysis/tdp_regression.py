@@ -32,11 +32,6 @@ class TdpRegression:
         return self.fit.r_squared
 
     @property
-    def worst_overestimate(self) -> float:
-        """Largest TDP-to-measured ratio (how wrong 'power = TDP' gets)."""
-        return max(ratio for _, _, _, ratio in self.machines)
-
-    @property
     def ratio_spread(self) -> float:
         """Max/min of TDP-to-measured ratios: 1.0 would mean TDP ranks
         machines perfectly; the measured spread shows it does not."""

@@ -37,7 +37,8 @@ Global telemetry flags (before the command):
 
 Robustness flags on ``measure`` and ``dataset`` (see docs/robustness.md):
 
-* ``--inject PLAN`` — arm a fault plan (``demo``, ``ci``, or a JSON path);
+* ``--inject PLAN`` — arm a fault plan (``demo``, ``ci``, ``chaos``, or a
+  JSON path);
 * ``--max-retries N`` — bound per-invocation retries (default 3);
 * ``--checkpoint PATH`` — append each new result to a JSONL checkpoint;
 * ``--resume PATH`` — preload a checkpoint before running (commonly the
@@ -49,8 +50,9 @@ fingerprint (root seed, invocation scale, fault plan); ``--resume``
 refuses a checkpoint whose sidecar mismatches the current run (exit
 code 4) instead of silently mixing incompatible datasets.
 
-Exit codes: 0 success, 2 usage error, 3 measurement failed, 4 resume /
-store fingerprint or schema mismatch.
+Exit codes: 0 success, 2 usage error or bad input (one ``error:`` line,
+no traceback), 3 measurement failed, 4 resume / store fingerprint or
+schema mismatch.
 """
 
 from __future__ import annotations
@@ -65,13 +67,13 @@ from repro.core.study import Study
 from repro.experiments.findings import evaluate_all
 from repro.faults.errors import MeasurementError
 from repro.faults.injector import install as install_faults, uninstall as uninstall_faults
-from repro.faults.plan import plan_from_arg
+from repro.faults.plan import PlanError, plan_from_arg
 from repro.faults.retry import RetryPolicy
 from repro.experiments.registry import EXPERIMENTS, EXTENSIONS, run_experiment
-from repro.hardware.catalog import ATOM_45, CORE_I7_45, PROCESSORS, processor
+from repro.hardware.catalog import ATOM_45, CORE_I7_45, PROCESSORS
 from repro.hardware.config import (
     UnsupportedConfigurationError,
-    configure,
+    resolve_pair,
     stock,
 )
 from repro.hardware.configurations import (
@@ -82,6 +84,12 @@ from repro.hardware.configurations import (
 from repro.obs.export import render_prometheus, render_summary
 from repro.obs.progress import ProgressReporter
 from repro.obs.tracing import default_tracer
+from repro.projection import (
+    ProjectionQueryError,
+    evaluate_projection_finding,
+    parse_query,
+    search,
+)
 from repro.reporting import figures
 from repro.reporting.tables import render_experiment, render_rows
 from repro.workloads.catalog import BENCHMARKS, benchmark
@@ -218,38 +226,30 @@ def _build_parser() -> argparse.ArgumentParser:
         "project",
         help="search Pareto frontiers over synthesized post-2011 machines",
     )
+    # Text values: repro.projection.parse_query, shared with GET /project.
     project.add_argument(
         "--nodes",
-        default="22,14,10,7",
         metavar="NM[,NM...]",
         help="comma-separated projected nodes to search (default all four)",
     )
     project.add_argument(
         "--samples",
-        type=int,
-        default=512,
         metavar="N",
         help="candidate machines per node (default 512; the four-node "
         "default searches 2048 configurations)",
     )
     project.add_argument(
         "--area",
-        type=float,
-        default=260.0,
         metavar="MM2",
         help="die area budget per candidate in mm^2 (default 260)",
     )
     project.add_argument(
         "--tdp",
-        type=float,
-        default=130.0,
         metavar="W",
         help="package power budget per candidate in watts (default 130)",
     )
     project.add_argument(
         "--seed",
-        type=int,
-        default=0,
         metavar="S",
         help="candidate-generator seed (default 0)",
     )
@@ -440,9 +440,9 @@ def _list(what: str) -> str:
 
 
 def _measure(args: argparse.Namespace, study: Study) -> str:
-    bench = benchmark(args.benchmark)
-    config = configure(
-        processor(args.processor),
+    bench, config = resolve_pair(
+        args.benchmark,
+        processor_key=args.processor,
         cores=args.cores,
         threads=args.threads,
         clock=args.clock,
@@ -501,36 +501,16 @@ def _dataset(args: argparse.Namespace, study: Study) -> str:
 
 def _project(args: argparse.Namespace, study: Study) -> str:
     """Run the frontier search and render/persist its artifacts."""
-    from repro.hardware.technology import PROJECTED_NODES
-    from repro.projection import Budget, evaluate_projection_finding, search
-    from repro.reporting.figures import projection_figure
-
-    try:
-        nodes = tuple(int(part) for part in args.nodes.split(",") if part)
-    except ValueError:
-        print(
-            f"error: --nodes must be comma-separated integers, got "
-            f"{args.nodes!r}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    unknown = [nm for nm in nodes if nm not in PROJECTED_NODES]
-    if unknown or not nodes:
-        print(
-            f"error: --nodes must name projected nodes "
-            f"{sorted(PROJECTED_NODES, reverse=True)}, got {args.nodes!r}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    budget = Budget(area_mm2=args.area, tdp_w=args.tdp)
+    query = parse_query(vars(args), default_samples=512)
+    budget = query.budget
     # jobs=None inherits the worker count the study was built with, so
     # the global --jobs flag governs the sweep.
     dataset = search(
         study=study,
-        nodes=nodes,
-        samples=args.samples,
+        nodes=query.nodes,
+        samples=query.samples,
         budget=budget,
-        seed=args.seed,
+        seed=query.seed,
     )
     report = evaluate_projection_finding(dataset)
     rows = []
@@ -553,7 +533,7 @@ def _project(args: argparse.Namespace, study: Study) -> str:
         )
     lines = [
         f"searched {dataset.candidate_count()} candidate machines over "
-        f"{len(nodes)} projected node(s) "
+        f"{len(query.nodes)} projected node(s) "
         f"(budget {budget.area_mm2:g} mm^2 / {budget.tdp_w:g} W, "
         f"seed {dataset.seed})",
         render_rows(rows),
@@ -567,7 +547,8 @@ def _project(args: argparse.Namespace, study: Study) -> str:
         dataset_path = out_dir / "frontier.json"
         dataset_path.write_bytes(dataset.to_json_bytes())
         figure_path = out_dir / "figure.txt"
-        figure_path.write_bytes((projection_figure(dataset) + "\n").encode("ascii"))
+        figure = figures.projection_figure(dataset) + "\n"
+        figure_path.write_bytes(figure.encode("ascii"))
         lines.append(f"wrote {dataset_path} and {figure_path}")
     return "\n".join(lines)
 
@@ -659,7 +640,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if inject is not None:
         try:
             plan = plan_from_arg(inject)
-        except (OSError, ValueError) as exc:
+        except PlanError as exc:
             print(f"error: --inject: {exc}", file=sys.stderr)
             return 2
     scale = 0.2 if args.quick else 1.0
@@ -757,8 +738,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # (`dataset`) absorb failures into CampaignHealth instead.
         print(f"error: measurement failed: {exc}", file=sys.stderr)
         return 3
-    except UnsupportedConfigurationError as exc:
-        print(f"error: unsupported configuration: {exc}", file=sys.stderr)
+    except (UnsupportedConfigurationError, ProjectionQueryError) as exc:
+        # A bad name, setting or projection query: one line, no traceback.
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
         if inject is not None:

@@ -15,7 +15,6 @@ from typing import Callable, Iterable, Mapping
 
 from repro.core.statistics import mean
 from repro.workloads.benchmark import Benchmark, Group
-from repro.workloads.catalog import groups
 
 
 def group_means(
@@ -99,8 +98,3 @@ def per_group_ratio(
         if name in denominator
     }
     return group_means(ratios, benchmarks)
-
-
-def canonical_groups() -> tuple[Group, ...]:
-    """Re-export of the canonical group order for presentation code."""
-    return groups()

@@ -9,7 +9,7 @@ following the paper's measurement protocol (3/5 executions for native,
 The pure **pair measurement** (:class:`_PairMeasurement`) measures one
 (benchmark, configuration) pair — a compiled sweep kernel or the
 per-invocation scalar reference through engine and meter, under a
-bounded :class:`~repro.faults.RetryPolicy` (backoff + jitter, a
+bounded :class:`~repro.faults.RetryPolicy` (immediate retries within a
 simulated-timeout budget), the MAD outlier re-measure and the 95%
 confidence intervals, in one ``study.measure`` span — and returns a
 :class:`PairOutcome`: the result or the failure, with its retries,
@@ -260,9 +260,6 @@ class _PairMeasurement:
                     ) from exc
                 attempt += 1
                 outcome.retries += 1
-                delay = policy.delay_for(attempt, site)
-                if delay > 0.0:
-                    time.sleep(delay)
 
     def _measure(
         self, benchmark: Benchmark, config: Configuration, outcome: PairOutcome

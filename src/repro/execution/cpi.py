@@ -54,11 +54,6 @@ class CpiBreakdown:
         """Fraction of cycles lost to stalls — the slots SMT can fill."""
         return (self.dependency + self.branch + self.memory) / self.total
 
-    @property
-    def issue_utilisation_of(self) -> float:
-        """Issue-time share (how hard the execution units actually work)."""
-        return self.base / self.total
-
     def with_memory_inflation(self, inflation: float) -> "CpiBreakdown":
         """Scale the memory stall component (bandwidth queueing)."""
         if inflation < 1.0:

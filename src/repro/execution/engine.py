@@ -42,7 +42,6 @@ from repro.runtime.jvm import JvmPlan, ServicePlacement, plan as jvm_plan
 from repro.runtime.methodology import STEADY_STATE_ITERATION
 from repro.runtime.vendors import HOTSPOT, JvmVendor
 from repro.workloads.benchmark import Benchmark
-from repro.workloads.catalog import BENCHMARKS
 from repro.hardware.catalog import reference_processors
 from repro.hardware.config import stock
 
@@ -669,8 +668,3 @@ def default_engine() -> ExecutionEngine:
     if _DEFAULT_ENGINE is None:
         _DEFAULT_ENGINE = ExecutionEngine()
     return _DEFAULT_ENGINE
-
-
-def all_benchmarks() -> tuple[Benchmark, ...]:
-    """Convenience re-export of the 61-benchmark catalog."""
-    return BENCHMARKS

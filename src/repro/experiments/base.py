@@ -67,10 +67,6 @@ def doubling_normalised(ratio: float, frequency_ratio: float) -> float:
     return ratio ** (1.0 / math.log2(frequency_ratio))
 
 
-def fmt_ratio(value: float) -> str:
-    return f"{value:.2f}"
-
-
 def paper_measured(paper: Optional[float], measured: float) -> dict[str, object]:
     """Standard pair of columns for paper-versus-reproduction rows."""
     return {

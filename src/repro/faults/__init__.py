@@ -12,8 +12,8 @@ halves of that story explicit and reproducible:
 * :mod:`repro.faults.injector` — the ambient injector the engine, logger,
   and meter consult; deterministic per (seed, kind, site, attempt);
 * :mod:`repro.faults.retry` — the :class:`RetryPolicy` the study uses to
-  survive it all (bounded retries, backoff + jitter, timeout budgets,
-  MAD outlier re-measurement).
+  survive it all (bounded retries, timeout budgets, MAD outlier
+  re-measurement).
 
 See ``docs/robustness.md`` for the full taxonomy and semantics.
 """

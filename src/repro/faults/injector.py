@@ -324,11 +324,6 @@ COORDINATOR_CRASH_EXIT_CODE = 86
 _COORDINATOR_ORDINALS: defaultdict[str, itertools.count] = defaultdict(itertools.count)
 
 
-def reset_coordinator_sites() -> None:
-    """Restart the per-phase ordinal counters (test isolation)."""
-    _COORDINATOR_ORDINALS.clear()
-
-
 def coordinator_fault_point(phase: str) -> None:
     """Service hook: evaluate — and *enact* — coordinator faults at
     ``phase`` (one of ``admit``/``schedule``/``batch``/``store``).

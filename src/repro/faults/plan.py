@@ -208,7 +208,7 @@ class FaultPlan:
                 )
                 for entry in raw_specs  # type: ignore[union-attr]
             )
-        except (KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed fault plan: {exc}") from exc
         return cls(specs=specs, seed=str(data.get("seed", "faultplan")))
 
@@ -287,13 +287,28 @@ def coordinator_crash_plan(phase: str = "batch", seed: str = "coordinator") -> F
     )
 
 
-def plan_from_arg(arg: str) -> FaultPlan:
-    """Resolve a CLI ``--inject`` argument: the name of a canned plan
-    (``demo``, ``ci``, ``chaos``) or a path to a JSON plan file."""
-    if arg == "demo":
-        return demo_plan()
-    if arg == "ci":
-        return fail_stop_plan()
-    if arg == "chaos":
-        return worker_chaos_plan()
-    return FaultPlan.from_json(arg)
+#: The canned plans by name, for every door that arms a plan.
+CANNED_PLANS = {"demo": demo_plan, "ci": fail_stop_plan, "chaos": worker_chaos_plan}
+
+
+class PlanError(ValueError):
+    """A plan argument that names no canned plan and holds no valid plan."""
+
+
+def plan_from_arg(arg: object, *, paths: bool = True) -> FaultPlan:
+    """A canned plan's name, or else a JSON plan file path with ``paths``
+    (``--inject``, ``REPRO_FAULT_PLAN``) and an inline plan object
+    without (``POST /measure``: request data must not reach the
+    filesystem).  Every failure is a :class:`PlanError`."""
+    if isinstance(arg, str) and arg in CANNED_PLANS:
+        return CANNED_PLANS[arg]()
+    try:
+        if paths and isinstance(arg, str):
+            return FaultPlan.from_json(arg)
+        if not paths and isinstance(arg, dict):
+            return FaultPlan.from_dict(arg)
+    except (OSError, ValueError) as exc:
+        raise PlanError(f"invalid fault plan: {exc}") from exc
+    own = "a JSON plan path" if paths else "an inline plan object"
+    names = ", ".join(map(repr, CANNED_PLANS))
+    raise PlanError(f"unknown plan {arg!r}: use {names}, or {own}")

@@ -3,18 +3,15 @@
 The paper's authors simply re-ran invocations that crashed or hung on the
 physical rig; :class:`RetryPolicy` makes that recovery explicit and
 bounded.  Retries happen at the *invocation* level (the unit that fails
-physically), with exponential backoff plus deterministic jitter, a
-cumulative simulated-timeout budget per invocation, and an optional
-MAD-based outlier screen that re-measures suspect invocations instead of
+physically), immediately (a simulated rig has nothing to wait out), within
+a cumulative simulated-timeout budget per invocation; an optional
+MAD-based outlier screen re-measures suspect invocations instead of
 silently averaging a corrupted sample in.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-from repro.core.seeding import rng_for, run_key
 
 
 @dataclass(frozen=True)
@@ -22,11 +19,6 @@ class RetryPolicy:
     """How the study reacts when the rig misbehaves.
 
     ``max_retries`` bounds re-runs per invocation (0 = fail fast).
-    ``backoff_s`` is the base delay before the first retry, doubled (by
-    ``backoff_factor``) per subsequent attempt and capped at
-    ``max_backoff_s``; the default of 0 keeps simulated campaigns from
-    sleeping.  ``jitter`` spreads each delay by up to that fraction,
-    drawn deterministically per site so campaigns stay reproducible.
     ``timeout_budget_s`` caps the *cumulative* simulated seconds an
     invocation may spend hung across all its attempts before the pair is
     given up.  ``outlier_threshold`` (a modified z-score over the
@@ -37,10 +29,6 @@ class RetryPolicy:
     """
 
     max_retries: int = 3
-    backoff_s: float = 0.0
-    backoff_factor: float = 2.0
-    max_backoff_s: float = 2.0
-    jitter: float = 0.25
     timeout_budget_s: float = 900.0
     outlier_threshold: float | None = None
     max_remeasures: int = 2
@@ -48,12 +36,6 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries cannot be negative")
-        if self.backoff_s < 0 or not math.isfinite(self.backoff_s):
-            raise ValueError("backoff_s must be finite and non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
         if self.timeout_budget_s <= 0:
             raise ValueError("timeout_budget_s must be positive")
         if self.outlier_threshold is not None and self.outlier_threshold <= 0:
@@ -61,24 +43,7 @@ class RetryPolicy:
         if self.max_remeasures < 0:
             raise ValueError("max_remeasures cannot be negative")
 
-    def delay_for(self, attempt: int, site: str) -> float:
-        """Seconds to wait before retry ``attempt`` (1-based) of ``site``.
 
-        Exponential in the attempt, capped, with deterministic jitter so
-        two runs of the same campaign pause identically.
-        """
-        if self.backoff_s <= 0.0:
-            return 0.0
-        base = min(
-            self.backoff_s * self.backoff_factor ** (attempt - 1),
-            self.max_backoff_s,
-        )
-        if self.jitter == 0.0:
-            return base
-        rng = rng_for(run_key("retry-jitter", site, attempt))
-        return base * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
-
-
-#: The harness default: bounded retries, no sleeping, no outlier screen —
+#: The harness default: bounded retries, no outlier screen —
 #: behaviourally identical to the pre-fault harness when nothing fails.
 DEFAULT_RETRY_POLICY = RetryPolicy()

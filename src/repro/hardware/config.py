@@ -10,14 +10,20 @@ an unsupported combination.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from repro.core.quantities import Hertz, Volts
+from repro.hardware.catalog import PROCESSORS_BY_KEY
 from repro.hardware.processor import ProcessorSpec
+from repro.workloads.benchmark import Benchmark
+from repro.workloads.catalog import BENCHMARKS_BY_NAME
 
 
 class UnsupportedConfigurationError(ValueError):
-    """Raised for a configuration the processor cannot express."""
+    """Raised for a configuration the processor cannot express, or a
+    benchmark, processor or configuration key the catalog does not hold."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,3 +208,65 @@ def configure(
 
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: A configuration key as :class:`Configuration` spells it.
+_KEY = re.compile(r"([^/]+)/(\d+)C(\d+)T@([\d.]+)([+-]TB)?")
+
+
+def resolve_pair(
+    benchmark: object,
+    config_key: object = None,
+    processor_key: object = None,
+    **settings: object,
+) -> tuple[Benchmark, Configuration]:
+    """The pair ``repro measure``, ``POST /measure`` and journal recovery
+    name: a benchmark, and a configuration key such as
+    ``i7_45/4C2T@2.66-TB`` or else a processor set up by
+    :func:`configure` ``settings``.  Every failure is an
+    :class:`UnsupportedConfigurationError` naming the bad input."""
+    bench = BENCHMARKS_BY_NAME.get(str(benchmark))
+    if bench is None:
+        raise UnsupportedConfigurationError(f"unknown benchmark {benchmark!r}")
+    if config_key is not None:
+        return bench, _configuration(str(config_key))
+    if processor_key is None:
+        raise UnsupportedConfigurationError(
+            "need 'config' (a configuration key) or 'processor'"
+        )
+    spec = PROCESSORS_BY_KEY.get(str(processor_key))
+    if spec is None:
+        raise UnsupportedConfigurationError(
+            f"unknown processor {processor_key!r}; "
+            f"known: {sorted(PROCESSORS_BY_KEY)}"
+        )
+    try:
+        return bench, configure(spec, **settings)
+    except UnsupportedConfigurationError as exc:
+        raise UnsupportedConfigurationError(
+            f"unsupported configuration: {exc}"
+        ) from None
+
+
+@lru_cache(maxsize=None)
+def _configuration(key: str) -> Configuration:
+    """The configuration a key spells: any that ``configure`` builds, not
+    only the study's 45, so every journalled request resolves.  Cached,
+    because ``POST /measure`` resolves a key per request."""
+    match = _KEY.fullmatch(key)
+    config = None
+    if match is not None:
+        spec, cores, threads, clock, turbo = match.groups()
+        try:
+            config = configure(
+                PROCESSORS_BY_KEY[spec],
+                cores=int(cores),
+                threads=int(threads),
+                clock=float(clock),
+                turbo=turbo == "+TB",
+            )
+        except (KeyError, ValueError):
+            pass
+    if config is None or config.key != key:
+        raise UnsupportedConfigurationError(f"unknown configuration key {key!r}")
+    return config

@@ -110,12 +110,6 @@ class PowerMeter:
     def calibration(self) -> SensorCalibration:
         return self._calibration
 
-    @property
-    def sat_scan_watts(self) -> float:
-        """True package power above which a sample can sit on a rail —
-        the guard the clamp-telemetry scan is gated on."""
-        return self._sat_scan_watts
-
     def clamped_sample_count(self, codes: np.ndarray) -> int:
         """Samples sitting on (or within the guard band of) either rail —
         the quantity the clamp-event telemetry reports."""

@@ -135,13 +135,6 @@ def quantile_summary(histogram: Histogram) -> dict[str, object]:
     }
 
 
-def _label_value(key: tuple[tuple[str, str], ...], name: str) -> Optional[str]:
-    for label, value in key:
-        if label == name:
-            return value
-    return None
-
-
 def slo_report(
     config: Optional[SloConfig],
     registry: Optional[MetricsRegistry] = None,

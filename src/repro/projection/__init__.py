@@ -22,7 +22,10 @@ from repro.projection.synthesize import (
     Candidate,
     Cluster,
     ProjectedProcessor,
+    ProjectionQuery,
+    ProjectionQueryError,
     node_capacity,
+    parse_query,
     synthesize_candidates,
     synthesize_spec,
 )
@@ -51,8 +54,11 @@ __all__ = [
     "PROJECTION_FINDING_ID",
     "ProjectedProcessor",
     "ProjectionDataset",
+    "ProjectionQuery",
+    "ProjectionQueryError",
     "evaluate_projection_finding",
     "node_capacity",
+    "parse_query",
     "projection_benchmarks",
     "search",
     "synthesize_candidates",

@@ -36,7 +36,12 @@ from repro.core.pareto import TradeoffPoint, fit_frontier, pareto_efficient
 from repro.core.study import Study, shared_study
 from repro.hardware.config import Configuration
 from repro.hardware.configurations import stock_configurations
-from repro.projection.synthesize import Budget, Candidate, synthesize_candidates
+from repro.projection.synthesize import (
+    DEFAULT_NODES,
+    Budget,
+    Candidate,
+    synthesize_candidates,
+)
 from repro.workloads.benchmark import Benchmark, Group
 from repro.workloads.catalog import BENCHMARKS_BY_NAME, groups
 
@@ -56,9 +61,6 @@ PROJECTION_BENCHMARK_NAMES = (
 
 #: Groups whose software scales across every core it is given (§2.1).
 SCALABLE_GROUPS = frozenset({Group.NATIVE_SCALABLE, Group.JAVA_SCALABLE})
-
-#: Default projected node list, largest feature size first.
-DEFAULT_NODES = (22, 14, 10, 7)
 
 
 def projection_benchmarks() -> tuple[Benchmark, ...]:

@@ -44,9 +44,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Optional
+from typing import Mapping, Optional
 
-from repro.core.quantities import Hertz, Volts
+from repro.core.quantities import Hertz
 from repro.core.seeding import seed_from_key
 from repro.hardware.config import Configuration
 from repro.hardware.microarch import Microarchitecture
@@ -176,6 +176,10 @@ NODE_MEMORY = {
 NODE_RELEASE = {22: "'12", 14: "'14", 10: "'17", 7: "'19"}
 
 
+class ProjectionQueryError(ValueError):
+    """Projection parameters that name no search."""
+
+
 @dataclass(frozen=True, slots=True)
 class Budget:
     """The fixed die-area and package-power envelope candidates must fit.
@@ -190,8 +194,83 @@ class Budget:
     tdp_w: float = 130.0
 
     def __post_init__(self) -> None:
-        if self.area_mm2 <= 0 or self.tdp_w <= 0:
-            raise ValueError("budget axes must be positive")
+        # ``0 < x < inf`` is false for NaN too.
+        if not (0 < self.area_mm2 < math.inf and 0 < self.tdp_w < math.inf):
+            raise ProjectionQueryError(
+                f"budget axes must be positive and finite, got area "
+                f"{self.area_mm2!r} mm^2 and tdp {self.tdp_w!r} W"
+            )
+
+
+#: Default projected node list, largest feature size first.
+DEFAULT_NODES = (22, 14, 10, 7)
+
+
+@dataclass(frozen=True, slots=True)
+class ProjectionQuery:
+    """The checked arguments of one frontier search."""
+
+    nodes: tuple[int, ...]
+    samples: int
+    seed: int
+    budget: Budget
+
+
+def parse_query(
+    params: Mapping[str, object],
+    *,
+    default_samples: int,
+    max_samples: Optional[int] = None,
+) -> ProjectionQuery:
+    """The one parser of ``repro project`` and ``GET /project`` input:
+    ``params`` maps ``nodes`` (comma-separated nanometres), ``samples``
+    (per node), ``seed``, ``area`` (mm^2) and ``tdp`` (W) to text, absent
+    or ``None`` meaning the default.  The doors differ only in
+    ``default_samples`` and ``max_samples`` (``None``: no cap).  Every
+    failure is a :class:`ProjectionQueryError`; a budget no machine fits
+    is refused by :func:`synthesize_candidates`."""
+
+    def number(name: str, kind: type, default: object):
+        raw = params.get(name)
+        try:
+            return default if raw is None else kind(raw)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ProjectionQueryError(
+                f"{name} must be {what}, got {raw!r}"
+            ) from None
+
+    raw_nodes = params.get("nodes")
+    try:
+        nodes = (
+            DEFAULT_NODES
+            if raw_nodes is None
+            else tuple(int(part) for part in str(raw_nodes).split(",") if part)
+        )
+    except ValueError:
+        nodes = ()
+    distinct = set(nodes)
+    if not nodes or len(distinct) < len(nodes) or not distinct <= set(PROJECTED_NODES):
+        raise ProjectionQueryError(
+            f"nodes must be distinct projected nodes, comma-separated, from "
+            f"{sorted(PROJECTED_NODES, reverse=True)}; got {raw_nodes!r}"
+        )
+    samples = number("samples", int, default_samples)
+    if samples < 1:
+        raise ProjectionQueryError(f"samples must be positive, got {samples}")
+    if max_samples is not None and samples > max_samples:
+        raise ProjectionQueryError(
+            f"samples must be at most {max_samples}, got {samples}"
+        )
+    return ProjectionQuery(
+        nodes=nodes,
+        samples=samples,
+        seed=number("seed", int, 0),
+        budget=Budget(
+            area_mm2=number("area", float, Budget().area_mm2),
+            tdp_w=number("tdp", float, Budget().tdp_w),
+        ),
+    )
 
 
 def _projected_node(nanometers: int) -> ProcessNode:
@@ -436,7 +515,9 @@ def synthesize_candidates(
     Uniform draws over (big count, big clock, little count, little clock)
     with rejection of over-budget or empty machines; duplicates collapse by
     key.  Returns candidates sorted by key.  Bounded attempts keep the
-    generator total even if the valid space is smaller than ``samples``.
+    generator total even if the valid space is smaller than ``samples``;
+    when they find no candidate at all the budget is refused with a
+    :class:`ProjectionQueryError`.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -469,4 +550,9 @@ def synthesize_candidates(
         )
         if candidate is not None:
             out.setdefault(candidate.key, candidate)
+    if not out:
+        raise ProjectionQueryError(
+            f"no candidate machine at {nanometers} nm fits the budget of "
+            f"{budget.area_mm2:g} mm^2 and {budget.tdp_w:g} W"
+        )
     return tuple(sorted(out.values(), key=lambda c: c.key))

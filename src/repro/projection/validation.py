@@ -20,7 +20,7 @@ Architecture" (PAPERS.md) say the post-2011 record looks like:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.experiments.findings import FindingReport
 from repro.hardware.technology import PROJECTED_NODES
@@ -132,10 +132,3 @@ def evaluate_projection_finding(
         evidence=evidence,
     )
 
-
-def capacity_table(budget: Optional[Budget] = None) -> list[dict[str, float]]:
-    """Per-node capacity/dark-silicon rows for reports and the CLI."""
-    budget = budget if budget is not None else Budget()
-    return [
-        node_capacity(nm, budget) for nm in sorted(PROJECTED_NODES, reverse=True)
-    ]

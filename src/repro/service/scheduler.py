@@ -236,17 +236,18 @@ class CampaignScheduler:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(self._worker, fn, *args)
 
-    def run_projection(self, nodes, samples, budget, seed):
-        """Synchronous frontier search with the scheduler's study and
-        worker setting; call via :meth:`offload`."""
+    def run_projection(self, query):
+        """Synchronous frontier search for a checked
+        :class:`~repro.projection.ProjectionQuery` with the scheduler's
+        study and worker setting; call via :meth:`offload`."""
         from repro.projection import search
 
         return search(
             study=self._study,
-            nodes=nodes,
-            samples=samples,
-            budget=budget,
-            seed=seed,
+            nodes=query.nodes,
+            samples=query.samples,
+            budget=query.budget,
+            seed=query.seed,
             jobs=self._jobs,
         )
 

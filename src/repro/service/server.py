@@ -67,15 +67,8 @@ from repro.core.pareto import TradeoffPoint, pareto_efficient
 from repro.core.study import Study
 from repro.execution.kernels import kernel_stats
 from repro.faults.injector import coordinator_fault_point
-from repro.faults.plan import (
-    FaultPlan,
-    demo_plan,
-    fail_stop_plan,
-    worker_chaos_plan,
-)
-from repro.hardware.catalog import processor
-from repro.hardware.config import UnsupportedConfigurationError, configure
-from repro.hardware.configurations import all_configurations
+from repro.faults.plan import FaultPlan, PlanError, plan_from_arg
+from repro.hardware.config import UnsupportedConfigurationError, resolve_pair
 from repro.obs.distributed import (
     REQUEST_ID_HEADER,
     TraceStore,
@@ -96,6 +89,11 @@ from repro.obs.slo import (
     slo_report,
 )
 from repro.obs.tracing import default_tracer
+from repro.projection import (
+    ProjectionQueryError,
+    evaluate_projection_finding,
+    parse_query,
+)
 from repro.service.ratelimit import ClientRateLimiter
 from repro.service.scheduler import (
     CampaignScheduler,
@@ -107,7 +105,7 @@ from repro.service.scheduler import (
     SchedulerError,
 )
 from repro.service.store import JournalConflict, JournalEntry, ResultStore
-from repro.workloads.catalog import BENCHMARKS, benchmark
+from repro.workloads.catalog import BENCHMARKS
 
 _REGISTRY = default_registry()
 _REQUESTS = _REGISTRY.counter(
@@ -144,6 +142,8 @@ IO_TIMEOUT_S = 30.0
 #: Idempotency keys are client-chosen strings; bound them so the journal
 #: cannot be grown by a single pathological header.
 MAX_IDEMPOTENCY_KEY_CHARS = 128
+#: Finished request traces ``GET /trace/<id>`` can still serve.
+TRACE_CAPACITY = 256
 
 #: Bind retries on EADDRINUSE: rapid kill -> recover cycles can race the
 #: kernel's release of the dead server's listening socket, so the new
@@ -243,8 +243,7 @@ class CampaignServer:
     ``/measure`` correlating request id ↔ trace id ↔ store row; a path
     is opened (and closed at shutdown) by the server, an open text
     stream is borrowed.  ``trace_requests=False`` turns request tracing
-    off entirely; ``trace_capacity`` bounds how many finished request
-    traces ``GET /trace/<id>`` can still serve.
+    off entirely.
     """
 
     def __init__(
@@ -261,7 +260,6 @@ class CampaignServer:
         slo: Union[SloConfig, str, None] = None,
         event_log: Union[Path, str, TextIO, None] = None,
         trace_requests: bool = True,
-        trace_capacity: int = 256,
         drain_timeout: Optional[float] = None,
         recover: bool = False,
     ) -> None:
@@ -279,7 +277,6 @@ class CampaignServer:
             self._study, store=self._store, max_pending=max_pending, jobs=jobs
         )
         self._limiter = ClientRateLimiter(rate, burst=burst)
-        self._configs_by_key = {c.key: c for c in all_configurations()}
         # GET /project responses keyed by canonical parameters: the search
         # is deterministic, so a repeat with equal params can serve the
         # cached payload without touching the measurement thread.
@@ -293,7 +290,7 @@ class CampaignServer:
         self.recovery = {"replayed": 0, "completed": 0, "failed": 0}
         self._slo = parse_slo(slo) if isinstance(slo, str) else slo
         self._trace_requests = trace_requests
-        self._traces = TraceStore(capacity=trace_capacity)
+        self._traces = TraceStore(capacity=TRACE_CAPACITY)
         self._tracer_was_enabled = False
         if event_log is None or hasattr(event_log, "write"):
             self._event_log: Optional[TextIO] = event_log  # type: ignore[assignment]
@@ -372,8 +369,13 @@ class CampaignServer:
         accepted, and it outranks fresh arrivals under overload."""
         for entry in self._store.journal_pending():
             try:
-                bench, config, plan = self._resolve_journal_entry(entry)
-            except (KeyError, ValueError) as exc:
+                bench, config = resolve_pair(entry.benchmark, entry.config)
+                plan = (
+                    plan_from_arg(json.loads(entry.plan), paths=False)
+                    if entry.plan is not None
+                    else None
+                )
+            except ValueError as exc:
                 self._store.journal_fail(
                     [entry.request_key], f"unresolvable at recovery: {exc}"
                 )
@@ -388,18 +390,6 @@ class CampaignServer:
                     name=f"repro-recover-{entry.request_key}",
                 )
             )
-
-    def _resolve_journal_entry(self, entry: JournalEntry):
-        bench = benchmark(entry.benchmark)
-        config = self._configs_by_key.get(entry.config)
-        if config is None:
-            raise KeyError(f"unknown configuration key {entry.config!r}")
-        plan = (
-            FaultPlan.from_dict(json.loads(entry.plan))
-            if entry.plan is not None
-            else None
-        )
-        return bench, config, plan
 
     async def _replay(
         self,
@@ -464,15 +454,19 @@ class CampaignServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
+            # Only reading the request is the client's fault; a handler
+            # that raises is a server bug, answered 500.
             try:
                 request = await self._read_request(reader, writer)
-                response = await self.handle(request)
             except BadRequest as exc:
                 response = _error(400, str(exc))
             except (asyncio.TimeoutError, asyncio.IncompleteReadError, ValueError):
                 response = _error(400, "malformed request")
-            except Exception as exc:  # noqa: BLE001 - last-resort 500
-                response = _error(500, f"internal error: {exc}")
+            else:
+                try:
+                    response = await self.handle(request)
+                except Exception as exc:  # noqa: BLE001 - last-resort 500
+                    response = _error(500, f"internal error: {exc}")
             writer.write(response.encode())
             await writer.drain()
         except (ConnectionError, BrokenPipeError):
@@ -674,7 +668,7 @@ class CampaignServer:
                     bench, config, plan = self._parse_measure_body(request.body)
                     request_key = self._parse_idempotency_key(request)
                     budget_s = self._parse_deadline_budget(request)
-                except BadRequest as exc:
+                except (BadRequest, UnsupportedConfigurationError, PlanError) as exc:
                     return _error(400, str(exc))
             finally:
                 observe_stage(
@@ -820,14 +814,19 @@ class CampaignServer:
                 f"accepted: {', '.join(sorted(self.MEASURE_FIELDS))}"
             )
         name = payload.get("benchmark")
-        if not isinstance(name, str):
+        if name is None:
             raise BadRequest("missing required field 'benchmark'")
-        try:
-            bench = benchmark(name)
-        except KeyError as exc:
-            raise BadRequest(f"unknown benchmark {name!r}") from exc
-        config = self._parse_configuration(payload)
-        plan = _parse_plan(payload.get("inject"))
+        bench, config = resolve_pair(
+            name,
+            payload.get("config"),
+            payload.get("processor"),
+            cores=payload.get("cores"),
+            threads=payload.get("threads"),
+            clock=payload.get("clock"),
+            turbo=payload.get("turbo"),
+        )
+        inject = payload.get("inject")
+        plan = plan_from_arg(inject, paths=False) if inject is not None else None
         iterations = payload.get("iterations")
         if iterations is not None:
             # Iteration counts are pinned by the run fingerprint (the
@@ -847,31 +846,6 @@ class CampaignServer:
                     f"a different --quick/scale to change it)"
                 )
         return bench, config, plan
-
-    def _parse_configuration(self, payload: Mapping[str, object]):
-        key = payload.get("config")
-        if key is not None:
-            config = self._configs_by_key.get(str(key))
-            if config is None:
-                raise BadRequest(f"unknown configuration key {key!r}")
-            return config
-        proc = payload.get("processor")
-        if not isinstance(proc, str):
-            raise BadRequest("need 'config' (a configuration key) or 'processor'")
-        try:
-            spec = processor(proc)
-        except KeyError as exc:
-            raise BadRequest(f"unknown processor {proc!r}") from exc
-        try:
-            return configure(
-                spec,
-                cores=payload.get("cores"),
-                threads=payload.get("threads"),
-                clock=payload.get("clock"),
-                turbo=payload.get("turbo"),
-            )
-        except UnsupportedConfigurationError as exc:
-            raise BadRequest(f"unsupported configuration: {exc}") from exc
 
     async def _results(self, request: Request) -> Response:
         records = self._store.records(
@@ -938,55 +912,30 @@ class CampaignServer:
         scheduler's measurement thread, serialized with /measure batches,
         and its deterministic payload is cached by canonical parameters.
         """
-        from repro.hardware.technology import PROJECTED_NODES
-        from repro.projection import Budget, evaluate_projection_finding
-
-        query = request.query
         try:
-            nodes = tuple(
-                int(part)
-                for part in query.get("nodes", "22,14,10,7").split(",")
-                if part
+            query = parse_query(
+                request.query,
+                default_samples=64,
+                max_samples=self.PROJECT_MAX_SAMPLES,
             )
-            samples = int(query.get("samples", "64"))
-            seed = int(query.get("seed", "0"))
-            area = float(query.get("area", "260"))
-            tdp = float(query.get("tdp", "130"))
-        except ValueError as exc:
-            return _error(400, f"bad projection parameter: {exc}")
-        unknown = [nm for nm in nodes if nm not in PROJECTED_NODES]
-        if unknown or not nodes:
-            return _error(
-                400,
-                f"nodes must name projected nodes "
-                f"{sorted(PROJECTED_NODES, reverse=True)}, got {query.get('nodes')!r}",
-            )
-        if not 1 <= samples <= self.PROJECT_MAX_SAMPLES:
-            return _error(
-                400,
-                f"samples must be in [1, {self.PROJECT_MAX_SAMPLES}], got {samples}",
-            )
-        try:
-            budget = Budget(area_mm2=area, tdp_w=tdp)
-        except ValueError as exc:
-            return _error(400, str(exc))
-        cache_key = (nodes, samples, seed, area, tdp)
-        payload = self._projection_cache.get(cache_key)
-        if payload is None:
-            try:
+            payload = self._projection_cache.get(query)
+            if payload is None:
                 dataset = await self._scheduler.offload(
-                    self._scheduler.run_projection, nodes, samples, budget, seed
+                    self._scheduler.run_projection, query
                 )
-            except ValueError as exc:
-                return _error(500, f"projection search failed: {exc}")
+        except ProjectionQueryError as exc:
+            return _error(400, str(exc))
+        except ValueError as exc:
+            return _error(500, f"projection search failed: {exc}")
+        if payload is None:
             report = evaluate_projection_finding(dataset)
             payload = {
                 "params": {
-                    "nodes": list(nodes),
-                    "samples": samples,
-                    "seed": seed,
-                    "area_mm2": area,
-                    "tdp_w": tdp,
+                    "nodes": list(query.nodes),
+                    "samples": query.samples,
+                    "seed": query.seed,
+                    "area_mm2": query.budget.area_mm2,
+                    "tdp_w": query.budget.tdp_w,
                 },
                 "candidates": dataset.candidate_count(),
                 "dataset": dataset.to_dict(),
@@ -996,7 +945,7 @@ class CampaignServer:
                     "evidence": report.evidence,
                 },
             }
-            self._projection_cache[cache_key] = payload
+            self._projection_cache[query] = payload
         return _json_response(200, payload)
 
     async def _healthz(self, request: Request) -> Response:
@@ -1063,34 +1012,6 @@ class CampaignServer:
                 "spans": spans,
             },
         )
-
-
-def _parse_plan(raw: object) -> Optional[FaultPlan]:
-    """Per-request fault plan: a canned name or an inline plan object.
-
-    File paths are deliberately *not* accepted here — unlike the CLI's
-    ``--inject``, this value crosses a network boundary and must not
-    reach the filesystem.
-    """
-    if raw is None:
-        return None
-    if isinstance(raw, str):
-        if raw == "ci":
-            return fail_stop_plan()
-        if raw == "demo":
-            return demo_plan()
-        if raw == "chaos":
-            return worker_chaos_plan()
-        raise BadRequest(
-            f"unknown plan {raw!r}: use 'ci', 'demo', 'chaos', or an "
-            f"inline plan object"
-        )
-    if isinstance(raw, dict):
-        try:
-            return FaultPlan.from_dict(raw)
-        except ValueError as exc:
-            raise BadRequest(f"invalid fault plan: {exc}") from exc
-    raise BadRequest("'inject' must be a plan name or a plan object")
 
 
 async def serve_async(

@@ -254,6 +254,29 @@ class TestRecoveryReplay:
             _golden(references), _served(outcome[2], stored)
         )
 
+    def test_entry_outside_the_study_configurations_replays(
+        self, references, tmp_path
+    ):
+        """POST /measure journals any configuration a part can express,
+        so recovery resolves every such key, not only the study's 45."""
+        path = tmp_path / "three-cores.sqlite"
+        with ResultStore(path) as store:
+            store.journal_admit("three-cores", MCF.name, "c2q_65/3C1T@2.4")
+        server = CampaignServer(
+            study=_quick_study(references), store=path, recover=True
+        )
+        with _LiveServer(server) as live:
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                health = json.loads(live.request("GET", "/healthz")[2])
+                recovery = health["recovery"]
+                if recovery["completed"] + recovery["failed"] == 1:
+                    break
+                time.sleep(0.05)
+            entry = live.server.store.journal_entry("three-cores")
+        assert health["recovery"] == {"replayed": 1, "completed": 1, "failed": 0}
+        assert entry.status == "done"
+
     def test_unresolvable_entry_fails_loudly_not_fatally(
         self, references, tmp_path
     ):

@@ -44,9 +44,15 @@ class TestMeasure:
         )
         assert "i7_45/2C1T@1.6-TB" in out
 
-    def test_unknown_benchmark_raises(self):
-        with pytest.raises(KeyError):
-            main(["--quick", "measure", "nope", "i7_45"])
+    def test_unknown_benchmark_exits_2(self, capsys):
+        assert main(["--quick", "measure", "nope", "i7_45"]) == 2
+        assert capsys.readouterr().err == "error: unknown benchmark 'nope'\n"
+
+    def test_unknown_processor_exits_2(self, capsys):
+        assert main(["--quick", "measure", "xalan", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown processor 'nope'")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "flag, value",

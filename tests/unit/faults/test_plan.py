@@ -12,8 +12,10 @@ from repro.faults.plan import (
     FAIL_STOP_KINDS,
     KNOWN_KINDS,
     PROCESS_KINDS,
+    CANNED_PLANS,
     FaultPlan,
     FaultSpec,
+    PlanError,
     coordinator_crash_plan,
     demo_plan,
     fail_stop_plan,
@@ -150,6 +152,37 @@ class TestFaultPlan:
         assert plan_from_arg("ci") == fail_stop_plan()
         path = demo_plan(0.5, seed="file").to_json(tmp_path / "p.json")
         assert plan_from_arg(str(path)) == demo_plan(0.5, seed="file")
+
+    def test_plan_from_arg_reads_one_table(self):
+        for name, factory in CANNED_PLANS.items():
+            assert plan_from_arg(name) == factory()
+            assert plan_from_arg(name, paths=False) == factory()
+
+    def test_inline_plans_only_without_paths(self, tmp_path):
+        plan = demo_plan(0.5, seed="inline")
+        assert plan_from_arg(plan.as_dict(), paths=False) == plan
+        with pytest.raises(PlanError):
+            plan_from_arg(plan.as_dict())
+        path = str(plan.to_json(tmp_path / "p.json"))
+        with pytest.raises(PlanError, match="inline plan object"):
+            plan_from_arg(path, paths=False)
+
+    @pytest.mark.parametrize("arg, paths", [
+        ("/no/such/plan.json", True),
+        ("nope", False),
+        (5, False),
+        ({"faults": [{"probability": 0.1}]}, False),
+        ({"faults": "x"}, False),
+    ])
+    def test_bad_plans_raise_one_error_type(self, arg, paths):
+        with pytest.raises(PlanError):
+            plan_from_arg(arg, paths=paths)
+
+    def test_plan_file_not_holding_an_object_is_refused(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        with pytest.raises(PlanError, match="malformed fault plan"):
+            plan_from_arg(str(path))
 
     def test_canned_plans_cover_the_taxonomy(self):
         # demo is armable on a live server, so it excludes the kinds

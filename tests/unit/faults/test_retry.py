@@ -1,7 +1,5 @@
 """Unit tests for the retry policy."""
 
-import math
-
 import pytest
 
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
@@ -18,11 +16,6 @@ class TestValidation:
         "kwargs",
         [
             {"max_retries": -1},
-            {"backoff_s": -0.1},
-            {"backoff_s": math.inf},
-            {"backoff_factor": 0.5},
-            {"jitter": -0.1},
-            {"jitter": 1.5},
             {"timeout_budget_s": 0.0},
             {"outlier_threshold": 0.0},
             {"outlier_threshold": -3.5},
@@ -33,28 +26,3 @@ class TestValidation:
         with pytest.raises(ValueError):
             RetryPolicy(**kwargs)
 
-
-class TestDelay:
-    def test_zero_backoff_never_sleeps(self):
-        policy = RetryPolicy(backoff_s=0.0, jitter=0.25)
-        assert policy.delay_for(1, "site") == 0.0
-        assert policy.delay_for(7, "site") == 0.0
-
-    def test_exponential_and_capped_without_jitter(self):
-        policy = RetryPolicy(
-            backoff_s=0.5, backoff_factor=2.0, max_backoff_s=2.0, jitter=0.0
-        )
-        assert policy.delay_for(1, "s") == 0.5
-        assert policy.delay_for(2, "s") == 1.0
-        assert policy.delay_for(3, "s") == 2.0
-        assert policy.delay_for(4, "s") == 2.0  # capped
-
-    def test_jitter_is_bounded_and_deterministic(self):
-        policy = RetryPolicy(backoff_s=1.0, max_backoff_s=8.0, jitter=0.25)
-        first = policy.delay_for(2, "siteA")
-        assert first == policy.delay_for(2, "siteA")
-        base = 2.0
-        assert base * 0.75 <= first <= base * 1.25
-        # Different sites (and attempts) draw independent jitter.
-        assert first != policy.delay_for(2, "siteB")
-        assert first != policy.delay_for(3, "siteA")

@@ -5,12 +5,22 @@ import pickle
 
 import pytest
 
-from repro.hardware.catalog import ATOM_45, CORE2DUO_65, CORE_I5_32, CORE_I7_45
+from repro.hardware.catalog import (
+    ATOM_45,
+    CORE2DUO_65,
+    CORE_I5_32,
+    CORE_I7_45,
+    PROCESSORS,
+)
 from repro.hardware.config import (
     Configuration,
     UnsupportedConfigurationError,
+    configure,
+    resolve_pair,
     stock,
 )
+from repro.hardware.configurations import all_configurations
+from repro.workloads.catalog import benchmark
 
 
 class TestValidation:
@@ -150,3 +160,43 @@ class TestDerivationHelpers:
 
     def test_without_turbo(self):
         assert not stock(CORE_I7_45).without_turbo().turbo_enabled
+
+
+class TestResolvePair:
+    def test_processor_and_settings(self):
+        bench, config = resolve_pair(
+            "xalan", processor_key="i7_45", cores=2, threads=1, clock=1.6
+        )
+        assert bench is benchmark("xalan")
+        assert config.key == "i7_45/2C1T@1.6-TB"
+
+    def test_every_study_configuration_resolves_from_its_key(self):
+        for config in all_configurations():
+            assert resolve_pair("mcf", config.key)[1] == config
+
+    def test_every_built_configuration_resolves_from_its_key(self):
+        # Journal recovery resolves the keys POST /measure wrote, and
+        # those include configurations outside the study's 45.
+        for spec in PROCESSORS:
+            for cores in range(1, spec.cores + 1):
+                config = configure(spec, cores=cores, threads=1, turbo=False)
+                assert resolve_pair("mcf", config.key)[1] == config
+
+    @pytest.mark.parametrize("args, message", [
+        (("nope", None, "i7_45"), "unknown benchmark 'nope'"),
+        (("mcf", None, "nope"), "unknown processor 'nope'"),
+        (("mcf", "bogus"), "unknown configuration key 'bogus'"),
+        (("mcf", "i7_45/9C2T@2.66-TB"), "unknown configuration key"),
+        (("mcf", "i7_45/4C2T@2.660-TB"), "unknown configuration key"),
+        (("mcf",), "need 'config'"),
+    ], ids=["benchmark", "processor", "key", "key-too-many-cores",
+            "key-not-canonical", "no-configuration"])
+    def test_bad_names_raise_one_error_type(self, args, message):
+        with pytest.raises(UnsupportedConfigurationError, match=message):
+            resolve_pair(*args)
+
+    def test_bad_setting_names_the_configuration(self):
+        with pytest.raises(
+            UnsupportedConfigurationError, match="^unsupported configuration: "
+        ):
+            resolve_pair("mcf", processor_key="i7_45", cores=9)
