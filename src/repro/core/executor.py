@@ -16,6 +16,10 @@ The protocol:
   in a :class:`WorkerSetup`, together with the retry policy, the armed
   :class:`~repro.faults.plan.FaultPlan` (fault decisions must survive the
   process boundary), and the metrics-enabled flag;
+* a sweep reaches the pool only with two or more uncached pairs, or
+  under a plan with a ``worker.*`` spec: one pair cannot be split, so
+  :meth:`Study.run_pairs <repro.core.study.Study.run_pairs>` measures
+  it on the calling thread;
 * uncached pairs are dealt round-robin into chunks (a few per worker, so
   a slow chunk cannot straggle the whole sweep);
 * each worker runs the study's pure pair measurement on every pair of
@@ -114,7 +118,11 @@ class PoolUnavailable(RuntimeError):
 
 @dataclass(frozen=True)
 class WorkerSetup:
-    """Everything a worker process needs, shipped once at pool init."""
+    """Everything a worker process needs, shipped once at pool init.
+
+    A kept-alive :class:`SweepPool` serves a later sweep only when the
+    sweep's setup equals its own: every field gates reuse, and
+    ``references`` compare by identity."""
 
     references: References
     invocation_scale: float
@@ -124,30 +132,10 @@ class WorkerSetup:
     #: Arm the worker's tracer so each pair ships its span subtree home
     #: (defaulted so pickled setups from older callers keep working).
     trace_enabled: bool = False
-    #: Compiled sweep kernels to preload (an engine ``kernel_snapshot``),
-    #: a warm-start hint — workers compile missing entries
-    #: deterministically.  ``None`` ships nothing.
-    kernels: Optional[dict] = None
     #: Route fault-free pairs through compiled kernels in the worker's
     #: pair measurement (result bytes are identical either way; this
     #: only pins which code path produces them).
     vectorize: bool = True
-
-    def compatible_with(self, other: "WorkerSetup") -> bool:
-        """Whether workers built from this setup can serve a sweep that
-        asked for ``other`` (the reuse rule of a kept-alive
-        :class:`SweepPool`).  ``kernels`` is a warm-start hint and never
-        gates; ``vectorize`` does, so a sweep that pins the scalar path
-        is really measured on it."""
-        return (
-            self.references is other.references
-            and self.invocation_scale == other.invocation_scale
-            and self.retry == other.retry
-            and self.metrics_enabled == other.metrics_enabled
-            and self.fault_plan == other.fault_plan
-            and self.trace_enabled == other.trace_enabled
-            and self.vectorize == other.vectorize
-        )
 
 
 @dataclass(frozen=True)
@@ -161,8 +149,8 @@ class ChunkResult:
 
 
 def _init_worker(setup: WorkerSetup) -> _PairMeasurement:
-    """Worker start-up: arm faults, preload kernels, build the worker's
-    pair measurement.  Self-sufficient under both fork and spawn: the
+    """Worker start-up: arm faults and tracing, build the worker's pair
+    measurement.  Self-sufficient under both fork and spawn: the
     references' engine carries its instruction calibration either way
     (inherited by a forked child, pickled for a spawned one)."""
     from repro.faults import injector
@@ -185,8 +173,6 @@ def _init_worker(setup: WorkerSetup) -> _PairMeasurement:
         injector.install(setup.fault_plan)
     else:
         injector.uninstall()
-    if setup.kernels:
-        setup.references.engine.preload_kernels(setup.kernels)
     return _PairMeasurement(
         setup.references, setup.invocation_scale, setup.retry, setup.vectorize
     )
@@ -431,8 +417,7 @@ class SweepPool:
     small batches over hours, so it keeps one pool warm
     (:class:`~repro.core.study.Study` with ``reuse_pool=True``) and
     amortises worker start-up across batches.  A pool may serve a sweep
-    only when :meth:`WorkerSetup.compatible_with` accepts the sweep's
-    setup.
+    only when the sweep's :class:`WorkerSetup` equals the pool's.
 
     ``clock`` must be monotonic; it is injectable so liveness tests can
     step time instead of sleeping.  ``process_factory(worker_id, tasks,

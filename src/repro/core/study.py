@@ -390,13 +390,16 @@ class Study:
     ``jobs`` shards sweeps across a
     :class:`~repro.core.executor.SweepPool`: ``None`` (the default) runs
     in-process, an integer pins the worker count, and ``"auto"`` (or 0)
-    uses the machine's CPU count.  Workers beat every ``heartbeat_s``
-    seconds and are respawned, their chunk requeued, after
-    ``liveness_misses`` missed beats; when no worker can be spawned the
-    sweep runs in-process.  Measurements are pure and every sweep merges
-    through one loop, so results, health, checkpoint bytes and cache and
-    invocation telemetry are identical at any worker count (see
-    docs/performance.md).  ``reuse_pool`` keeps the pool alive between
+    uses the machine's CPU count.  A sweep goes to the pool only when it
+    has two or more pairs to measure, or when the armed fault plan holds
+    a ``worker.*`` spec (those faults exist only on the pool); a single
+    pair cannot be split, so it is measured on the calling thread.
+    Workers beat every ``heartbeat_s`` seconds and are respawned, their
+    chunk requeued, after ``liveness_misses`` missed beats; when no
+    worker can be spawned the sweep runs in-process.  Measurements are
+    pure and every sweep merges through one loop, so results, health,
+    checkpoint bytes and cache and invocation telemetry are identical at
+    any worker count (see docs/performance.md).  ``reuse_pool`` keeps the pool alive between
     sweeps (the campaign server); :meth:`close_pool` releases it.
     """
 
@@ -542,8 +545,15 @@ class Study:
                 sum(self.scaled_invocations(benchmark) for benchmark, _ in pending)
             )
         workers = self._resolve_jobs(jobs)
+        injector = _faults_active()
+        # One pair cannot be split across workers; only worker faults,
+        # which exist nowhere but on the pool, send it there.
+        pooled = len(pending) > 1 or bool(
+            pending and injector is not None
+            and injector.plan.specs_for_stage("worker")
+        )
         outcomes: dict[tuple[Benchmark, str], PairOutcome] = {}
-        if workers is not None and pending:
+        if workers is not None and pooled:
             outcomes = self._dispatch(pending, workers)
         # Whatever the pool did not measure, the merge loop measures
         # in-process: compile it and prime its seeding in one batch first.
@@ -558,9 +568,10 @@ class Study:
         """Worker count for a sweep, or ``None`` for the in-process path.
 
         ``"auto"`` (or 0) uses the CPU count and degrades to sequential
-        on a single-core machine; an explicit integer always takes the
-        pool path — even ``jobs=1``, which is how the equivalence tests
-        exercise the full dispatch/merge machinery."""
+        on a single-core machine; an explicit integer takes the pool path
+        for every sweep :meth:`run_pairs` sends there — even ``jobs=1``,
+        which is how the equivalence tests exercise the full
+        dispatch/merge machinery."""
         jobs = override if override is not None else self._jobs
         if jobs is None:
             return None
@@ -601,7 +612,6 @@ class Study:
             metrics_enabled=_metrics_enabled(),
             fault_plan=injector.plan if injector is not None else None,
             trace_enabled=default_tracer().is_enabled,
-            kernels=self.engine.kernel_snapshot() or None,
             vectorize=self._pair.vectorize,
         )
         options = dict(
@@ -610,10 +620,7 @@ class Study:
         )
         try:
             if self._reuse_pool:
-                if (
-                    self._pool is not None
-                    and not self._pool.setup.compatible_with(setup)
-                ):
+                if self._pool is not None and self._pool.setup != setup:
                     self.close_pool()
                 if self._pool is None:
                     self._pool = executor.SweepPool(setup, workers, **options)

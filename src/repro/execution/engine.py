@@ -173,24 +173,10 @@ class ExecutionEngine:
         self._jvm_services_enabled = jvm_services_enabled
         self._jvm_vendor = jvm_vendor
         self._native_toolchain = native_toolchain
+        # Pickled with the engine when it ships to pool workers: a small
+        # dict of floats that saves each worker four probe runs per
+        # benchmark.
         self._instruction_cache: dict[Benchmark, float] = {}
-        # Compiled sweep kernels (:mod:`repro.execution.kernels`), keyed
-        # by (benchmark, config key, effective iteration, invocations).
-        # The engine stores them opaquely — the kernels module owns their
-        # shape — and ships them to pool workers by snapshot/preload.
-        self._kernel_cache: dict[tuple, object] = {}
-
-    def __getstate__(self) -> dict:
-        """Pickle support for shipping the engine to pool workers.
-
-        The calibration table travels (it is a small dict of floats and
-        saves each worker four probe runs per benchmark); the kernel
-        cache does not — kernels ship separately via
-        ``WorkerSetup.kernels`` so their kept replay state never rides
-        along."""
-        state = self.__dict__.copy()
-        state["_kernel_cache"] = {}
-        return state
 
     # -- public API ----------------------------------------------------------
 
@@ -312,24 +298,12 @@ class ExecutionEngine:
             variability = max(variability, 0.012)
         return variability
 
-    def cached_kernel(self, key: tuple) -> Optional[object]:
-        """A compiled sweep kernel, or ``None`` (opaque to the engine)."""
-        return self._kernel_cache.get(key)
-
-    def store_kernel(self, key: tuple, kernel: object) -> None:
-        self._kernel_cache[key] = kernel
-
-    def kernel_snapshot(self) -> dict[tuple, object]:
-        """The compiled-kernel table, for preloading pool workers.
-        Kernels serialise compactly: their kept replay state is dropped
-        on pickle and redrawn from stored seeds on first replay."""
-        return dict(self._kernel_cache)
-
-    def preload_kernels(self, snapshot: dict[tuple, object]) -> None:
-        """Adopt a :meth:`kernel_snapshot` (locally compiled entries win;
-        both derivations are deterministic)."""
-        for key, kernel in snapshot.items():
-            self._kernel_cache.setdefault(key, kernel)
+    def kernel_snapshot(self) -> dict:
+        """Always empty: the engine keeps no compiled kernels.  Kept only
+        because the repository benchmark's layer tracer wraps this name
+        (ROADMAP item 6 drops that target); nothing in the program calls
+        it."""
+        return {}
 
     def record_plan_replays(
         self, invocations: int, serial_phases: int, parallel_phases: int

@@ -44,12 +44,12 @@ kernel's ``(seconds, watts)`` outputs are **byte-identical** to the
 scalar path's — goldens, checkpoint bytes, and campaign health do not
 move (docs/performance.md, "Vectorized path").
 
-Kernels live in the engine's opaque kernel cache and ship to sweep
-workers through ``WorkerSetup.kernels``; their kept replay state and
-seeding words are dropped on pickle (:meth:`PairKernel.__getstate__`)
-and rebuilt from seeds on first use.  Pairs the compiler cannot express
-(unexpected phase shapes) and pairs a :class:`~repro.faults.plan.FaultPlan` has armed fall back to
-the scalar path per pair — counted in
+A kernel lives for one pair's measurement: :func:`compile_pair` builds
+it, :func:`run_pair` replays it and the caller drops it, so nothing
+accumulates across pairs (a pool worker compiles the kernels of its own
+chunk).  Pairs the compiler cannot express (unexpected phase shapes) and
+pairs a :class:`~repro.faults.plan.FaultPlan` has armed fall back to the
+scalar path per pair — counted in
 ``repro_kernel_scalar_fallbacks_total``.
 """
 
@@ -68,7 +68,7 @@ from repro.hardware.power import frequency_scale, voltage_scale
 from repro.hardware.turbo import power_multiplier
 from repro.measurement.meter import PowerMeter
 from repro.obs.metrics import default_registry
-from repro.runtime.methodology import MeasurementProtocol, STEADY_STATE_ITERATION
+from repro.runtime.methodology import MeasurementProtocol
 from repro.workloads.benchmark import Benchmark
 
 _REGISTRY = default_registry()
@@ -76,18 +76,9 @@ _COMPILES = _REGISTRY.counter(
     "repro_kernel_compiles_total",
     "Sweep kernels compiled from execution plans",
 )
-_CACHE_HITS = _REGISTRY.counter(
-    "repro_kernel_cache_hits_total",
-    "Pair measurements answered by an already-compiled kernel",
-)
 _FALLBACKS = _REGISTRY.counter(
     "repro_kernel_scalar_fallbacks_total",
     "Pairs measured on the scalar path instead of a kernel, by reason",
-)
-_CACHE_BYTES = _REGISTRY.gauge(
-    "repro_kernel_cache_bytes",
-    "Serialized footprint of the compiled kernels: factor vectors and "
-    "seed tables",
 )
 
 
@@ -99,17 +90,15 @@ def note_fallback(reason: str) -> None:
 
 
 def kernel_stats() -> dict:
-    """The kernel cache's counters as a plain dict — the shape
-    ``/healthz`` embeds and ``repro top`` renders."""
+    """The kernel counters as a plain dict — the shape ``/healthz``
+    embeds and ``repro top`` renders."""
     fallbacks = {
         child.label_values.get("reason", "unknown"): int(child.value)
         for child in _FALLBACKS.children()
     }
     return {
         "compiles": int(_COMPILES.value),
-        "cache_hits": int(_CACHE_HITS.value),
         "fallbacks": fallbacks,
-        "cache_bytes": int(_CACHE_BYTES.value),
     }
 
 
@@ -153,8 +142,8 @@ class PairKernel:
     the first replay and kept — under 200 bytes per invocation.  The
     per-sample arrays (true power, supply wander, sensor noise) are
     rebuilt on every replay and freed once metered.  The kept state is
-    dropped on pickle, so snapshots shipped to pool workers stay compact,
-    and every rebuild from seeds is deterministic, hence identical.
+    dropped on pickle, so a pickled kernel stays compact, and every
+    rebuild from seeds is deterministic, hence identical.
     """
 
     benchmark_name: str
@@ -194,9 +183,9 @@ class PairKernel:
 
     def __getstate__(self) -> dict:
         """Serialise compactly: the replay state and the start states
-        are pure functions of the seed tables, so they never travel — a
-        worker that adopts this kernel re-derives them, byte-identical,
-        on first replay."""
+        are pure functions of the seed tables, so they never travel — an
+        unpickled kernel re-derives them, byte-identical, on first
+        replay."""
         state = self.__dict__.copy()
         state["_invocations"] = None
         state["_states"] = None
@@ -209,16 +198,6 @@ class PairKernel:
             self.time_seeds, self.power_seeds,
             self.supply_seeds, self.sensor_seeds,
         ))
-
-    @property
-    def nbytes(self) -> int:
-        """Approximate serialised footprint (factor arrays + seed
-        tables), for the ``repro_kernel_cache_bytes`` gauge."""
-        arrays = (
-            self.phase_seconds, self.phase_const, self.phase_coeff,
-            self.phase_switch, self.phase_smt, self.phase_turbo,
-        )
-        return sum(a.nbytes for a in arrays) + 8 * 4 * self.invocations
 
     # -- replay --------------------------------------------------------------
 
@@ -359,23 +338,6 @@ def prime(kernels: Iterable[PairKernel]) -> None:
         start = stop
 
 
-def kernel_key(
-    benchmark: Benchmark,
-    config: Configuration,
-    protocol: MeasurementProtocol,
-    invocations: int,
-) -> tuple:
-    """The engine kernel-cache key for one pair's compiled loop.
-
-    Mirrors :meth:`~repro.execution.engine.ExecutionEngine.execution_plan`'s
-    iteration normalisation so two protocols that resolve to the same
-    effective iteration share one kernel."""
-    effective_iteration = (
-        (protocol.iteration or STEADY_STATE_ITERATION) if benchmark.managed else None
-    )
-    return (benchmark, config.key, effective_iteration, invocations)
-
-
 def compile_pair(
     engine: ExecutionEngine,
     meter: PowerMeter,
@@ -384,7 +346,7 @@ def compile_pair(
     protocol: MeasurementProtocol,
     invocations: int,
 ) -> Optional[PairKernel]:
-    """Compile (or fetch) the kernel for one pair's invocation loop.
+    """Compile the kernel for one pair's invocation loop.
 
     Returns ``None`` — after counting the fallback — for plans the
     compiler does not express: anything but the engine's one- or
@@ -393,12 +355,6 @@ def compile_pair(
     below is deliberately *Python-scalar* arithmetic copied operation for
     operation from :func:`repro.hardware.power.package_power`, so the
     folded constants are the exact floats the scalar path computes."""
-    key = kernel_key(benchmark, config, protocol, invocations)
-    cached = engine.cached_kernel(key)
-    if cached is not None:
-        _CACHE_HITS.inc()
-        return cached  # type: ignore[return-value]
-
     plan = engine.execution_plan(benchmark, config, protocol.iteration)
     phases = plan.phases
     if len(phases) not in (1, 2) or (
@@ -471,9 +427,7 @@ def compile_pair(
         rate_hz=logger.rate_hz,
         max_samples=logger.max_samples,
     )
-    engine.store_kernel(key, kernel)
     _COMPILES.inc()
-    _CACHE_BYTES.inc(kernel.nbytes)
     return kernel
 
 

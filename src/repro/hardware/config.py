@@ -223,12 +223,23 @@ def resolve_pair(
     """The pair ``repro measure``, ``POST /measure`` and journal recovery
     name: a benchmark, and a configuration key such as
     ``i7_45/4C2T@2.66-TB`` or else a processor set up by
-    :func:`configure` ``settings``.  Every failure is an
+    :func:`configure` ``settings``, never both: a key fixes the processor
+    and every setting.  Every failure is an
     :class:`UnsupportedConfigurationError` naming the bad input."""
     bench = BENCHMARKS_BY_NAME.get(str(benchmark))
     if bench is None:
         raise UnsupportedConfigurationError(f"unknown benchmark {benchmark!r}")
     if config_key is not None:
+        beside = [
+            name
+            for name, value in {"processor": processor_key, **settings}.items()
+            if value is not None
+        ]
+        if beside:
+            raise UnsupportedConfigurationError(
+                f"configuration key {config_key!r} fixes the processor and "
+                f"settings; drop {', '.join(map(repr, beside))}"
+            )
         return bench, _configuration(str(config_key))
     if processor_key is None:
         raise UnsupportedConfigurationError(

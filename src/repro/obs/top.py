@@ -113,10 +113,7 @@ def render_top(
         )
         lines.append(
             f"kernels: {kernels.get('compiles', 0)} compiled  "
-            f"{kernels.get('cache_hits', 0)} hits  "
-            f"{fallback_total} scalar fallbacks  "
-            f"{float(kernels.get('cache_bytes') or 0) / 1024.0:.1f} KiB "
-            "of compiled kernels"
+            f"{fallback_total} scalar fallbacks"
         )
 
     availability = slo.get("availability") or {}

@@ -507,7 +507,7 @@ class CampaignServer:
         return Request(
             method=method,
             path=split.path or "/",
-            query=dict(parse_qsl(split.query)),
+            query=dict(parse_qsl(split.query, keep_blank_values=True)),
             headers=headers,
             body=body,
             peer=peer,
@@ -848,10 +848,11 @@ class CampaignServer:
         return bench, config, plan
 
     async def _results(self, request: Request) -> Response:
-        records = self._store.records(
-            benchmark=request.query.get("benchmark"),
-            config=request.query.get("config"),
-        )
+        filters = {name: request.query.get(name) for name in ("benchmark", "config")}
+        for name, value in filters.items():
+            if value == "":
+                return _error(400, f"'{name}' filter must not be blank")
+        records = self._store.records(**filters)
         return _json_response(
             200,
             {

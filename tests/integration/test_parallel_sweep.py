@@ -15,13 +15,20 @@ import pytest
 
 from repro.core.study import Study
 from repro.faults.injector import injected
-from repro.faults.plan import FaultPlan, FaultSpec, demo_plan, fail_stop_plan
+from repro.faults.plan import (
+    FaultPlan,
+    FaultSpec,
+    demo_plan,
+    fail_stop_plan,
+    worker_chaos_plan,
+)
 from repro.faults.retry import RetryPolicy
 from repro.obs.metrics import default_registry
 from tests.equivalence import (
     BENCHES,
     CLEAN,
     CONFIGS,
+    PAIRS,
     Capture,
     Mode,
     assert_campaign_equivalent,
@@ -143,6 +150,56 @@ class TestFallback:
         assert_campaign_equivalent(expected, fallback)
 
 
+def _counters() -> dict[str, float]:
+    """Every counter's total, labelled children summed."""
+    return {
+        metric.name: sum(child.value for child in metric.samples())
+        for metric in default_registry()
+        if metric.kind == "counter"
+    }
+
+
+class TestDispatchRule:
+    """A sweep goes to the pool only when it has two or more pairs to
+    measure, or when the armed plan holds a ``worker.*`` spec: one pair
+    cannot be split across workers, and worker faults exist only there."""
+
+    def _counted(self, references, tmp_path, mode, campaign):
+        before = _counters()
+        captured = sweep(references, mode, campaign, workdir=tmp_path,
+                         reuse_pool=True)
+        after = _counters()
+        return captured, {name: after[name] - before.get(name, 0.0) for name in after}
+
+    def test_one_pair_sweep_starts_no_pool(self, references, tmp_path):
+        one = PAIRS[:1]
+        in_process = Mode(kernels=True)
+        self._counted(references, tmp_path, in_process, one)  # warm the engine
+        expected, expected_moved = self._counted(references, tmp_path, in_process, one)
+        actual, moved = self._counted(
+            references, tmp_path, Mode(dispatch=2, kernels=True), one
+        )
+        assert actual.fleet is None
+        assert_campaign_equivalent(expected, actual)
+        assert moved == expected_moved
+
+    def test_two_pair_sweep_starts_the_pool(self, references, reference, tmp_path):
+        two = PAIRS[:2]
+        actual = sweep(references, Mode(dispatch=2, kernels=True), two,
+                       workdir=tmp_path, reuse_pool=True)
+        assert actual.fleet is not None and actual.fleet["live"] >= 1
+        assert_campaign_equivalent(reference(campaign=two), actual)
+
+    def test_worker_faults_send_one_pair_to_the_pool(
+        self, references, reference, tmp_path
+    ):
+        one = PAIRS[:1]
+        mode = Mode(dispatch=2, kernels=True, plan=worker_chaos_plan())
+        actual = sweep(references, mode, one, workdir=tmp_path, reuse_pool=True)
+        assert actual.fleet is not None and actual.fleet["restarts"] >= 1
+        assert_campaign_equivalent(reference(campaign=one), actual)
+
+
 class TestTelemetryParity:
     COUNTERS = (
         "repro_study_cache_hits_total",
@@ -167,9 +224,10 @@ class TestTelemetryParity:
     )
     RETRY = RetryPolicy(max_retries=8, outlier_threshold=3.5)
 
-    def _one_pair_sweeps(self, references, jobs):
-        """Sweep pairs A, B, A, B, A one at a time through a study whose
-        cache holds one pair, so every sweep re-measures."""
+    def _two_pair_sweeps(self, references, jobs):
+        """Sweep pairs (A, B), (C, A), (B, C) through a study whose cache
+        holds one pair, so every sweep re-measures both of its pairs; a
+        ``jobs`` run measures each sweep on the kept-alive pool."""
         registry = default_registry()
         latency = registry.get("repro_measure_seconds")
 
@@ -186,12 +244,14 @@ class TestTelemetryParity:
             cache_capacity=1,
             retry=self.RETRY,
         )
-        a, b = (BENCHES[0], CONFIGS[0]), (BENCHES[1], CONFIGS[0])
+        a, b, c = ((bench, CONFIGS[0]) for bench in BENCHES[:3])
         try:
             with injected(self.PLAN):
                 sweeps = [
-                    study.run_pairs([pair], jobs=jobs) for pair in (a, b, a, b, a)
+                    study.run_pairs(pairs, jobs=jobs)
+                    for pairs in ((a, b), (c, a), (b, c))
                 ]
+            assert (study.fleet_snapshot() is not None) == (jobs is not None)
         finally:
             study.close_pool()
         moved = [now - start for now, start in zip(_read(), before)]
@@ -203,16 +263,16 @@ class TestTelemetryParity:
         pool exactly as in-process.  Retries, re-measures, invocations
         and the latency histogram are counted once, by the merge loop,
         wherever the pair was measured."""
-        captures, moved = self._one_pair_sweeps(references, jobs=None)
+        captures, moved = self._two_pair_sweeps(references, jobs=None)
         hits, misses, invocations, retries, remeasures, latencies = moved
-        assert hits == 0 and misses == 5  # no hits, five misses
+        assert hits == 0 and misses == 6  # no hits, six misses
         assert retries == sum(c.health.retries for c in captures) > 0
         assert remeasures == sum(c.health.remeasured_outliers for c in captures) == 2
         assert invocations == sum(
             record["invocations"] for c in captures for record in c.records
         )
-        assert latencies == 5
-        pooled, pooled_moved = self._one_pair_sweeps(references, jobs=1)
+        assert latencies == 6
+        pooled, pooled_moved = self._two_pair_sweeps(references, jobs=1)
         for expected, actual in zip(captures, pooled, strict=True):
             assert_campaign_equivalent(expected, actual)
         assert pooled_moved == moved

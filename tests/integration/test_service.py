@@ -97,12 +97,30 @@ class _LiveServer:
     def measure(self, body: dict, headers: dict | None = None):
         return self.request("POST", "/measure", body, headers)
 
+    def measure_together(self, *pairs) -> list:
+        """Submit ``pairs`` to the scheduler in one step of the server's
+        loop, so they reach the measurement thread as one batch (a batch
+        of two or more pairs is measured on the pool of a ``jobs``
+        server); their results, in order."""
+        scheduler = self.server.scheduler
+
+        async def together():
+            return await asyncio.gather(
+                *(scheduler.submit(bench, config) for bench, config in pairs)
+            )
+
+        return asyncio.run_coroutine_threadsafe(
+            together(), self.loop
+        ).result(timeout=60)
+
 
 def _quick_study(references, **kwargs) -> Study:
     return Study(references=references, invocation_scale=0.2, **kwargs)
 
 
 MEASURE_MCF_I7 = {"benchmark": "mcf", "processor": "i7_45"}
+#: Two distinct pairs: one batch of them reaches a ``jobs`` server's pool.
+TWO_PAIRS = ((benchmark("mcf"), stock(CORE_I7_45)), (benchmark("db"), stock(ATOM_45)))
 
 
 class TestCoalescingByteIdentity:
@@ -185,8 +203,7 @@ class TestLiveServerTeardown:
         live = _LiveServer(server)
         with pytest.raises(RuntimeError, match="drain failed"):
             with live:
-                status, _, _ = live.measure(MEASURE_MCF_I7)
-                assert status == 200
+                live.measure_together(*TWO_PAIRS)
                 processes = [h.process for h in study._pool._workers]
                 assert processes and all(p.is_alive() for p in processes)
                 monkeypatch.setattr(server, "shutdown", broken_shutdown)
@@ -398,7 +415,8 @@ class TestProtocolErrors:
 #: ``error`` over a real socket — the same message, since both doors
 #: call one parser.  A row is (id, ARGS, (route, query or body));
 #: ``None`` marks a door that accepts the input, because the doors
-#: differ there (only HTTP caps ``samples``).
+#: differ there (only HTTP caps ``samples``), or that cannot spell it
+#: (the CLI names no configuration key and lists no results).
 BAD_INPUTS = [
     ("samples-0", ["project", "--samples", "0"], ("/project", {"samples": "0"})),
     ("samples-not-int", ["project", "--samples", "x"], ("/project", {"samples": "x"})),
@@ -413,6 +431,8 @@ BAD_INPUTS = [
     ("nodes-measured", ["project", "--nodes", "45"], ("/project", {"nodes": "45"})),
     ("nodes-empty", ["project", "--nodes", ","], ("/project", {"nodes": ","})),
     ("nodes-not-int", ["project", "--nodes", "22,x"], ("/project", {"nodes": "22,x"})),
+    ("nodes-blank", ["project", "--nodes", ""], ("/project", {"nodes": ""})),
+    ("results-benchmark-blank", None, ("/results", {"benchmark": ""})),
     (
         "unknown-processor",
         ["measure", "xalan", "nope"],
@@ -422,6 +442,12 @@ BAD_INPUTS = [
         "unknown-benchmark",
         ["measure", "nope", "i7_45"],
         ("/measure", {"benchmark": "nope", "processor": "i7_45"}),
+    ),
+    (
+        "config-beside-settings",
+        None,
+        ("/measure", {"benchmark": "xalan", "config": "i7_45/4C2T@2.66+TB",
+                      "processor": "atom_45", "cores": 1}),
     ),
 ]
 
@@ -444,10 +470,10 @@ class TestBadInputs:
             messages.add(err[len("error: "):-1])
         if http is not None:
             route, params = http
-            if route == "/project":
-                status, _, body = live.request("GET", f"/project?{urlencode(params)}")
-            else:
+            if route == "/measure":
                 status, _, body = live.measure(params)
+            else:
+                status, _, body = live.request("GET", f"{route}?{urlencode(params)}")
             assert status == 400
             messages.add(json.loads(body)["error"])
         assert len(messages) == 1, messages
@@ -743,16 +769,20 @@ class TestOpsView:
 
 class TestSupervisedService:
     def test_healthz_exposes_the_fleet_worker_table(self, references):
-        """A parallel server keeps its worker pool alive between batches
-        and publishes the per-worker table on /healthz; `repro top`
-        renders it from there."""
+        """A parallel server measures one-pair batches on its measurement
+        thread, starts its worker pool on the first multi-pair batch,
+        keeps it alive between batches and publishes the per-worker
+        table on /healthz; `repro top` renders it from there."""
         server = CampaignServer(
             study=_quick_study(references, reuse_pool=True),
             jobs=2,
         )
         with _LiveServer(server) as live:
-            status, _, body = live.measure(MEASURE_MCF_I7)
+            status, _, _ = live.measure({"benchmark": "mcf", "processor": "atom_45"})
             assert status == 200
+            _, _, health_body = live.request("GET", "/healthz")
+            assert json.loads(health_body)["fleet"] is None
+            pooled = live.measure_together(*TWO_PAIRS)
             _, _, health_body = live.request("GET", "/healthz")
             health = json.loads(health_body)
             fleet = health["fleet"]
@@ -765,12 +795,10 @@ class TestSupervisedService:
                 worker
             )
             # Pooled measurement serves the same bytes as ever.
-            sequential = (
-                _quick_study(references)
-                .run([stock(CORE_I7_45)], [benchmark("mcf")])
-                .single()
-            )
-            assert body == json.dumps(sequential.as_record()).encode()
+            sequential = _quick_study(references).run_pairs(TWO_PAIRS)
+            assert [r.as_record() for r in pooled] == [
+                r.as_record() for r in sequential
+            ]
             _, _, metrics_body = live.request("GET", "/metrics")
             assert "repro_fleet_workers" in metrics_body.decode()
 

@@ -2,8 +2,7 @@
 rule of the kept-alive pool.
 
 A kept-alive :class:`~repro.core.executor.SweepPool` may serve a later
-sweep only when ``WorkerSetup.compatible_with`` accepts the sweep's
-setup.
+sweep only when the sweep's ``WorkerSetup`` equals the pool's.
 """
 
 import gc
@@ -35,11 +34,7 @@ def setup(references) -> WorkerSetup:
 
 class TestCompatibleWith:
     def test_equal_setups_are_compatible(self, setup):
-        assert setup.compatible_with(replace(setup))
-
-    def test_warm_start_hints_never_gate_reuse(self, setup):
-        grown = replace(setup, kernels={"k": 1})
-        assert setup.compatible_with(grown)
+        assert setup == replace(setup)
 
     @pytest.mark.parametrize(
         "changes",
@@ -54,14 +49,12 @@ class TestCompatibleWith:
         ids=lambda changes: next(iter(changes)),
     )
     def test_byte_or_telemetry_fields_gate_reuse(self, setup, changes):
-        assert not setup.compatible_with(replace(setup, **changes))
+        assert setup != replace(setup, **changes)
 
     def test_other_references_gate_reuse(self, setup, engine):
         from repro.core.normalization import References
 
-        assert not setup.compatible_with(
-            replace(setup, references=References(engine))
-        )
+        assert setup != replace(setup, references=References(engine))
 
 
 class TestShippedCalibration:

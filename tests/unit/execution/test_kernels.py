@@ -2,8 +2,8 @@
 
 The integration-level byte-identity contract lives in
 ``tests/properties/test_kernel_equivalence.py``; these tests pin the
-kernel machinery itself — compile/cache behaviour, serialisation
-(kernels ship compactly, replay state is rebuilt from seeds), the
+kernel machinery itself — compile behaviour, serialisation
+(kernels pickle compactly, replay state is rebuilt from seeds), the
 replay-state lifetime (per-invocation state kept, per-sample arrays
 rebuilt on every replay), and the low-level
 equivalence of one kernel replay against the scalar invocation loop it
@@ -23,7 +23,6 @@ from repro.execution import kernels as kernels_module
 from repro.execution.engine import ExecutionEngine
 from repro.execution.kernels import (
     compile_pair,
-    kernel_key,
     kernel_stats,
     prime,
     run_pair,
@@ -52,21 +51,21 @@ def meter():
 
 
 class TestCompileAndCache:
-    def test_compile_stores_and_second_call_hits(self, engine, meter):
+    def test_compiling_twice_builds_two_kernels_that_replay_the_same_bytes(
+        self, engine, meter
+    ):
+        """The engine keeps no kernel: each compile builds a fresh one,
+        and both replay byte-identically."""
         bench = benchmark("eclipse")
         protocol = protocol_for(bench)
-        before = kernel_stats()
-        kernel = compile_pair(engine, meter, bench, CONFIG, protocol, 4)
-        assert kernel is not None
-        assert kernel.invocations == 4
-        key = kernel_key(bench, CONFIG, protocol, 4)
-        assert engine.cached_kernel(key) is kernel
-        again = compile_pair(engine, meter, bench, CONFIG, protocol, 4)
-        assert again is kernel
-        after = kernel_stats()
-        assert after["compiles"] == before["compiles"] + 1
-        assert after["cache_hits"] == before["cache_hits"] + 1
-        assert after["cache_bytes"] > before["cache_bytes"]
+        before = kernel_stats()["compiles"]
+        first = compile_pair(engine, meter, bench, CONFIG, protocol, 4)
+        second = compile_pair(engine, meter, bench, CONFIG, protocol, 4)
+        assert first is not None and second is not None
+        assert first is not second
+        assert first.invocations == second.invocations == 4
+        assert kernel_stats()["compiles"] == before + 2
+        assert run_pair(first, engine, meter) == run_pair(second, engine, meter)
 
     def test_distinct_invocation_counts_get_distinct_kernels(
         self, engine, meter
@@ -95,26 +94,6 @@ class TestSerialisation:
         times_2, powers_2 = run_pair(restored, engine, meter)
         assert times_2 == times
         assert powers_2 == powers
-
-    def test_engine_pickle_drops_kernel_cache(self, engine, meter):
-        bench = benchmark("mcf")
-        compile_pair(engine, meter, bench, CONFIG, protocol_for(bench), 3)
-        assert engine.kernel_snapshot()
-        worker = pickle.loads(pickle.dumps(engine))
-        assert worker.kernel_snapshot() == {}
-
-    def test_preload_kernels_adopts_snapshot(self, engine, meter):
-        bench = benchmark("eclipse")
-        protocol = protocol_for(bench)
-        kernel = compile_pair(engine, meter, bench, CONFIG, protocol, 3)
-        other = ExecutionEngine()
-        other.preload_kernels(engine.kernel_snapshot())
-        key = kernel_key(bench, CONFIG, protocol, 3)
-        assert other.cached_kernel(key) is kernel
-        # compile on the preloaded engine answers from cache, not a build
-        before = kernel_stats()["compiles"]
-        assert compile_pair(other, meter, bench, CONFIG, protocol, 3) is kernel
-        assert kernel_stats()["compiles"] == before
 
 
 #: Every fifth benchmark on the stock i7: a short stock sweep.
@@ -159,13 +138,13 @@ class TestReplayState:
             assert total > 16 * kernel.invocations
             assert all(a.size < total for a in _held_arrays(kernel))
 
-    def test_replays_leave_the_bytes_gauge_alone(self, engine, meter, sweep_kernels):
-        """The gauge counts compiled kernels only: replays keep nothing
-        that grows with samples, so they do not move it."""
-        before = kernel_stats()["cache_bytes"]
+    def test_replays_compile_nothing(self, engine, meter, sweep_kernels):
+        """A replay reuses the kernel it is given: only compile_pair
+        moves the compile counter."""
+        before = kernel_stats()["compiles"]
         for kernel in sweep_kernels * 2:
             run_pair(kernel, engine, meter)
-        assert kernel_stats()["cache_bytes"] == before
+        assert kernel_stats()["compiles"] == before
 
     def test_per_sample_arrays_are_freed_after_metering(
         self, monkeypatch, engine, meter, sweep_kernels

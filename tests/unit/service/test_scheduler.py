@@ -481,9 +481,11 @@ class TestDrainDeadline:
 
         async def main():
             await scheduler.start()
-            # One real batch first, so the kept-alive pool exists when
-            # the drain escalates.
-            await scheduler.submit(DB, ATOM)
+            # One real two-pair batch first, so the kept-alive pool
+            # exists when the drain escalates.
+            await asyncio.gather(
+                scheduler.submit(DB, ATOM), scheduler.submit(MCF, ATOM)
+            )
             pids.extend(w["pid"] for w in study.fleet_snapshot()["workers"])
             scheduler._measure_batch = hung_measure
             task = asyncio.create_task(scheduler.submit(MCF, I7))
