@@ -6,11 +6,11 @@ fresh interpreter, in-process, and asserts two things:
 * the child's peak RSS (``ru_maxrss``) stays at or under
   :data:`MAX_PEAK_RSS_MIB`.  Kernels keep only per-invocation replay
   state and rebuild their per-sample arrays on every replay, and the
-  process imports ``scipy.special`` rather than ``scipy.stats``, so a
-  cold campaign peaks at about 90 MiB; the rest is headroom.  Keeping
-  every pair's per-sample draws peaked at 559 MiB, a 96 MiB cache of
-  them at about 230 MiB, and the ``scipy.stats`` import added about
-  45 MiB.
+  process reads the protocol's Student-t quantiles from a pinned table
+  instead of importing scipy, so a cold campaign peaks at about 70 MiB;
+  the rest is headroom.  Keeping every pair's per-sample draws peaked at
+  559 MiB, a 96 MiB cache of them at about 230 MiB; the ``scipy.stats``
+  import added about 45 MiB, and ``scipy.special`` alone about 18 MiB.
 * every one of the 2745 records hashes to the digest pinned for its pair
   in ``perfbench/expected.json`` (read, never written here), so a memory
   saving that moved a byte fails too.
@@ -33,7 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 EXPECTED = ROOT / "perfbench" / "expected.json"
 
-#: The ceiling: about 90 MiB measured, plus about 100 MiB of headroom
+#: The ceiling: about 70 MiB measured, plus about 120 MiB of headroom
 #: for allocator and interpreter differences.
 MAX_PEAK_RSS_MIB = 190.0
 

@@ -4,7 +4,8 @@ The paper reports arithmetic means over repeated executions, 95 % confidence
 intervals on time and power (Table 2), and least-squares linear fits with an
 R² quality criterion for sensor calibration (§2.5).  This module implements
 those primitives on plain sequences of floats so every substrate can share
-them.
+them.  The 95 % Student-t quantiles the protocol's intervals need are
+pinned in ``_T95``, so a default-protocol process never imports scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import stdtrit as _stdtrit
 
 
 def mean(samples: Sequence[float]) -> float:
@@ -86,19 +86,51 @@ def confidence_interval(
     )
 
 
+#: ``scipy.special.stdtrit(df, 0.5 + 0.95 / 2.0)`` for df 1-19, the exact
+#: bits scipy returns.  The paper's protocol (§2.1, §2.2) takes 20 Java
+#: invocations and 3 or 5 native executions, so every interval a study at
+#: ``invocation_scale <= 1`` computes reads this table, and no such
+#: process imports scipy.
+_T95 = {
+    1: float.fromhex("0x1.96993aacc4d1ep+3"),
+    2: float.fromhex("0x1.135ea98e146b9p+2"),
+    3: float.fromhex("0x1.975a66893c1a7p+1"),
+    4: float.fromhex("0x1.63628d9efb5dep+1"),
+    5: float.fromhex("0x1.4908d359dff38p+1"),
+    6: float.fromhex("0x1.393468546e668p+1"),
+    7: float.fromhex("0x1.2eac01e9f5b1ap+1"),
+    8: float.fromhex("0x1.272b24bc92428p+1"),
+    9: float.fromhex("0x1.218e5dac50b23p+1"),
+    10: float.fromhex("0x1.1d33a7661d302p+1"),
+    11: float.fromhex("0x1.19b9e1b8c996cp+1"),
+    12: float.fromhex("0x1.16e356bbc352dp+1"),
+    13: float.fromhex("0x1.1486f5cb67d3bp+1"),
+    14: float.fromhex("0x1.12885ec4c0667p+1"),
+    15: float.fromhex("0x1.10d356b5a06c2p+1"),
+    16: float.fromhex("0x1.0f590e8d62dd7p+1"),
+    17: float.fromhex("0x1.0e0e6fd5b155ep+1"),
+    18: float.fromhex("0x1.0ceb036f23f31p+1"),
+    19: float.fromhex("0x1.0be83653b666cp+1"),
+}
+
+
 @functools.lru_cache(maxsize=256)
 def _t_crit(confidence: float, df: int) -> float:
     """The two-sided Student-t critical value: the ``0.5 + confidence/2``
     quantile of Student's t with ``df`` degrees of freedom.
 
-    ``scipy.special.stdtrit`` is the function ``scipy.stats.t.ppf``
-    evaluates (scipy's ``t`` distribution computes its quantile as
-    ``stdtrit(df, q)`` and only adds ``* 1.0 + 0.0``), so the value is the
-    same float, while importing ``scipy.special`` alone spares every
-    process the ~0.8 s ``scipy.stats`` import.  A campaign asks for a
+    95 % at df 1-19 is read from ``_T95``.  Any other pair is
+    ``scipy.special.stdtrit``, imported on first use: the function
+    ``scipy.stats.t.ppf`` evaluates (scipy's ``t`` distribution computes
+    its quantile as ``stdtrit(df, q)`` and only adds ``* 1.0 + 0.0``), so
+    every value is the same float as before.  A campaign asks for a
     handful of ``(confidence, df)`` values thousands of times, hence the
     memo."""
-    return float(_stdtrit(df, 0.5 + confidence / 2.0))
+    if confidence == 0.95 and df in _T95:
+        return _T95[df]
+    from scipy.special import stdtrit
+
+    return float(stdtrit(df, 0.5 + confidence / 2.0))
 
 
 @dataclass(frozen=True, slots=True)

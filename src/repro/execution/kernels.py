@@ -134,16 +134,14 @@ def _scale_normals(z: np.ndarray, sigma: float) -> None:
 class PairKernel:
     """One (benchmark, configuration, invocations) loop, compiled.
 
-    The stored state is small and picklable: per-phase factor vectors
-    (precomputed Python-scalar arithmetic in the scalar model's exact
-    operation order) plus per-invocation ``uint64`` seed tables.  Replay
-    state is split by size.  The per-invocation scalars
-    (:class:`_Invocations`) and the PCG64 start states are computed on
-    the first replay and kept — under 200 bytes per invocation.  The
-    per-sample arrays (true power, supply wander, sensor noise) are
-    rebuilt on every replay and freed once metered.  The kept state is
-    dropped on pickle, so a pickled kernel stays compact, and every
-    rebuild from seeds is deterministic, hence identical.
+    The stored state is small: per-phase factor vectors (precomputed
+    Python-scalar arithmetic in the scalar model's exact operation order)
+    plus per-invocation ``uint64`` seed tables.  Replay state is split by
+    size.  The per-invocation scalars (:class:`_Invocations`) and the
+    PCG64 start states are computed on the first replay and kept — under
+    200 bytes per invocation.  The per-sample arrays (true power, supply
+    wander, sensor noise) are rebuilt on every replay and freed once
+    metered; every rebuild from seeds is deterministic, hence identical.
     """
 
     benchmark_name: str
@@ -180,16 +178,6 @@ class PairKernel:
     # inc_lo)`` of the time, power, supply and sensor seeds, in that
     # order: set by :func:`prime` or the first replay, then kept.
     _states: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-
-    def __getstate__(self) -> dict:
-        """Serialise compactly: the replay state and the start states
-        are pure functions of the seed tables, so they never travel — an
-        unpickled kernel re-derives them, byte-identical, on first
-        replay."""
-        state = self.__dict__.copy()
-        state["_invocations"] = None
-        state["_states"] = None
-        return state
 
     @property
     def seeds(self) -> np.ndarray:

@@ -516,8 +516,9 @@ def synthesize_candidates(
     with rejection of over-budget or empty machines; duplicates collapse by
     key.  Returns candidates sorted by key.  Bounded attempts keep the
     generator total even if the valid space is smaller than ``samples``;
-    when they find no candidate at all the budget is refused with a
-    :class:`ProjectionQueryError`.
+    when they find no candidate at all, each cluster's smallest machine
+    (one core at its lowest clock) is tried, and only a budget neither
+    fits is refused with a :class:`ProjectionQueryError`.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -550,6 +551,16 @@ def synthesize_candidates(
         )
         if candidate is not None:
             out.setdefault(candidate.key, candidate)
+    if not out:
+        # Under a tight TDP the few machines that fit are small and the
+        # draws, uniform over area-bounded core counts, can miss them
+        # all: try each cluster's smallest machine before refusing.
+        for smallest in (
+            _assemble(nanometers, 0, 0.0, 1, LITTLE_CLOCKS[nanometers][0], budget),
+            _assemble(nanometers, 1, BIG_CLOCKS[nanometers][0], 0, 0.0, budget),
+        ):
+            if smallest is not None and len(out) < samples:
+                out[smallest.key] = smallest
     if not out:
         raise ProjectionQueryError(
             f"no candidate machine at {nanometers} nm fits the budget of "

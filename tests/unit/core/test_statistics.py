@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
+from scipy.special import stdtrit
 
 from repro.core.statistics import (
+    _T95,
     ConfidenceInterval,
     _t_crit,
     confidence_interval,
@@ -21,6 +23,8 @@ from repro.core.statistics import (
     relative_range,
     sample_std,
 )
+from repro.runtime.methodology import protocol_for
+from repro.workloads.catalog import BENCHMARKS
 
 
 class TestMean:
@@ -134,24 +138,45 @@ class TestMemoisedCriticalValue:
                 )
 
 
+class TestPinnedQuantiles:
+    def test_table_equals_stdtrit_byte_for_byte(self):
+        for df, value in _T95.items():
+            direct = float(stdtrit(df, 0.5 + 0.95 / 2.0))
+            assert struct.pack("<d", value) == struct.pack("<d", direct), df
+
+    def test_table_covers_every_protocol_df(self):
+        """A protocol that grows past the table fails here instead of
+        quietly importing scipy again in every campaign process."""
+        largest = max(protocol_for(b).invocations for b in BENCHMARKS)
+        assert set(range(1, largest)) <= set(_T95)
+
+
 class TestColdImport:
-    def test_entry_points_do_not_import_scipy_stats(self):
-        """A fresh interpreter loading the CLI, the study and the
-        normalisation references never pays for ``scipy.stats``."""
+    def test_full_protocol_sweep_loads_no_scipy(self):
+        """A fresh interpreter loading the CLI, the study and the server,
+        then measuring one Java and two native benchmarks at the full
+        protocol (intervals at df 19, 4 and 2), holds no scipy module."""
         import repro
 
         src = str(Path(repro.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         code = (
             "import sys\n"
-            "import repro.cli, repro.core.study, repro.core.normalization\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+            "import repro.cli, repro.core.study, repro.service.server\n"
+            "from repro.core.study import Study\n"
+            "from repro.hardware.catalog import processor\n"
+            "from repro.hardware.config import stock\n"
+            "from repro.workloads.catalog import benchmark\n"
+            "chosen = [benchmark(n) for n in ('xalan', 'vips', 'mcf')]\n"
+            "results = Study(jobs=None).run([stock(processor('i7_45'))], chosen)\n"
+            "print(sorted(r.time_ci.n for r in results))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
-        assert result.stdout.strip() == "[]"
+        assert result.stdout.split("\n")[:2] == ["[3, 5, 20]", "[]"]
 
 
 class TestLinearFit:

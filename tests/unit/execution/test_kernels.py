@@ -2,15 +2,12 @@
 
 The integration-level byte-identity contract lives in
 ``tests/properties/test_kernel_equivalence.py``; these tests pin the
-kernel machinery itself — compile behaviour, serialisation
-(kernels pickle compactly, replay state is rebuilt from seeds), the
-replay-state lifetime (per-invocation state kept, per-sample arrays
-rebuilt on every replay), and the low-level
-equivalence of one kernel replay against the scalar invocation loop it
-compiles away.
+kernel machinery itself — compile behaviour, the replay-state lifetime
+(per-invocation state kept, per-sample arrays rebuilt on every replay),
+and the low-level equivalence of one kernel replay against the scalar
+invocation loop it compiles away.
 """
 
-import pickle
 import sys
 import threading
 import weakref
@@ -77,23 +74,6 @@ class TestCompileAndCache:
         assert k4 is not k5
         assert len(k4.time_seeds) == 4
         assert len(k5.time_seeds) == 5
-
-
-class TestSerialisation:
-    def test_kernel_pickle_drops_draws_and_replays_identically(
-        self, engine, meter
-    ):
-        bench = benchmark("eclipse")
-        protocol = protocol_for(bench)
-        kernel = compile_pair(engine, meter, bench, CONFIG, protocol, 3)
-        times, powers = run_pair(kernel, engine, meter)
-        # kept by the replay, never shipped
-        assert kernel._invocations is not None and kernel._states is not None
-        restored = pickle.loads(pickle.dumps(kernel))
-        assert restored._invocations is None and restored._states is None
-        times_2, powers_2 = run_pair(restored, engine, meter)
-        assert times_2 == times
-        assert powers_2 == powers
 
 
 #: Every fifth benchmark on the stock i7: a short stock sweep.
@@ -238,8 +218,8 @@ def _same_draws(a, b) -> bool:
 
 
 class TestPrimedSeeding:
-    """Priming batches the seeding words of many kernels; it must change
-    neither the draws nor what a kernel pickles to."""
+    """Priming batches the seeding words of many kernels; it must not
+    change the draws."""
 
     def test_primed_and_unprimed_draws_are_identical(self, sweep_kernels):
         primed = _fresh_sweep_kernels()
@@ -272,14 +252,6 @@ class TestPrimedSeeding:
         primed = fresh._states
         prime([fresh])
         assert fresh._states is primed
-
-    def test_priming_leaves_the_pickle_byte_identical(self):
-        kernels = _fresh_sweep_kernels()
-        before = [pickle.dumps(kernel) for kernel in kernels]
-        prime(kernels)
-        assert [pickle.dumps(kernel) for kernel in kernels] == before
-        restored = pickle.loads(before[0])
-        assert restored._states is None and restored._invocations is None
 
     def test_threads_materialising_one_primed_batch_agree(self, sweep_kernels):
         """Eight threads (more than the cores) replay kernels primed in

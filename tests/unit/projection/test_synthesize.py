@@ -195,10 +195,18 @@ class TestCandidates:
             synthesize_candidates(22, 8, Budget(tdp_w=1.0))
 
     def test_draws_that_find_no_machine_raise_not_return_empty(self):
-        # One minimum little core would fit, but the 64 draws never land
-        # on it; an empty candidate set would crash the frontier later.
+        # Just under the 1.14 W minimum little core: nothing fits, and an
+        # empty candidate set would crash the frontier later.
         with pytest.raises(ProjectionQueryError, match="no candidate machine"):
-            synthesize_candidates(22, 1, Budget(tdp_w=1.15))
+            synthesize_candidates(22, 1, Budget(tdp_w=1.14))
+
+    def test_a_machine_the_draws_miss_is_still_found(self):
+        # The 64 draws never land on the one 1.8 mm^2, 1.14 W little core
+        # that fits; the smallest-machine fallback returns it.
+        (candidate,) = synthesize_candidates(22, 1, Budget(tdp_w=1.15))
+        assert candidate.key == "proj22/l1@1.2"
+        assert candidate.big is None and candidate.little.cores == 1
+        assert candidate.peak_watts == pytest.approx(1.14, abs=0.005)
 
     def test_nonpositive_samples_rejected(self):
         with pytest.raises(ValueError):
