@@ -52,13 +52,15 @@ def site_seeds(prefix: str, count: int) -> np.ndarray:
     as one ``uint64`` array.
 
     The sites of one noise stream differ only in a trailing index, so
-    their keys are formatted from one prefix and the digests' first eight
-    bytes are read little-endian in a single ``frombuffer``."""
-    head = f"{ROOT_SEED}::{prefix}"
-    digests = b"".join(
-        hashlib.sha256(f"{head}{i}".encode("utf-8")).digest()
-        for i in range(count)
-    )
+    the shared prefix is hashed once and each site copies that hasher and
+    feeds it only its index; the digests' first eight bytes are read
+    little-endian in a single ``frombuffer``."""
+    head = hashlib.sha256(f"{ROOT_SEED}::{prefix}".encode("utf-8"))
+    digests = bytearray()
+    for i in range(count):
+        site = head.copy()
+        site.update(str(i).encode("ascii"))
+        digests += site.digest()
     # Each digest is four uint64 words; the seed is the first of them.
     return np.frombuffer(digests, "<u8")[::4].copy()
 

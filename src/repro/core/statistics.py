@@ -74,10 +74,18 @@ def confidence_interval(
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1): {confidence}")
     n = len(samples)
-    centre = mean(samples)
+    if n == 0:
+        raise ValueError("mean of empty sample set")
+    # np.mean and np.std(ddof=1) without their wrapper layers, in the
+    # same steps: one pairwise sum for the mean, then one over the
+    # squared deviations from it, so both agree with them bit for bit.
+    arr = np.asarray(samples, dtype=float)
+    centre = float(np.add.reduce(arr)) / n
     if n == 1:
         return ConfidenceInterval(mean=centre, half_width=0.0, confidence=confidence, n=1)
-    std_err = sample_std(samples) / math.sqrt(n)
+    arr = arr - centre
+    np.square(arr, out=arr)
+    std_err = math.sqrt(float(np.add.reduce(arr)) / (n - 1)) / math.sqrt(n)
     return ConfidenceInterval(
         mean=centre,
         half_width=_t_crit(confidence, n - 1) * std_err,

@@ -29,13 +29,14 @@ as a handful of vectorised array operations:
   kernels in one vectorised pass
   (:func:`~repro.core.seeding.pcg64_seed_table` and
   :func:`~repro.core.seeding.pcg64_states`), the kernel keeps them,
-  and replay resets one generator per call to each site's state in turn
-  (:func:`~repro.core.seeding.reseed`).  A kernel nobody primed derives
-  its own seeds' states on its first replay;
+  and replay resets its thread's one generator to each site's state in
+  turn (:func:`~repro.core.seeding.reseed`).  A kernel nobody primed
+  derives its own seeds' states on its first replay;
 * the metering pipeline runs as one array pass through the shared
   transfers (:meth:`ProcessorSupply.volts_from_wander`,
-  :meth:`HallEffectSensor.transfer_codes`) and an exact per-segment
-  integer reduction (:meth:`PowerMeter.measure_kernel`).
+  :meth:`HallEffectSensor.transfer_codes`, both in place on the arrays
+  the replay just built) and an exact per-segment integer reduction
+  (:meth:`PowerMeter.measure_kernel`).
 
 Because every elementwise float64 ufunc agrees bit-for-bit with the
 equivalent Python-scalar arithmetic on the same operands in the same
@@ -55,6 +56,7 @@ scalar path per pair — counted in
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -80,6 +82,21 @@ _FALLBACKS = _REGISTRY.counter(
     "repro_kernel_scalar_fallbacks_total",
     "Pairs measured on the scalar path instead of a kernel, by reason",
 )
+
+
+_THREAD = threading.local()
+
+
+def _generator() -> np.random.Generator:
+    """This thread's replay generator, built on the thread's first replay.
+
+    Every draw starts with :func:`reseed`, which sets the whole PCG64
+    state, so nothing of one stream reaches the next; one generator per
+    thread means concurrent replays never share one."""
+    rng = getattr(_THREAD, "rng", None)
+    if rng is None:
+        rng = _THREAD.rng = np.random.Generator(np.random.PCG64(0))
+    return rng
 
 
 def note_fallback(reason: str) -> None:
@@ -210,9 +227,10 @@ class PairKernel:
         n = self.invocations
         prime((self,))
         rows = self._states[:2 * n].tolist()
-        # One generator per call, reset to each site's start state: never
-        # shared, so concurrent replays cannot interleave their streams.
-        rng = np.random.Generator(np.random.PCG64(0))
+        # This thread's generator, reset to each site's start state in
+        # turn: no other thread draws from it, so concurrent replays
+        # cannot interleave their streams.
+        rng = _generator()
         if self.sigma_time == 0.0:
             tn = np.ones(n)
         else:
@@ -290,7 +308,7 @@ class PairKernel:
             )
 
         rows = self._states[2 * n:].tolist()
-        rng = np.random.Generator(np.random.PCG64(0))
+        rng = _generator()
         wander = np.empty(total)
         sensor_noise = np.empty(total)
         bounds = zip(inv.offsets.tolist(), counts.tolist())

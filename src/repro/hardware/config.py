@@ -44,7 +44,8 @@ class Configuration:
     turbo_enabled: bool = False
     #: Stable identifier, e.g. ``i7_45/4C2T@2.66``; built once here, since
     #: every measured pair reads it several times.  It is derived from the
-    #: fields above, so it takes no part in equality, hashing or ``repr``.
+    #: fields above, so it takes no part in equality or ``repr``, and it
+    #: is all that :meth:`__hash__` hashes.
     key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -84,6 +85,12 @@ class Configuration:
         )
 
     # -- identity -----------------------------------------------------------
+
+    def __hash__(self) -> int:
+        # ``key`` is a function of the fields equality compares, so equal
+        # configurations hash equal; hashing it alone skips the field
+        # tuple (and the processor spec's own hash) of the generated one.
+        return hash(self.key)
 
     @property
     def label(self) -> str:

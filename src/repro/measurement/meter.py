@@ -184,8 +184,10 @@ class PowerMeter:
         (``peak``, the kernel's ``peaks.max()``, taken once per kernel)
         skips the scan when no segment does.
         """
-        voltages = self._supply.volts_from_wander(wander)
-        currents = true_watts / voltages
+        # ``true_watts / voltages``, written over the voltages array the
+        # transfer just built.
+        currents = self._supply.volts_from_wander(wander)
+        np.divide(true_watts, currents, out=currents)
         codes = self._sensor.transfer_codes(currents, sensor_noise)
         sums = np.add.reduceat(codes, offsets)
         mean_codes = sums / counts

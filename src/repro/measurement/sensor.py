@@ -92,13 +92,23 @@ class HallEffectSensor:
         Both read paths funnel through this one function, so the per-run
         and compiled-kernel pipelines are bit-identical by construction:
         same ufuncs, same operand order, only the noise array's
-        provenance differs (and that is keyed per run salt)."""
-        clipped = np.clip(currents, -self.range_amps, self.range_amps)
+        provenance differs (and that is keyed per run salt).
+
+        The float steps run in place in the array the first clip returns
+        and the integer clip in the codes array, each ufunc with the
+        expression's own operands in its own order; neither input is
+        written."""
+        volts = np.clip(currents, -self.range_amps, self.range_amps)
         slope = self.mv_per_amp / 1000.0 * (1.0 + self._gain_error)
-        volts = ZERO_CURRENT_VOLTS + self._offset_volts + slope * clipped + noise
-        volts = np.clip(volts, 0.0, ADC_FULL_SCALE_VOLTS)
-        codes = np.rint(volts / ADC_FULL_SCALE_VOLTS * ADC_COUNTS).astype(int)
-        return np.clip(codes, 0, ADC_COUNTS - 1)
+        # ZERO_CURRENT_VOLTS + offset + slope * clipped + noise, left to right.
+        np.multiply(slope, volts, out=volts)
+        np.add(ZERO_CURRENT_VOLTS + self._offset_volts, volts, out=volts)
+        volts += noise
+        np.clip(volts, 0.0, ADC_FULL_SCALE_VOLTS, out=volts)
+        volts /= ADC_FULL_SCALE_VOLTS
+        volts *= ADC_COUNTS
+        codes = np.rint(volts, out=volts).astype(int)
+        return np.clip(codes, 0, ADC_COUNTS - 1, out=codes)
 
     def read_codes(self, currents: np.ndarray, seed_salt: str) -> np.ndarray:
         """Digitised codes for an array of instantaneous currents.

@@ -51,8 +51,14 @@ class ProcessorSupply:
     def volts_from_wander(self, wander: np.ndarray) -> np.ndarray:
         """Rail voltage for pre-drawn wander samples.  The one transfer
         every path shares, so per-run and compiled-kernel sampling are
-        bit-identical by construction."""
-        return self.nominal.value * (1.0 + np.clip(wander, -self.stability, self.stability))
+        bit-identical by construction.
+
+        ``nominal * (1.0 + clip(wander))``, computed in the one array the
+        clip returns (``wander`` itself is left as it was)."""
+        volts = np.clip(wander, -self.stability, self.stability)
+        np.add(1.0, volts, out=volts)
+        np.multiply(self.nominal.value, volts, out=volts)
+        return volts
 
     def voltage_samples(self, count: int, seed_salt: str = "") -> np.ndarray:
         """Rail voltage at ``count`` sampling instants (slow wander within

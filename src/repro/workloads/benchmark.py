@@ -76,6 +76,11 @@ class Benchmark:
         if self.group.scalable and self.character.software_threads == 1:
             raise ValueError(f"{self.name}: scalable benchmark is single-threaded")
 
+    def __hash__(self) -> int:
+        # Equal benchmarks have equal names; hashing the name alone skips
+        # the tuple of every field the generated hash would build.
+        return hash(self.name)
+
     @property
     def language(self) -> Language:
         return self.group.language

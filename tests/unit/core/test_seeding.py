@@ -74,6 +74,15 @@ class TestSiteSeeds:
     def test_empty_run(self):
         assert site_seeds("k/", 0).shape == (0,)
 
+    @pytest.mark.parametrize("count", [0, 1, 10, 101])
+    def test_counts_equal_per_site_keys(self, count):
+        """Each site copies the prefix's hasher: one- to three-digit
+        indices give the seeds their whole keys give."""
+        prefix = run_key(self.ROOT, "time", self.NAME, self.CONFIG) + "/"
+        seeds = site_seeds(prefix, count)
+        assert seeds.dtype == np.uint64 and seeds.shape == (count,)
+        assert seeds.tolist() == [seed_from_key(f"{prefix}{i}") for i in range(count)]
+
 
 #: Both sides of the one-word/two-word boundary, and the range's ends.
 EDGE_SEEDS = (0, 1, 2, 2**32 - 1, 2**32, 2**64 - 1)

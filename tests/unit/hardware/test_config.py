@@ -80,9 +80,9 @@ class TestIdentity:
 
 
 class TestStoredKey:
-    """``key`` is built once at construction; equality, hashing, pickling
-    and ``dataclasses.replace`` behave as they do over the five declared
-    fields alone."""
+    """``key`` is built once at construction; equality, pickling and
+    ``dataclasses.replace`` behave as they do over the five declared
+    fields alone, and the hash is the key's, which those fields fix."""
 
     FIELDS = (CORE_I7_45, 4, 2, 2.66, True)
 
@@ -95,8 +95,24 @@ class TestStoredKey:
             "spec", "active_cores", "threads_per_core", "clock_ghz", "turbo_enabled"
         ]
 
-    def test_hash_is_the_field_tuple_hash(self):
-        assert hash(Configuration(*self.FIELDS)) == hash(self.FIELDS)
+    def test_hash_is_the_key_hash(self):
+        config = Configuration(*self.FIELDS)
+        assert hash(config) == hash(config.key) == hash("i7_45/4C2T@2.66+TB")
+
+    def test_equal_configurations_hash_equal_and_share_dict_entries(self):
+        first, second = Configuration(*self.FIELDS), Configuration(*self.FIELDS)
+        assert first is not second and first == second
+        assert hash(first) == hash(second)
+        table = {first: "measured", (benchmark("mcf"), first): "pair"}
+        assert table[second] == "measured"
+        assert table[(benchmark("mcf"), second)] == "pair"
+        assert table[pickle.loads(pickle.dumps(first))] == "measured"
+        assert Configuration(CORE_I7_45, 4, 1, 2.66, True) not in table
+        configs = all_configurations()
+        by_config = {config: config.key for config in configs}
+        assert len(by_config) == len(configs)
+        for config in configs:
+            assert by_config[dataclasses.replace(config)] == config.key
 
     def test_pickle_round_trip_keeps_value_and_key(self):
         config = Configuration(*self.FIELDS)

@@ -1,5 +1,8 @@
 """Unit tests for the Benchmark type's invariants."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.workloads.benchmark import Benchmark, Group, Language, Suite
@@ -84,3 +87,40 @@ class TestBenchmarkInvariants:
         )
         assert not native.managed
         assert native.language is Language.NATIVE
+
+
+class TestHash:
+    """The hash is the name's, which equal benchmarks share."""
+
+    @staticmethod
+    def _native(**overrides) -> Benchmark:
+        fields = dict(
+            name="x",
+            suite=Suite.SPEC_CINT2006,
+            group=Group.NATIVE_NONSCALABLE,
+            description="",
+            reference_seconds=1.0,
+            character=_character(),
+        )
+        fields.update(overrides)
+        return Benchmark(**fields)
+
+    def test_hash_is_the_name_hash(self):
+        assert hash(self._native()) == hash("x")
+
+    def test_equal_benchmarks_hash_equal_and_share_dict_entries(self):
+        first, second = self._native(), self._native()
+        assert first is not second and first == second
+        assert hash(first) == hash(second)
+        table = {first: 1, (first, "cfg"): 2}
+        assert table[second] == 1
+        assert table[(second, "cfg")] == 2
+        assert table[pickle.loads(pickle.dumps(first))] == 1
+        assert table[dataclasses.replace(first)] == 1
+
+    def test_same_name_different_fields_stay_apart(self):
+        first, other = self._native(), self._native(reference_seconds=2.0)
+        assert first != other and hash(first) == hash(other)
+        table = {first: 1, other: 2}
+        assert table[self._native()] == 1
+        assert table[self._native(reference_seconds=2.0)] == 2
