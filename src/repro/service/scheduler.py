@@ -134,6 +134,9 @@ class _Job:
     #: Journal request keys riding this job (the first submitter's plus
     #: every coalescer's) — marked done/shed/failed when it resolves.
     request_keys: list[str] = field(default_factory=list)
+    #: How many of ``request_keys`` the dispatch snapshot handed to the
+    #: batch transaction; a success completes only the keys after them.
+    committed_keys: int = 0
     #: Absolute deadline on the scheduler clock; ``None`` = unbounded.
     #: Coalescing relaxes it (latest wins, no-deadline wins outright) so
     #: a shed can never 504 a waiter who asked for no deadline.
@@ -544,11 +547,13 @@ class CampaignScheduler:
                 # Snapshot each pair's journal keys on the event loop —
                 # the measurement thread marks exactly these done in the
                 # record-persisting transaction; coalescers who attach
-                # later are completed (idempotently) at resolve time.
-                batch_keys = {
-                    (job.benchmark.name, job.config.key): list(job.request_keys)
-                    for job in jobs
-                }
+                # later are completed at resolve time.
+                batch_keys = {}
+                for job in jobs:
+                    job.committed_keys = len(job.request_keys)
+                    batch_keys[(job.benchmark.name, job.config.key)] = list(
+                        job.request_keys
+                    )
                 started = time.perf_counter()
                 try:
                     results, failures = await loop.run_in_executor(
@@ -640,8 +645,9 @@ class CampaignScheduler:
         self, job: Optional[_Job], error: Optional[BaseException]
     ) -> None:
         """Settle a resolving job's journal keys.  Every transition here
-        is idempotent (only ``pending`` rows move), so this can safely
-        overlap the batch transaction's own completions.
+        is idempotent (only ``pending`` rows move).  A success completes
+        only the keys that coalesced after the dispatch snapshot: the
+        batch transaction already marked the snapshot's keys done.
 
         Draining and cancellation deliberately *leave the keys pending*:
         a drain that expires mid-batch is exactly the crash-shaped case
@@ -650,7 +656,9 @@ class CampaignScheduler:
         if job is None or self._store is None or not job.request_keys:
             return
         if error is None:
-            self._store.journal_complete(job.request_keys)
+            late = job.request_keys[job.committed_keys:]
+            if late:
+                self._store.journal_complete(late)
         elif isinstance(error, DeadlineExceeded):
             self._store.journal_shed(job.request_keys, str(error))
         elif isinstance(error, (Draining, asyncio.CancelledError)):
@@ -703,11 +711,6 @@ class CampaignScheduler:
                 (r.benchmark_name, r.config_key): r for r in outcome
             }
             if self._store is not None:
-                fresh = [
-                    result
-                    for key, result in results.items()
-                    if key not in self._store
-                ]
                 done_keys = [
                     request_key
                     for pair_key in results
@@ -716,9 +719,12 @@ class CampaignScheduler:
                 store_started = time.perf_counter()
                 coordinator_fault_point("store")
                 with tracer.span(
-                    "store.put", records=len(fresh), journal_done=len(done_keys)
-                ):
-                    self._store.commit_batch(fresh, done_keys)
+                    "store.put", journal_done=len(done_keys)
+                ) as store_span:
+                    written = self._store.commit_batch(
+                        results.values(), done_keys
+                    )
+                    store_span.set_attribute("records", written)
                 observe_stage("store", time.perf_counter() - store_started)
         if batch_span.span_id is not None and schedule_spans:
             tracer.reparent_children(

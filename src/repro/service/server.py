@@ -137,7 +137,11 @@ _RECOVERY_FAILED = _REGISTRY.counter(
 
 #: Maximum accepted request body (a measure request is a few hundred bytes).
 MAX_BODY_BYTES = 1 << 20
-#: Per-read timeout; a stalled client cannot pin a connection forever.
+#: Maximum header lines in a request head (``http.client``'s own cap);
+#: a head with more is a 400.
+MAX_HEADER_LINES = 100
+#: Deadline for reading one whole request (request line, headers and
+#: body); a client that stalls or drips bytes is cut off when it passes.
 IO_TIMEOUT_S = 30.0
 #: Idempotency keys are client-chosen strings; bound them so the journal
 #: cannot be grown by a single pathological header.
@@ -481,25 +485,11 @@ class CampaignServer:
     async def _read_request(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> Request:
-        line = await asyncio.wait_for(reader.readline(), IO_TIMEOUT_S)
-        parts = line.decode("latin-1").strip().split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-            raise BadRequest("malformed request line")
-        method, target = parts[0].upper(), parts[1]
-        headers: dict[str, str] = {}
-        while True:
-            line = await asyncio.wait_for(reader.readline(), IO_TIMEOUT_S)
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length < 0 or length > MAX_BODY_BYTES:
-            raise BadRequest(f"body too large (limit {MAX_BODY_BYTES} bytes)")
-        body = (
-            await asyncio.wait_for(reader.readexactly(length), IO_TIMEOUT_S)
-            if length
-            else b""
+        # One deadline for the whole request, not one per read: a client
+        # sending a byte just inside a per-read timeout could otherwise
+        # hold the connection open indefinitely.
+        method, target, headers, body = await asyncio.wait_for(
+            self._read_message(reader), IO_TIMEOUT_S
         )
         split = urlsplit(target)
         peername = writer.get_extra_info("peername")
@@ -512,6 +502,33 @@ class CampaignServer:
             body=body,
             peer=peer,
         )
+
+    @staticmethod
+    async def _read_message(
+        reader: asyncio.StreamReader,
+    ) -> tuple[str, str, dict[str, str], bytes]:
+        """Request line, headers (names lower-cased) and body; a bare LF
+        ends a line like CRLF, and EOF ends the headers."""
+        line = await reader.readline()
+        parts = line.decode("latin-1").strip().split()
+        if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+            raise BadRequest("malformed request line")
+        headers: dict[str, str] = {}
+        for _ in range(MAX_HEADER_LINES + 1):
+            line = await reader.readline()
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        else:
+            raise BadRequest(
+                f"too many header lines (limit {MAX_HEADER_LINES})"
+            )
+        length = int(headers.get("content-length", "0") or "0")
+        if length < 0 or length > MAX_BODY_BYTES:
+            raise BadRequest(f"body too large (limit {MAX_BODY_BYTES} bytes)")
+        body = await reader.readexactly(length) if length else b""
+        return parts[0].upper(), parts[1], headers, body
 
     # -- routing ---------------------------------------------------------------
 

@@ -228,15 +228,6 @@ class ResultStore:
             ).fetchone()
         return int(count)
 
-    def __contains__(self, key: tuple[str, str]) -> bool:
-        benchmark, config = key
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT 1 FROM results WHERE benchmark = ? AND config = ?",
-                (benchmark, config),
-            ).fetchone()
-        return row is not None
-
     def put(self, result: RunResult) -> None:
         self.put_many((result,))
 
@@ -354,21 +345,26 @@ class ResultStore:
         request, and answering with another request's bytes would be a
         silent lie."""
         with self._lock:
+            # One statement on the common path: a new key is inserted and
+            # the existing row is read only when the insert did nothing.
+            inserted = self._conn.execute(
+                "INSERT INTO journal (request_key, benchmark, config, "
+                "plan, plan_fp, status, admitted_s, attempts) "
+                "VALUES (?, ?, ?, ?, ?, 'pending', ?, 1) "
+                "ON CONFLICT (request_key) DO NOTHING",
+                (request_key, benchmark, config, plan, plan_fp, time.time()),
+            ).rowcount
+            # sqlite3 began a transaction for the INSERT whether or not
+            # it changed a row; end it before anything else can fail.
+            self._conn.commit()
+            if inserted:
+                _JOURNAL.labels(status="pending").inc()
+                return "new"
             row = self._conn.execute(
                 f"SELECT {self._JOURNAL_COLS} FROM journal "
                 "WHERE request_key = ?",
                 (request_key,),
             ).fetchone()
-            if row is None:
-                self._conn.execute(
-                    "INSERT INTO journal (request_key, benchmark, config, "
-                    "plan, plan_fp, status, admitted_s, attempts) "
-                    "VALUES (?, ?, ?, ?, ?, 'pending', ?, 1)",
-                    (request_key, benchmark, config, plan, plan_fp, time.time()),
-                )
-                self._conn.commit()
-                _JOURNAL.labels(status="pending").inc()
-                return "new"
             entry = self._entry(row)
             if (entry.benchmark, entry.config, entry.plan_fp) != (
                 benchmark,
@@ -483,7 +479,12 @@ class ResultStore:
         same bytes from the seeded engine); a crash strictly after
         leaves the results durable and the keys done (recovery serves
         the store).  No interleaving exposes a half-state, because WAL
-        commits are atomic.  Returns the result rows written."""
+        commits are atomic.
+
+        A pair already stored keeps its row (``INSERT OR IGNORE``: a
+        pair's record is the same bytes whenever it is measured), so
+        callers may pass every result of a batch, cache hits included.
+        Returns the result rows written, which excludes those."""
         rows = [
             (
                 result.benchmark_name,
@@ -493,18 +494,19 @@ class ResultStore:
             )
             for result in results
         ]
+        written = 0
         with self._lock:
             if rows:
-                self._conn.executemany(
-                    "INSERT OR REPLACE INTO results "
+                written = self._conn.executemany(
+                    "INSERT OR IGNORE INTO results "
                     "(benchmark, config, record, created_s) VALUES (?, ?, ?, ?)",
                     rows,
-                )
+                ).rowcount
             self._journal_finish(done_keys, "done", None)
             self._conn.commit()
-        if rows:
-            _WRITES.inc(len(rows))
-        return len(rows)
+        if written:
+            _WRITES.inc(written)
+        return written
 
     # -- run fingerprint -------------------------------------------------------
 

@@ -15,7 +15,10 @@ contracts:
 
 import asyncio
 import json
+import select
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -29,6 +32,7 @@ from repro.core.study import Study
 from repro.hardware.catalog import ATOM_45, CORE2DUO_45, CORE_I7_45
 from repro.hardware.config import stock
 from repro.obs.metrics import default_registry
+from repro.service import server as server_module
 from repro.service.server import CampaignServer, Request
 from repro.service.store import ResultStore
 from repro.workloads.catalog import benchmark
@@ -407,6 +411,131 @@ class TestProtocolErrors:
             status, _, body = live.request("GET", "/healthz")
         assert status == 500
         assert "handler bug" in json.loads(body)["error"]
+
+
+def _raw_exchange(port: int, chunks, pause_s: float = 0.0) -> tuple[bytes, float]:
+    """Send ``chunks`` over one raw socket, ``pause_s`` apart, stopping
+    as soon as the server answers; returns (response bytes, seconds
+    from connect to the end of the response)."""
+    started = time.monotonic()
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        for chunk in chunks:
+            if select.select([sock], [], [], pause_s)[0]:
+                break  # the server answered (or closed) mid-request
+            try:
+                sock.sendall(chunk)
+            except OSError:
+                break
+        received = b""
+        try:
+            while data := sock.recv(65536):
+                received += data
+        except ConnectionResetError:
+            pass  # close() with unread input resets; the answer came first
+    return received, time.monotonic() - started
+
+
+class TestRequestHead:
+    """The whole request is read under one ``IO_TIMEOUT_S`` deadline,
+    and the head holds at most ``MAX_HEADER_LINES`` header lines."""
+
+    @pytest.fixture(scope="class")
+    def live(self, references):
+        with _LiveServer(CampaignServer(study=_quick_study(references))) as live:
+            yield live
+
+    def test_dripping_client_is_cut_off_at_the_deadline(
+        self, live, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "IO_TIMEOUT_S", 0.5)
+        # One header line every 0.1 s stays inside any per-read timeout
+        # of 0.5 s, for 60 lines (6 s) if the server lets it.
+        drip = [b"GET /healthz HTTP/1.1\r\n"] + [
+            f"X-Drip-{i}: 1\r\n".encode() for i in range(60)
+        ]
+        response, elapsed = _raw_exchange(live.server.port, drip, pause_s=0.1)
+        assert response.startswith(b"HTTP/1.1 400 ")
+        assert elapsed < 3.0
+
+    def test_head_over_the_line_cap_is_400(self, live):
+        cap = server_module.MAX_HEADER_LINES
+        head = b"GET /healthz HTTP/1.1\r\n" + b"".join(
+            f"X-Extra-{i}: 1\r\n".encode() for i in range(cap + 1)
+        )
+        response, _ = _raw_exchange(live.server.port, [head + b"\r\n"])
+        assert response.startswith(b"HTTP/1.1 400 ")
+        assert b"too many header lines" in response
+
+    def test_head_at_the_line_cap_is_served(self, live):
+        cap = server_module.MAX_HEADER_LINES
+        head = b"GET /healthz HTTP/1.1\r\n" + b"".join(
+            f"X-Extra-{i}: 1\r\n".encode() for i in range(cap)
+        )
+        response, _ = _raw_exchange(live.server.port, [head + b"\r\n"])
+        assert response.startswith(b"HTTP/1.1 200 ")
+
+    def test_bare_lf_lines_and_eof_end_the_head(self, live):
+        with socket.create_connection(
+            ("127.0.0.1", live.server.port), timeout=30
+        ) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\nHost: x\n")
+            sock.shutdown(socket.SHUT_WR)
+            response = b""
+            while data := sock.recv(65536):
+                response += data
+        assert response.startswith(b"HTTP/1.1 200 ")
+
+
+class TestStatementsPerRequest:
+    """The SQLite work of one served ``POST /measure``, as the store's
+    connection executes it: the journal admit, then one transaction
+    that persists the result rows and marks the journal key done."""
+
+    SERVED = ["BEGIN", "INSERT", "COMMIT", "BEGIN", "INSERT", "UPDATE", "COMMIT"]
+
+    def test_new_and_repeated_measures_run_two_transactions(
+        self, references, tmp_path
+    ):
+        store = ResultStore(tmp_path / "trace.sqlite")
+        server = CampaignServer(study=_quick_study(references), store=store)
+        statements: list[str] = []
+
+        async def served(body: dict) -> list[str]:
+            statements.clear()
+            response = await server.handle(
+                Request(
+                    method="POST", path="/measure", query={}, headers={},
+                    body=json.dumps(body).encode(), peer="test",
+                )
+            )
+            assert response.status == 200
+            return [statement.split()[0] for statement in statements]
+
+        async def main():
+            await server.scheduler.start()
+            store._conn.set_trace_callback(statements.append)
+            try:
+                return (
+                    await served(MEASURE_MCF_I7),
+                    await served(MEASURE_MCF_I7),
+                )
+            finally:
+                store._conn.set_trace_callback(None)
+                await server.scheduler.drain()
+
+        try:
+            new, repeat = asyncio.run(main())
+        finally:
+            store.close()
+        # A new pair: no SELECT, and its journal key is completed inside
+        # the transaction that writes its record.
+        assert new == self.SERVED
+        # A repeat (answered by the study's cache) has no journal write
+        # outside that batch transaction either, and writes no row.
+        assert repeat == self.SERVED
+        with ResultStore(tmp_path / "trace.sqlite") as reopened:
+            assert len(reopened) == 1
+            assert reopened.journal_counts()["done"] == 2
 
 
 #: Bad outside input, one row per input, driven through both doors:

@@ -379,6 +379,84 @@ class TestDeadlinesAndJournal:
                 result.as_record()
             )
 
+    def test_late_coalescer_is_completed_at_resolve(self, references):
+        """A request that joins a job after its dispatch snapshot is not
+        in the batch transaction; resolving the job completes it, and
+        only it (the snapshot's keys were marked done by the batch)."""
+        import threading
+
+        started = threading.Event()
+        release = threading.Event()
+        store = ResultStore()
+        store.journal_admit("rk-first", MCF.name, I7.key)
+        store.journal_admit("rk-late", MCF.name, I7.key)
+        completed: list[list[str]] = []
+        journal_complete = store.journal_complete
+        store.journal_complete = lambda keys: (
+            completed.append(list(keys)) or journal_complete(keys)
+        )
+        scheduler = CampaignScheduler(_study(references), store=store)
+        measure_batch = scheduler._measure_batch
+
+        def gated_measure(*args):
+            started.set()
+            release.wait()
+            return measure_batch(*args)
+
+        scheduler._measure_batch = gated_measure
+
+        async def main():
+            await scheduler.start()
+            first = asyncio.create_task(
+                scheduler.submit(MCF, I7, request_key="rk-first")
+            )
+            await asyncio.get_running_loop().run_in_executor(
+                None, started.wait
+            )
+            late = asyncio.create_task(
+                scheduler.submit(MCF, I7, request_key="rk-late")
+            )
+            await asyncio.sleep(0)
+            release.set()
+            results = await asyncio.gather(first, late)
+            await scheduler.drain()
+            return results
+
+        try:
+            first, late = _run(main())
+        finally:
+            release.set()
+        assert first is late
+        assert scheduler.coalesced == 1
+        assert store.journal_entry("rk-first").status == "done"
+        assert store.journal_entry("rk-late").status == "done"
+        assert completed == [["rk-late"]]
+
+    def test_snapshot_keys_are_completed_by_the_batch_alone(self, references):
+        """Coalescers that join before dispatch ride the batch
+        transaction; resolving their job writes nothing more."""
+        store = ResultStore()
+        store.journal_admit("rk-a", MCF.name, I7.key)
+        store.journal_admit("rk-b", MCF.name, I7.key)
+        completed: list[list[str]] = []
+        journal_complete = store.journal_complete
+        store.journal_complete = lambda keys: (
+            completed.append(list(keys)) or journal_complete(keys)
+        )
+        scheduler = CampaignScheduler(_study(references), store=store)
+
+        async def main():
+            await scheduler.start()
+            await asyncio.gather(
+                scheduler.submit(MCF, I7, request_key="rk-a"),
+                scheduler.submit(MCF, I7, request_key="rk-b"),
+            )
+            await scheduler.drain()
+
+        _run(main())
+        assert store.journal_counts()["done"] == 2
+        assert completed == []
+
     def test_failed_measurement_marks_journal_failed(self, references):
         always_crash = FaultPlan(
             specs=(FaultSpec(kind="invocation.crash", probability=1.0),),

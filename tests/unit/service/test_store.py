@@ -59,8 +59,10 @@ class TestRoundTrip:
     def test_contains_and_len(self, results):
         with ResultStore() as store:
             store.put(results[0])
-            assert (results[0].benchmark_name, results[0].config_key) in store
-            assert (results[1].benchmark_name, results[1].config_key) not in store
+            assert store.get(results[0].benchmark_name, results[0].config_key)
+            assert store.get(
+                results[1].benchmark_name, results[1].config_key
+            ) is None
             assert len(store) == 1
 
 
@@ -214,6 +216,18 @@ class TestJournal:
             assert store.journal_admit("k1", "mcf", "cfg") == "pending"
             assert store.journal_entry("k1").attempts == 1
 
+    def test_admit_leaves_no_transaction_open(self):
+        """The admit is one INSERT that may change nothing; every path
+        out of it (new, coalesced, conflict) ends its transaction."""
+        with ResultStore() as store:
+            store.journal_admit("k1", "mcf", "cfg")
+            assert not store._conn.in_transaction
+            store.journal_admit("k1", "mcf", "cfg")
+            assert not store._conn.in_transaction
+            with pytest.raises(JournalConflict):
+                store.journal_admit("k1", "db", "cfg")
+            assert not store._conn.in_transaction
+
     def test_key_reuse_for_different_request_conflicts(self):
         with ResultStore() as store:
             store.journal_admit("k1", "mcf", "cfg", plan_fp="abc")
@@ -295,6 +309,19 @@ class TestJournal:
                 assert json.dumps(read.as_record()) == json.dumps(
                     result.as_record()
                 )
+
+    def test_commit_batch_keeps_a_stored_row(self, results):
+        """A batch may carry a pair already stored (a study cache hit):
+        its row is kept, not rewritten, and is not counted as written."""
+        with ResultStore() as store:
+            store.put(results[0])
+            rowid = store.rowid(results[0].benchmark_name, results[0].config_key)
+            assert store.commit_batch(results) == 1
+            assert store.rowid(
+                results[0].benchmark_name, results[0].config_key
+            ) == rowid
+            assert store.commit_batch(results) == 0
+            assert len(store) == 2
 
     def test_commit_batch_survives_reopen(self, tmp_path, results):
         path = tmp_path / "journal.sqlite"
