@@ -29,9 +29,10 @@ as a handful of vectorised array operations:
   kernels in one vectorised pass
   (:func:`~repro.core.seeding.pcg64_seed_table` and
   :func:`~repro.core.seeding.pcg64_states`), the kernel keeps them,
-  and replay resets its thread's one generator to each site's state in
-  turn (:func:`~repro.core.seeding.reseed`).  A kernel nobody primed
-  derives its own seeds' states on its first replay;
+  in its thread writer's word order, and replay writes each site's row
+  straight into its thread's one generator
+  (:class:`~repro.core.seeding.PCG64Writer`) before drawing.  A kernel
+  nobody primed derives its own seeds' states on its first replay;
 * the metering pipeline runs as one array pass through the shared
   transfers (:meth:`ProcessorSupply.volts_from_wander`,
   :meth:`HallEffectSensor.transfer_codes`, both in place on the arrays
@@ -56,13 +57,17 @@ scalar path per pair — counted in
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.core.seeding import pcg64_seed_table, pcg64_states, reseed, site_seeds
+from repro.core.seeding import (
+    pcg64_seed_table,
+    pcg64_states,
+    site_seeds,
+    thread_writer,
+)
 from repro.execution.engine import ExecutionEngine
 from repro.execution.trace import sample_counts
 from repro.hardware.config import Configuration
@@ -82,21 +87,6 @@ _FALLBACKS = _REGISTRY.counter(
     "repro_kernel_scalar_fallbacks_total",
     "Pairs measured on the scalar path instead of a kernel, by reason",
 )
-
-
-_THREAD = threading.local()
-
-
-def _generator() -> np.random.Generator:
-    """This thread's replay generator, built on the thread's first replay.
-
-    Every draw starts with :func:`reseed`, which sets the whole PCG64
-    state, so nothing of one stream reaches the next; one generator per
-    thread means concurrent replays never share one."""
-    rng = getattr(_THREAD, "rng", None)
-    if rng is None:
-        rng = _THREAD.rng = np.random.Generator(np.random.PCG64(0))
-    return rng
 
 
 def note_fallback(reason: str) -> None:
@@ -191,18 +181,10 @@ class PairKernel:
     _invocations: Optional[_Invocations] = field(
         default=None, repr=False, compare=False
     )
-    # (4n, 4) uint64 PCG64 start states ``(state_hi, state_lo, inc_hi,
-    # inc_lo)`` of the time, power, supply and sensor seeds, in that
+    # (4n, 4) uint64 PCG64 start states of the time, power, supply and
+    # sensor seeds, in that order, each row in the thread writer's word
     # order: set by :func:`prime` or the first replay, then kept.
     _states: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-
-    @property
-    def seeds(self) -> np.ndarray:
-        """Every site seed, in the order of the ``_states`` rows."""
-        return np.concatenate((
-            self.time_seeds, self.power_seeds,
-            self.supply_seeds, self.sensor_seeds,
-        ))
 
     # -- replay --------------------------------------------------------------
 
@@ -226,25 +208,8 @@ class PairKernel:
             return kept
         n = self.invocations
         prime((self,))
-        rows = self._states[:2 * n].tolist()
-        # This thread's generator, reset to each site's start state in
-        # turn: no other thread draws from it, so concurrent replays
-        # cannot interleave their streams.
-        rng = _generator()
-        if self.sigma_time == 0.0:
-            tn = np.ones(n)
-        else:
-            tn = np.array([
-                reseed(rng, row).lognormal(mean=0.0, sigma=self.sigma_time)
-                for row in rows[:n]
-            ])
-        if self.sigma_power == 0.0:
-            pn = np.ones(n)
-        else:
-            pn = np.array([
-                reseed(rng, row).lognormal(mean=0.0, sigma=self.sigma_power)
-                for row in rows[n:]
-            ])
+        tn = _lognormals(self._states[:n], self.sigma_time)
+        pn = _lognormals(self._states[n:2 * n], self.sigma_power)
         if self.vendor_performance_factor is not None:
             tn = tn / self.vendor_performance_factor
         durations = self.base_seconds * tn
@@ -307,18 +272,36 @@ class PairKernel:
                 inv.power[:, 0][inv_index],
             )
 
-        rows = self._states[2 * n:].tolist()
-        rng = _generator()
+        writer = thread_writer()
+        view, rng = writer.view, writer.generator
         wander = np.empty(total)
         sensor_noise = np.empty(total)
-        bounds = zip(inv.offsets.tolist(), counts.tolist())
-        for i, (start, count) in enumerate(bounds):
+        sites = zip(
+            inv.offsets.tolist(), counts.tolist(),
+            self._states[2 * n:3 * n], self._states[3 * n:],
+        )
+        for start, count, wander_row, sensor_row in sites:
             stop = start + count
-            reseed(rng, rows[i]).standard_normal(out=wander[start:stop])
-            reseed(rng, rows[n + i]).standard_normal(out=sensor_noise[start:stop])
+            view[:] = wander_row
+            rng.standard_normal(out=wander[start:stop])
+            view[:] = sensor_row
+            rng.standard_normal(out=sensor_noise[start:stop])
         _scale_normals(wander, self.wander_sigma)
         _scale_normals(sensor_noise, self.sensor_sigma)
         return true_watts, wander, sensor_noise
+
+
+def _lognormals(rows: np.ndarray, sigma: float) -> np.ndarray:
+    """One ``lognormal(0.0, sigma)`` per start-state row (ones if ``sigma`` is 0)."""
+    if sigma == 0.0:
+        return np.ones(len(rows))
+    writer = thread_writer()
+    view, rng = writer.view, writer.generator
+    draws = np.empty(len(rows))
+    for i, row in enumerate(rows):
+        view[:] = row
+        draws[i] = rng.lognormal(mean=0.0, sigma=sigma)
+    return draws
 
 
 def prime(kernels: Iterable[PairKernel]) -> None:
@@ -330,13 +313,17 @@ def prime(kernels: Iterable[PairKernel]) -> None:
     whole sweep's (or a worker chunk's) kernels at once.  Kernels that
     hold their states already (primed, or replayed before) are skipped.
     Each kernel keeps its own copy of its rows, not a view of the batch,
-    so the batch is freed as soon as this returns."""
+    so the batch is freed as soon as this returns.  Rows are permuted
+    into the writer's word order here, once per batch."""
     todo = [k for k in kernels if k._states is None]
     if not todo:
         return
-    table = pcg64_states(
-        pcg64_seed_table(np.concatenate([kernel.seeds for kernel in todo]))
-    )
+    seeds = [
+        stream for k in todo
+        for stream in (k.time_seeds, k.power_seeds, k.supply_seeds, k.sensor_seeds)
+    ]
+    table = pcg64_states(pcg64_seed_table(np.concatenate(seeds)))
+    table = table[:, thread_writer().order]
     start = 0
     for kernel in todo:
         stop = start + 4 * kernel.invocations

@@ -30,7 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from repro.obs.metrics import Histogram, MetricsRegistry, default_registry
+from repro.obs.metrics import (
+    DEFAULT_BUCKETS, Histogram, MetricsRegistry, default_registry,
+)
 
 #: Route-level request latency (seconds), labelled by canonical route.
 REQUEST_SECONDS = default_registry().histogram(
@@ -39,10 +41,12 @@ REQUEST_SECONDS = default_registry().histogram(
 )
 
 #: Stage-level latency (seconds), labelled by pipeline stage
-#: (admission, schedule, batch, store).
+#: (admission, schedule, batch, store).  Most stages take under 1 ms,
+#: so the buckets start at 10 µs and continue as the defaults from 1 ms.
 STAGE_SECONDS = default_registry().histogram(
     "repro_service_stage_seconds",
     "Wall seconds per request-pipeline stage",
+    buckets=(1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4) + DEFAULT_BUCKETS,
 )
 
 

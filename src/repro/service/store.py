@@ -137,7 +137,7 @@ class ResultStore:
 
     ``path`` may be ``":memory:"`` for tests; anything else is a SQLite
     database file created on first use.  The store is a *superset* cache:
-    ``put`` is idempotent (INSERT OR REPLACE on the pair key) and
+    :meth:`commit_batch` keeps a stored pair's row (INSERT OR IGNORE) and
     :meth:`records` returns rows in sorted (benchmark, config) order, the
     same canonical order ``Ledger.save_checkpoint`` uses.
     """
@@ -152,7 +152,7 @@ class ResultStore:
         self._conn = sqlite3.connect(self._path, check_same_thread=False)
         with self._lock:
             # Crash robustness for on-disk stores: WAL keeps a torn write
-            # (a writer SIGKILLed mid-`put`) from corrupting committed
+            # (a writer SIGKILLed mid-commit) from corrupting committed
             # rows — readers see the last committed snapshot and recovery
             # happens automatically on the next open.  NORMAL sync is the
             # WAL-safe durability point (fsync on checkpoint, not per
@@ -227,32 +227,6 @@ class ResultStore:
                 "SELECT COUNT(*) FROM results"
             ).fetchone()
         return int(count)
-
-    def put(self, result: RunResult) -> None:
-        self.put_many((result,))
-
-    def put_many(self, results: Iterable[RunResult]) -> int:
-        """Persist results (idempotently); returns the rows written."""
-        rows = [
-            (
-                result.benchmark_name,
-                result.config_key,
-                json.dumps(result.as_record()),
-                time.time(),
-            )
-            for result in results
-        ]
-        if not rows:
-            return 0
-        with self._lock:
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO results "
-                "(benchmark, config, record, created_s) VALUES (?, ?, ?, ?)",
-                rows,
-            )
-            self._conn.commit()
-        _WRITES.inc(len(rows))
-        return len(rows)
 
     def get(self, benchmark: str, config: str) -> Optional[RunResult]:
         with self._lock:

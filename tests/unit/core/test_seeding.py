@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.seeding import (
+    PCG64Writer,
     pcg64_seed_table,
     pcg64_states,
-    reseed,
     rng_for,
     run_key,
     seed_from_key,
@@ -100,9 +100,16 @@ def _python_state(words) -> list[int]:
     return [state >> 64, state & low, inc >> 64, inc & low]
 
 
+def _start(writer: PCG64Writer, row) -> np.random.Generator:
+    """Write a :func:`pcg64_states` row into ``writer``'s generator, the
+    way the kernels do: permuted into the view's word order, then
+    assigned."""
+    writer.view[:] = np.asarray(row, dtype=np.uint64)[writer.order]
+    return writer.generator
+
+
 def _state(row) -> tuple[int, int]:
-    generator = reseed(np.random.Generator(np.random.PCG64(0)), row)
-    state = generator.bit_generator.state
+    state = _start(PCG64Writer(), row).bit_generator.state
     assert state["has_uint32"] == 0 and state["uinteger"] == 0
     return state["state"]["state"], state["state"]["inc"]
 
@@ -170,13 +177,13 @@ class TestBatchedSeeding:
     @pytest.mark.parametrize("seed", EDGE_SEEDS + (seed_from_key("sensor/i7"),))
     def test_reseeded_generator_draws_like_default_rng(self, seed):
         row = pcg64_states(pcg64_seed_table([seed]))[0]
-        generator = np.random.Generator(np.random.PCG64(12345))
-        generator.normal(size=3)  # an earlier stream must not leak through
-        assert reseed(generator, row).lognormal(mean=0.0, sigma=0.1) == (
+        writer = PCG64Writer()
+        writer.generator.normal(size=3)  # an earlier stream must not leak through
+        assert _start(writer, row).lognormal(mean=0.0, sigma=0.1) == (
             np.random.default_rng(seed).lognormal(mean=0.0, sigma=0.1)
         )
         assert np.array_equal(
-            reseed(generator, row).normal(0.0, 0.3, size=257),
+            _start(writer, row).normal(0.0, 0.3, size=257),
             np.random.default_rng(seed).normal(0.0, 0.3, size=257),
         )
 
@@ -188,3 +195,43 @@ class TestBatchedSeeding:
         table = pcg64_seed_table([])
         assert table.shape == (0, 4)
         assert table.dtype == np.uint64
+
+
+class TestPCG64Writer:
+    """The writer's view is numpy's private state struct; building one
+    must prove the layout or refuse."""
+
+    def test_order_is_a_limb_permutation(self):
+        writer = PCG64Writer()
+        assert sorted(writer.order) == [0, 1, 2, 3]
+        assert writer.view.dtype == np.uint64 and writer.view.shape == (4,)
+
+    def test_unmatched_probe_read_back_refuses(self, monkeypatch):
+        """A build whose state getter does not read back the probe the
+        view wrote must fail loudly, naming the numpy version.  The
+        first read (the words as built) is left intact."""
+        reads: list[int] = []
+
+        class Misread(np.random.PCG64):
+            @property
+            def state(self):
+                state = super().state
+                if reads:
+                    state["state"]["inc"] ^= 1 << 70
+                reads.append(1)
+                return state
+
+        monkeypatch.setattr(np.random, "PCG64", Misread)
+        with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+            PCG64Writer()
+        assert len(reads) == 2  # the probe was written and read back
+
+    def test_buffered_half_draw_refuses(self, monkeypatch):
+        class Buffered(np.random.PCG64):
+            @property
+            def state(self):
+                return dict(super().state, has_uint32=1, uinteger=7)
+
+        monkeypatch.setattr(np.random, "PCG64", Buffered)
+        with pytest.raises(RuntimeError, match="round-trip"):
+            PCG64Writer()

@@ -15,7 +15,12 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.core.seeding import pcg64_seed_table, pcg64_states, reseed
+from repro.core.seeding import (
+    PCG64Writer,
+    pcg64_seed_table,
+    pcg64_states,
+    thread_writer,
+)
 from repro.execution import kernels as kernels_module
 from repro.execution.engine import ExecutionEngine
 from repro.execution.kernels import (
@@ -151,14 +156,25 @@ class TestReplayState:
         """The in-place stream (standard normals scaled in place) equals
         ``normal(0.0, sigma, size)`` bit for bit, signed zeros included."""
         seeds = [0, 7, 2**32 + 1]
-        rows = pcg64_states(pcg64_seed_table(seeds)).tolist()
-        rng = np.random.Generator(np.random.PCG64(0))
+        writer = PCG64Writer()
+        rows = pcg64_states(pcg64_seed_table(seeds))[:, writer.order]
         for seed, row in zip(seeds, rows):
             expected = np.random.default_rng(seed).normal(0.0, sigma, size=1999)
             z = np.empty(2001)
-            reseed(rng, row).standard_normal(out=z[1:2000])
+            writer.view[:] = row
+            writer.generator.standard_normal(out=z[1:2000])
             kernels_module._scale_normals(z[1:2000], sigma)
             assert z[1:2000].tobytes() == expected.tobytes()
+
+    def test_replay_leaves_no_half_draw_buffered(
+        self, engine, meter, sweep_kernels
+    ):
+        """The writer only sets ``state`` and ``inc``; a full replay
+        draws only doubles, so PCG64's 32-bit buffer stays empty."""
+        for kernel in sweep_kernels:
+            run_pair(kernel, engine, meter)
+        state = thread_writer().generator.bit_generator.state
+        assert state["has_uint32"] == 0 and state["uinteger"] == 0
 
     def test_concurrent_replays_agree(self, engine, meter, sweep_kernels):
         """Four threads (more than the cores) replay overlapping kernels

@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import SloConfig, parse_slo, quantile_summary, slo_report
+from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
+from repro.obs.slo import (
+    STAGE_SECONDS,
+    SloConfig,
+    parse_slo,
+    quantile_summary,
+    slo_report,
+)
 
 
 class TestParseSlo:
@@ -137,3 +143,19 @@ class TestSloReport:
         assert report["availability"]["observed"] == 1.0
         assert report["availability"]["error_budget"]["consumed"] == 0.0
         assert report["ok"] is True
+
+
+class TestStageBuckets:
+    def test_sub_millisecond_stage_reads_inside_its_bucket(self):
+        """A 200 us stage's p50 lies in the (100, 250] us bucket, not at
+        the 0.5 ms midpoint of a first bucket that ends at 1 ms."""
+        child = MetricsRegistry().histogram(
+            "stage_seconds", buckets=STAGE_SECONDS.buckets
+        ).labels(stage="store")
+        child.observe(200e-6)
+        assert 100e-6 < child.quantile(0.5) <= 250e-6
+
+    def test_default_buckets_continue_from_one_millisecond(self):
+        assert min(STAGE_SECONDS.buckets) == 1e-5
+        assert STAGE_SECONDS.buckets[-len(DEFAULT_BUCKETS):] == DEFAULT_BUCKETS
+        assert DEFAULT_BUCKETS[0] == 0.001

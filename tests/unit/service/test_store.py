@@ -31,7 +31,7 @@ def results(study):
 class TestRoundTrip:
     def test_get_returns_equal_record(self, results):
         with ResultStore() as store:
-            store.put(results[0])
+            store.commit_batch([results[0]])
             read = store.get(results[0].benchmark_name, results[0].config_key)
             assert read == results[0]
 
@@ -39,7 +39,7 @@ class TestRoundTrip:
         """The byte-identity guarantee's storage leg: a record read back
         from SQLite re-serialises to the identical JSON."""
         with ResultStore() as store:
-            store.put_many(results)
+            store.commit_batch(results)
             for result in results:
                 read = store.get(result.benchmark_name, result.config_key)
                 assert json.dumps(read.as_record()) == json.dumps(
@@ -52,13 +52,13 @@ class TestRoundTrip:
 
     def test_put_is_idempotent(self, results):
         with ResultStore() as store:
-            assert store.put_many(results) == 2
-            assert store.put_many(results) == 2  # REPLACE, not duplicate
+            assert store.commit_batch(results) == 2
+            assert store.commit_batch(results) == 0  # kept, not duplicated
             assert len(store) == 2
 
     def test_contains_and_len(self, results):
         with ResultStore() as store:
-            store.put(results[0])
+            store.commit_batch([results[0]])
             assert store.get(results[0].benchmark_name, results[0].config_key)
             assert store.get(
                 results[1].benchmark_name, results[1].config_key
@@ -69,7 +69,7 @@ class TestRoundTrip:
 class TestRecords:
     def test_sorted_order_and_filters(self, results):
         with ResultStore() as store:
-            store.put_many(reversed(results))
+            store.commit_batch(reversed(results))
             everything = store.records()
             keys = [(r.benchmark_name, r.config_key) for r in everything]
             assert keys == sorted(keys)
@@ -83,7 +83,7 @@ class TestPersistence:
     def test_reopen_preserves_rows(self, tmp_path, results):
         path = tmp_path / "store.sqlite"
         with ResultStore(path) as store:
-            store.put_many(results)
+            store.commit_batch(results)
         with ResultStore(path) as store:
             assert len(store) == 2
 
@@ -106,7 +106,7 @@ class TestPersistence:
         journal table, so existing rows and the fingerprint survive."""
         path = tmp_path / "v1.sqlite"
         with ResultStore(path) as store:
-            store.put_many(results)
+            store.commit_batch(results)
             store.set_meta("schema_version", "1")
             store._conn.execute(
                 "DELETE FROM meta WHERE key = 'journal_schema_version'"
@@ -155,7 +155,7 @@ class TestFingerprint:
 class TestWarmStart:
     def test_warm_start_preloads_study_cache(self, references, results):
         store = ResultStore()
-        store.put_many(results)
+        store.commit_batch(results)
         fresh = Study(references=references, invocation_scale=0.2)
         assert fresh.ledger.restore_records(store.records()) == 2
         assert fresh.ledger.cached_pairs == 2
@@ -167,7 +167,7 @@ class TestWarmStart:
 
     def test_warm_start_skips_already_cached_pairs(self, references, results):
         store = ResultStore()
-        store.put_many(results)
+        store.commit_batch(results)
         fresh = Study(references=references, invocation_scale=0.2)
         fresh.ledger.restore_records(store.records())
         assert fresh.ledger.restore_records(store.records()) == 0
@@ -180,7 +180,7 @@ class TestWriteAheadLog:
         assert mode == "wal"
         (timeout_ms,) = store._conn.execute("PRAGMA busy_timeout").fetchone()
         assert timeout_ms == 5000
-        store.put(results[0])
+        store.commit_batch([results[0]])
         # The WAL sidecar exists while the connection is live: commits
         # land there first, which is what makes a torn writer recoverable.
         assert (tmp_path / "wal.sqlite-wal").exists()
@@ -314,7 +314,7 @@ class TestJournal:
         """A batch may carry a pair already stored (a study cache hit):
         its row is kept, not rewritten, and is not counted as written."""
         with ResultStore() as store:
-            store.put(results[0])
+            store.commit_batch([results[0]])
             rowid = store.rowid(results[0].benchmark_name, results[0].config_key)
             assert store.commit_batch(results) == 1
             assert store.rowid(
@@ -353,7 +353,7 @@ class TestJournal:
 
 
 class TestCrashConsistency:
-    """SIGKILL a writer mid-put; the survivors must be intact.
+    """SIGKILL a writer mid-commit; the survivors must be intact.
 
     This is the contract the campaign server leans on: the measurement
     thread may die at any byte boundary (OOM kill, node failure), and the
@@ -373,7 +373,7 @@ store = ResultStore(path)
 index = 0
 while True:
     record["benchmark"] = f"bench-{index:06d}"
-    store.put(RunResult.from_record(record))
+    store.commit_batch([RunResult.from_record(record)])
     index += 1
 """
 
@@ -436,7 +436,7 @@ while True:
         expected["benchmark"] = "bench-000000"
         first = reopened.get("bench-000000", template["configuration"])
         assert json.dumps(first.as_record()) == json.dumps(expected)
-        # The sequence has no gaps: commit order is put order, so a kill
+        # The sequence has no gaps: commit order is write order, so a kill
         # at row N leaves exactly rows 0..N-1 (never row N without N-1).
         names = sorted(s.benchmark_name for s in survivors)
         assert names == [f"bench-{i:06d}" for i in range(len(names))]
