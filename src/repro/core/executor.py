@@ -72,7 +72,7 @@ The process-level fault kinds (``worker.crash``, ``worker.hang``,
 injector *decides*
 (:meth:`~repro.faults.injector.FaultInjector.check_worker`) and the
 worker loop *enacts* — ``os._exit`` for a crash, heartbeat silence for
-a hang or slow-down — so CI can kill workers deterministically
+a hang, a silent stall for a slow-down — so CI can kill workers deterministically
 mid-sweep and assert the bytes did not move.
 
 Workers prefer the ``fork`` start method (the setup rides along for
@@ -278,7 +278,7 @@ class _Beater(threading.Thread):
     chunk results.  The thread is a daemon and starts *before* worker
     initialisation, so a slow worker start-up cannot read as a dead
     worker.  ``silence()`` (the ``worker.slow`` fault) suppresses beats
-    for a window without stopping the measurement loop; ``stop()`` (the
+    for the window in which the worker loop stalls; ``stop()`` (the
     ``worker.hang`` fault, and clean shutdown) ends them for good."""
 
     def __init__(self, worker_id: int, send, interval_s: float) -> None:
@@ -369,7 +369,10 @@ def _worker_main(
                     beater.stop()
                     while True:  # wedged until the pool SIGKILLs us
                         time.sleep(3600)
-                beater.silence(spec.severity)  # worker.slow: stall, recover
+                # worker.slow: the whole worker stalls, neither beating
+                # nor measuring, for the spec's seconds, then carries on.
+                beater.silence(spec.severity)
+                time.sleep(spec.severity)
         result = _measure_chunk(measurement, chunk_index, chunk)
         send(("done", generation, chunk_index, attempt, result))
     beater.stop()

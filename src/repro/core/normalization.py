@@ -45,10 +45,6 @@ class References:
         """Reference execution time (Table 1's "Time" column)."""
         return benchmark.reference_seconds
 
-    def power_watts(self, benchmark: Benchmark) -> float:
-        """Mean measured stock power across the four reference machines."""
-        return self.energy_joules(benchmark) / self.time_seconds(benchmark)
-
     def energy_joules(self, benchmark: Benchmark) -> float:
         """Reference energy: mean reference power x reference time."""
         cached = self._energy_cache.get(benchmark.name)

@@ -74,12 +74,6 @@ class _Scalar:
                 f"cannot {verb} {type(other).__name__} and {type(self).__name__}"
             )
 
-    def require_positive(self) -> "_Scalar":
-        """Return ``self``, raising ``ValueError`` unless strictly positive."""
-        if self.value <= 0.0:
-            raise ValueError(f"{type(self).__name__} must be positive: {self}")
-        return self
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.value:g})"
 
@@ -107,10 +101,6 @@ class Hertz(_Scalar):
     def ghz(self) -> float:
         return self.value / 1e9
 
-    def cycles_over(self, duration: Seconds) -> float:
-        """Number of clock cycles elapsed over ``duration``."""
-        return self.value * duration.value
-
 
 class Volts(_Scalar):
     """Electric potential in volts."""
@@ -130,15 +120,3 @@ def average_power(total: Joules, duration: Seconds) -> Watts:
     if duration.value <= 0.0:
         raise ValueError("duration must be positive to average power")
     return Watts(total.value / duration.value)
-
-
-def duration_of(total: Joules, power: Watts) -> Seconds:
-    """How long a budget of energy lasts at constant power."""
-    if power.value <= 0.0:
-        raise ValueError("power must be positive")
-    return Seconds(total.value / power.value)
-
-
-def electrical_power(voltage: Volts, current: Amperes) -> Watts:
-    """P = V x I, the conversion done at the 12 V sense point (§2.5)."""
-    return Watts(voltage.value * current.value)

@@ -254,18 +254,6 @@ class ResultSet:
     def where(self, predicate: Callable[[RunResult], bool]) -> "ResultSet":
         return ResultSet(r for r in self._results if predicate(r))
 
-    def for_config(self, config_key: str) -> "ResultSet":
-        return self.where(lambda r: r.config_key == config_key)
-
-    def for_processor(self, processor_key: str) -> "ResultSet":
-        return self.where(lambda r: r.processor_key == processor_key)
-
-    def for_group(self, group: Group) -> "ResultSet":
-        return self.where(lambda r: r.group is group)
-
-    def for_benchmark(self, name: str) -> "ResultSet":
-        return self.where(lambda r: r.benchmark_name == name)
-
     def single(self) -> RunResult:
         """The only result, asserting there is exactly one."""
         if len(self._results) != 1:
@@ -301,16 +289,6 @@ class ResultSet:
         for result in self._results:
             ordered.setdefault(result.config_key)
         return tuple(ordered)
-
-    # -- combination ----------------------------------------------------------
-
-    def merged_with(self, other: "ResultSet") -> "ResultSet":
-        health = self._health
-        if health is not None and other._health is not None:
-            health = health.merged(other._health)
-        elif health is None:
-            health = other._health
-        return ResultSet((*self._results, *other._results), health=health)
 
     # -- export ----------------------------------------------------------------
 

@@ -25,15 +25,6 @@ def mean(samples: Sequence[float]) -> float:
     return float(np.mean(np.asarray(samples, dtype=float)))
 
 
-def sample_std(samples: Sequence[float]) -> float:
-    """Unbiased (n-1) sample standard deviation; zero for a single sample."""
-    if len(samples) == 0:
-        raise ValueError("std of empty sample set")
-    if len(samples) == 1:
-        return 0.0
-    return float(np.std(np.asarray(samples, dtype=float), ddof=1))
-
-
 @dataclass(frozen=True, slots=True)
 class ConfidenceInterval:
     """A two-sided confidence interval around a sample mean."""
@@ -152,15 +143,6 @@ class LinearFit:
     def predict(self, x: float) -> float:
         return self.slope * x + self.intercept
 
-    def invert(self, y: float) -> float:
-        """Solve ``y = slope * x + intercept`` for ``x``.
-
-        Used by sensor calibration to map logged codes back to current.
-        """
-        if abs(self.slope) < 1e-12:
-            raise ValueError("cannot invert a flat fit")
-        return (y - self.intercept) / self.slope
-
 
 def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
     """Least-squares linear fit, as used for sensor calibration (§2.5).
@@ -217,27 +199,3 @@ def mad_outlier_indices(
         return ()
     scores = _MAD_TO_SIGMA * np.abs(arr - np.median(arr)) / mad
     return tuple(int(i) for i in np.flatnonzero(scores > threshold))
-
-
-def geometric_mean(samples: Sequence[float]) -> float:
-    """Geometric mean of strictly positive samples.
-
-    Not used for the paper's headline aggregates (which are arithmetic over
-    normalised scores) but provided for sensitivity analyses.
-    """
-    if len(samples) == 0:
-        raise ValueError("geometric mean of empty sample set")
-    arr = np.asarray(samples, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError("geometric mean requires positive samples")
-    return float(np.exp(np.mean(np.log(arr))))
-
-
-def relative_range(samples: Sequence[float]) -> float:
-    """(max - min) / min — e.g. the ~30 % min-to-max power spread on Atom."""
-    if len(samples) == 0:
-        raise ValueError("relative range of empty sample set")
-    low = min(samples)
-    if low <= 0.0:
-        raise ValueError("relative range requires positive samples")
-    return (max(samples) - low) / low

@@ -17,7 +17,7 @@ breakdown is kept rather than collapsed to a scalar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.hardware.caches import resolve_mpki
 from repro.hardware.config import Configuration
@@ -48,17 +48,6 @@ class CpiBreakdown:
     @property
     def total(self) -> float:
         return self.base + self.dependency + self.branch + self.memory
-
-    @property
-    def stall_fraction(self) -> float:
-        """Fraction of cycles lost to stalls — the slots SMT can fill."""
-        return (self.dependency + self.branch + self.memory) / self.total
-
-    def with_memory_inflation(self, inflation: float) -> "CpiBreakdown":
-        """Scale the memory stall component (bandwidth queueing)."""
-        if inflation < 1.0:
-            raise ValueError("inflation cannot shrink stalls")
-        return replace(self, memory=self.memory * inflation)
 
 
 def thread_cpi(
@@ -112,10 +101,3 @@ def thread_cpi(
         memory=memory,
         mpki=cache.mpki,
     )
-
-
-def issue_utilisation(breakdown: CpiBreakdown, config: Configuration) -> float:
-    """Attained IPC over peak issue width, for the power model's
-    switching estimate."""
-    ipc = 1.0 / breakdown.total
-    return min(ipc / config.spec.family.issue_width, 1.0)

@@ -49,23 +49,3 @@ def core_throughput_gain(
     gain = family.smt_overlap * utilisation_gap(family, breakdown)
     loss = family.smt_contention + extra_contention
     return max(1.0 + gain - loss, 1.0)
-
-
-def sibling_slowdown(
-    family: Microarchitecture,
-    breakdown: CpiBreakdown,
-    extra_contention: float = 0.0,
-) -> float:
-    """Slowdown of a *foreground* thread when a background helper shares
-    its core via SMT.
-
-    Unlike the symmetric two-way case, a background service thread (GC,
-    JIT) gives the foreground nothing to wait for, so the foreground sees
-    pure contention, softened by whatever slots were unused anyway.
-    Returns a multiplier >= 1.0 on the foreground thread's CPI.
-    """
-    if extra_contention < 0:
-        raise ValueError("contention cannot be negative")
-    pressure = family.smt_contention + extra_contention
-    softening = 1.0 - family.smt_overlap * utilisation_gap(family, breakdown) * 0.5
-    return 1.0 + max(pressure * softening, 0.0)

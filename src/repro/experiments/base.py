@@ -65,11 +65,3 @@ def doubling_normalised(ratio: float, frequency_ratio: float) -> float:
     if frequency_ratio <= 1.0:
         raise ValueError("frequency ratio must exceed 1")
     return ratio ** (1.0 / math.log2(frequency_ratio))
-
-
-def paper_measured(paper: Optional[float], measured: float) -> dict[str, object]:
-    """Standard pair of columns for paper-versus-reproduction rows."""
-    return {
-        "paper": None if paper is None else round(paper, 3),
-        "measured": round(measured, 3),
-    }

@@ -18,8 +18,6 @@ from repro.experiments.features import compare, effect_row, group_energy_rows
 from repro.hardware.catalog import CORE_I5_32, CORE_I7_45
 from repro.hardware.config import Configuration
 
-_NN = paper_data.NN
-
 
 def effects(study: Study):
     """The two comparisons of the figure."""

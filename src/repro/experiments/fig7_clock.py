@@ -6,7 +6,7 @@ performance, power, and energy per clock *doubling*, the paper's
 normalisation.  Architecture Finding 3: the i5 does not increase energy
 consumption as the clock increases, unlike the i7 and Core 2D.
 Also regenerates Fig. 7(c)'s energy-versus-performance curves across all
-operating points and Fig. 7(d)'s absolute power-by-group panel.
+operating points.
 """
 
 from __future__ import annotations
@@ -119,24 +119,6 @@ def energy_curve(study: Study, key: str) -> list[tuple[float, float, float]]:
             base_perf, base_energy = perf, energy
         points.append((ghz, perf / base_perf, energy / base_energy))
     return points
-
-
-def power_by_group(study: Study, key: str) -> dict[str, list[tuple[float, float, float]]]:
-    """Fig. 7(d): absolute (performance, watts) per group along the clock
-    points of one machine."""
-    spec, cores, threads = next(
-        (s, c, t) for k, s, c, t in MACHINES if k == key
-    )
-    series: dict[str, list[tuple[float, float, float]]] = {}
-    for ghz in spec.clock_points_ghz:
-        results = study.run_config(_config(spec, cores, threads, ghz))
-        speed = group_means(results.values("speedup"), BENCHMARKS)
-        watts = group_means(results.values("watts"), BENCHMARKS)
-        for group in speed:
-            series.setdefault(group.value, []).append(
-                (ghz, speed[group], watts[group])
-            )
-    return series
 
 
 def run(study: Optional[Study] = None) -> ExperimentResult:

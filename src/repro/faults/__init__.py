@@ -26,7 +26,6 @@ from repro.faults.errors import (
     MeasurementError,
     MeterSaturation,
     RetriesExhausted,
-    SensorFault,
 )
 from repro.faults.injector import (
     COORDINATOR_CRASH_EXIT_CODE,
@@ -34,7 +33,6 @@ from repro.faults.injector import (
     active,
     attempt_scope,
     coordinator_fault_point,
-    current_attempt,
     injected,
     install,
     shielded,
@@ -48,7 +46,6 @@ from repro.faults.plan import (
     KNOWN_KINDS,
     FaultPlan,
     FaultSpec,
-    coordinator_crash_plan,
     demo_plan,
     fail_stop_plan,
     plan_from_arg,
@@ -74,12 +71,9 @@ __all__ = [
     "MeterSaturation",
     "RetriesExhausted",
     "RetryPolicy",
-    "SensorFault",
     "active",
     "attempt_scope",
-    "coordinator_crash_plan",
     "coordinator_fault_point",
-    "current_attempt",
     "demo_plan",
     "fail_stop_plan",
     "injected",

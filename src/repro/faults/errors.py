@@ -29,12 +29,6 @@ class MeasurementError(RuntimeError):
         self.site = site
 
 
-class SensorFault(MeasurementError):
-    """The Hall-effect sensor misbehaved (glitch burst, drift, stuck-at)."""
-
-    stage = "sensor"
-
-
 class LoggerDropout(MeasurementError):
     """The AVR logging stick lost samples or disconnected mid-run."""
 

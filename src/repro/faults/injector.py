@@ -59,11 +59,6 @@ _SHIELDED: contextvars.ContextVar[bool] = contextvars.ContextVar(
 )
 
 
-def current_attempt() -> int:
-    """The retry attempt the surrounding harness is on (0 = first try)."""
-    return _ATTEMPT.get()
-
-
 @contextmanager
 def attempt_scope(attempt: int) -> Iterator[None]:
     """Mark every fault decision inside the block as belonging to

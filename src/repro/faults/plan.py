@@ -21,7 +21,7 @@ Fault kinds (the taxonomy in :mod:`docs/robustness.md`):
 ``meter.saturation``      a burst of samples pinned to the sensor rail
 ``worker.crash``          a sweep worker process dies mid-chunk
 ``worker.hang``           a sweep worker wedges and stops heartbeating
-``worker.slow``           a sweep worker's heartbeats stall, then recover
+``worker.slow``           a sweep worker stalls, beats and all, then recovers
 ``coordinator.crash``     the serving coordinator dies at a pipeline phase
 ``coordinator.stall``     the coordinator wedges briefly at a pipeline phase
 ========================  ====================================================
@@ -98,7 +98,7 @@ DEFAULT_MAGNITUDES: Mapping[str, float] = {
     "sensor.stuck": 0.0,  # unused (the stuck code is drawn per fault)
     "meter.saturation": 0.3,  # fraction of the run railed
     "worker.hang": 3600.0,  # seconds wedged (supervisor kills long before)
-    "worker.slow": 1.0,  # seconds of heartbeat silence before recovering
+    "worker.slow": 1.0,  # seconds stalled (no beats, no work) before recovering
     "coordinator.stall": 0.25,  # seconds the coordinator phase wedges
 }
 
@@ -258,31 +258,6 @@ def worker_chaos_plan(seed: str = "chaos") -> FaultPlan:
     identical to a clean run."""
     return FaultPlan(
         specs=(FaultSpec(kind="worker.crash", probability=1.0, scope="fleet/*/0"),),
-        seed=seed,
-    )
-
-
-def coordinator_crash_plan(phase: str = "batch", seed: str = "coordinator") -> FaultPlan:
-    """Kill the coordinator the first time it reaches ``phase``.
-
-    The scope ``coordinator/<phase>/*`` matches every ordinal at that
-    phase, so with probability 1.0 the first opportunity fires.  The
-    chaos harness arms this on one server incarnation only — the
-    ``--recover`` restart runs without it, so recovery completes instead
-    of crash-looping."""
-    if phase not in COORDINATOR_PHASES:
-        raise ValueError(
-            f"unknown coordinator phase {phase!r}; "
-            f"known: {', '.join(COORDINATOR_PHASES)}"
-        )
-    return FaultPlan(
-        specs=(
-            FaultSpec(
-                kind="coordinator.crash",
-                probability=1.0,
-                scope=f"coordinator/{phase}/*",
-            ),
-        ),
         seed=seed,
     )
 

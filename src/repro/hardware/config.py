@@ -110,23 +110,8 @@ class Configuration:
         return self.active_cores * self.threads_per_core
 
     @property
-    def smt_enabled(self) -> bool:
-        return self.threads_per_core > 1
-
-    @property
     def clock(self) -> Hertz:
         return Hertz.from_ghz(self.clock_ghz)
-
-    @property
-    def is_stock(self) -> bool:
-        """Whether this is the as-shipped configuration of the part."""
-        spec = self.spec
-        return (
-            self.active_cores == spec.cores
-            and self.threads_per_core == spec.threads_per_core
-            and abs(self.clock_ghz - spec.stock_clock.ghz) < 1e-9
-            and self.turbo_enabled == spec.has_turbo
-        )
 
     def voltage(self) -> Volts:
         return self.spec.voltage_at(self.clock)
@@ -136,20 +121,11 @@ class Configuration:
     def with_cores(self, active_cores: int) -> "Configuration":
         return replace(self, active_cores=active_cores)
 
-    def without_smt(self) -> "Configuration":
-        return replace(self, threads_per_core=1)
-
-    def with_smt(self) -> "Configuration":
-        return replace(self, threads_per_core=self.spec.threads_per_core)
-
     def at_clock(self, clock_ghz: float) -> "Configuration":
         turbo = self.turbo_enabled and abs(
             clock_ghz - self.spec.stock_clock.ghz
         ) < 1e-9
         return replace(self, clock_ghz=clock_ghz, turbo_enabled=turbo)
-
-    def without_turbo(self) -> "Configuration":
-        return replace(self, turbo_enabled=False)
 
 
 def stock(spec: ProcessorSpec) -> Configuration:

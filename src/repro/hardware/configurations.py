@@ -9,8 +9,6 @@ clock scaling, die shrink, microarchitecture matching, Turbo Boost).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 from repro.hardware import catalog
 from repro.hardware.config import Configuration, stock
 from repro.hardware.processor import ProcessorSpec
@@ -150,14 +148,3 @@ def node_45nm_configurations() -> tuple[Configuration, ...]:
     """The 29 configurations of 45 nm parts used by the Pareto study."""
     keys = set(catalog.NODE_45NM_KEYS)
     return tuple(c for c in all_configurations() if c.spec.key in keys)
-
-
-def configurations_for(
-    spec: ProcessorSpec,
-    pool: Iterable[Configuration] | None = None,
-) -> tuple[Configuration, ...]:
-    """All study configurations of one processor."""
-    source: Sequence[Configuration] = (
-        tuple(pool) if pool is not None else all_configurations()
-    )
-    return tuple(c for c in source if c.spec.key == spec.key)

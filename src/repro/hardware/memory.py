@@ -11,8 +11,6 @@ FSB when running scalable workloads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.quantities import Hertz
 from repro.hardware.processor import MemorySystem
 
@@ -24,16 +22,6 @@ LINE_BYTES = 96
 def miss_latency_cycles(memory: MemorySystem, clock: Hertz) -> float:
     """Core cycles one LLC miss costs at a given clock."""
     return memory.latency_ns * clock.ghz
-
-
-@dataclass(frozen=True, slots=True)
-class BandwidthOutcome:
-    """Result of checking a miss stream against platform bandwidth."""
-
-    demand_gbs: float
-    utilisation: float
-    #: Multiplier on effective miss latency from queueing (>= 1).
-    latency_inflation: float
 
 
 def bandwidth_limit_ips(memory: MemorySystem, mpki: float) -> float:
@@ -64,30 +52,3 @@ def capped_throughput(
         return unconstrained_ips
     x = unconstrained_ips / limit
     return unconstrained_ips / (1.0 + x * x) ** 0.5
-
-
-def bandwidth_pressure(
-    memory: MemorySystem,
-    misses_per_second: float,
-) -> BandwidthOutcome:
-    """Queueing penalty for an aggregate miss stream (diagnostic view).
-
-    Uses an M/D/1-flavoured inflation ``1 / (1 - u)`` softened and capped:
-    utilisation is clamped below 0.95 (hardware throttles demand before a
-    true singularity) and only the portion above 50 % utilisation inflates
-    latency (below that, banked DRAM hides queueing).
-    """
-    if misses_per_second < 0:
-        raise ValueError("miss rate cannot be negative")
-    demand_gbs = misses_per_second * LINE_BYTES / 1e9
-    utilisation = min(demand_gbs / memory.bandwidth_gbs, 0.95)
-    onset = 0.35
-    if utilisation <= onset:
-        inflation = 1.0
-    else:
-        inflation = 1.0 + 0.7 * (utilisation - onset) / (1.0 - utilisation)
-    return BandwidthOutcome(
-        demand_gbs=demand_gbs,
-        utilisation=utilisation,
-        latency_inflation=inflation,
-    )

@@ -123,15 +123,3 @@ NEHALEM = Microarchitecture(
     epi_factor=1.05,
     smt_power_overhead=0.25,
 )
-
-FAMILIES = {arch.name: arch for arch in (NETBURST, CORE, BONNELL, NEHALEM)}
-
-
-def family_for(name: str) -> Microarchitecture:
-    """Look up a microarchitecture family by name."""
-    try:
-        return FAMILIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown microarchitecture {name!r}; known: {sorted(FAMILIES)}"
-        ) from None

@@ -139,10 +139,6 @@ class ProcessorSpec:
         return f"{self.cores}C{self.threads_per_core}T"
 
     @property
-    def has_smt(self) -> bool:
-        return self.threads_per_core > 1
-
-    @property
     def has_turbo(self) -> bool:
         return self.turbo is not None
 

@@ -139,17 +139,6 @@ def node_for(nanometers: int) -> ProcessNode:
         ) from None
 
 
-def any_node_for(nanometers: int) -> ProcessNode:
-    """Look up a measured *or* projected node by feature size."""
-    try:
-        return ALL_NODES[nanometers]
-    except KeyError:
-        raise KeyError(
-            f"unknown process node {nanometers} nm; "
-            f"known nodes are {sorted(ALL_NODES, reverse=True)}"
-        ) from None
-
-
 @dataclass(frozen=True, slots=True)
 class VoltageCurve:
     """Linear VID interpolation between a processor's frequency extremes.

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.quantities import Amperes
 from repro.core.statistics import LinearFit, linear_fit
 from repro.measurement.sensor import HallEffectSensor
 
@@ -65,10 +64,6 @@ class SensorCalibration:
 
     sensor_key: str
     fit: LinearFit  # code as a function of amps
-
-    def current_from_code(self, code: float) -> Amperes:
-        """Invert the fit: logged ADC code to amperes."""
-        return Amperes(self.fit.invert(code))
 
     @property
     def r_squared(self) -> float:

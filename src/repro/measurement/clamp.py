@@ -3,9 +3,9 @@
 Prior studies (Isci & Martonosi; Bircher & John; Le Sueur & Heiser)
 measured *system* power with a clamp ammeter on the AC feed.  The paper
 deliberately isolates the chip instead.  This module models the
-whole-system path — board overhead, VRM losses, PSU conversion
-efficiency, and the clamp meter's coarser accuracy — so the difference
-between the two methodologies can be demonstrated quantitatively.
+whole-system path — board overhead, VRM losses and PSU conversion
+efficiency — so the difference between the two methodologies can be
+demonstrated quantitatively.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.quantities import Watts
-from repro.core.seeding import rng_for, run_key
 from repro.execution.engine import Execution
 
 
@@ -54,22 +53,6 @@ def platform_for(processor_key: str) -> SystemPlatform:
     if processor_key.startswith("atom"):
         return NETTOP_PLATFORM
     return DESKTOP_PLATFORM
-
-
-@dataclass(frozen=True, slots=True)
-class ClampMeter:
-    """An AC clamp ammeter: convenient, but coarse (+/- a few percent)."""
-
-    meter_key: str
-    accuracy: float = 0.03
-
-    def measure_wall(self, execution: Execution, run_salt: str = "r0") -> Watts:
-        """Whole-system average power for a run, as a clamp meter sees it."""
-        platform = platform_for(execution.config.spec.key)
-        truth = platform.wall_power(execution.average_power)
-        rng = rng_for(run_key("clamp", self.meter_key, run_salt))
-        error = 1.0 + float(rng.normal(0.0, self.accuracy / 2.0))
-        return Watts(truth.value * error)
 
 
 def chip_share_of_wall(execution: Execution) -> float:

@@ -24,8 +24,6 @@ MV_PER_AMP_5A = 185.0
 MV_PER_AMP_30A = 66.0
 #: Output is centred at mid-supply.
 ZERO_CURRENT_VOLTS = 2.5
-#: Typical total output error of the part.
-TYPICAL_ERROR = 0.015
 
 #: The logging stick's ADC: code = round(volts * counts / full-scale).
 ADC_COUNTS = 1024

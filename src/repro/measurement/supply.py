@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.quantities import Amperes, Volts, Watts
+from repro.core.quantities import Volts
 from repro.core.seeding import rng_for, run_key
 
 #: The processor rail the paper instruments.
@@ -34,12 +34,6 @@ class ProcessorSupply:
     def __post_init__(self) -> None:
         if not 0.0 <= self.stability < 0.1:
             raise ValueError("rail stability outside plausible range")
-
-    def current_for(self, power: Watts) -> Amperes:
-        """Current the processor draws from the rail at ``power``."""
-        if power.value < 0:
-            raise ValueError("power cannot be negative")
-        return Amperes(power.value / self.nominal.value)
 
     @property
     def wander_sigma(self) -> float:

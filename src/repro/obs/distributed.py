@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from threading import Lock
 from typing import Mapping, Optional, Sequence
 
-TRACEPARENT_HEADER = "traceparent"
 REQUEST_ID_HEADER = "X-Request-Id"
 
 _TRACEPARENT_RE = re.compile(

@@ -26,7 +26,7 @@ import math
 import threading
 import time
 from bisect import bisect_left
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 _ENABLED = True
 
@@ -195,9 +195,6 @@ class Gauge(_Instrument):
         if not _ENABLED:
             return
         self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
 
     @property
     def value(self) -> float:

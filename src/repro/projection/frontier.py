@@ -134,12 +134,6 @@ class ProjectionDataset:
     measured: tuple[MeasuredPoint, ...]
     frontiers: tuple[NodeFrontier, ...]
 
-    def frontier_for(self, node_nm: int) -> NodeFrontier:
-        for frontier in self.frontiers:
-            if frontier.node_nm == node_nm:
-                return frontier
-        raise KeyError(f"no frontier for {node_nm} nm in this dataset")
-
     def candidate_count(self) -> int:
         return sum(len(f.outcomes) for f in self.frontiers)
 

@@ -2,16 +2,12 @@
 
 from repro.reporting.tables import (
     format_cell,
-    print_experiment,
     render_experiment,
-    render_many,
     render_rows,
 )
 
 __all__ = [
     "format_cell",
-    "print_experiment",
     "render_experiment",
-    "render_many",
     "render_rows",
 ]

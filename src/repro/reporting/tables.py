@@ -7,7 +7,7 @@ logs and terminals.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from repro.experiments.base import ExperimentResult
 
@@ -61,11 +61,3 @@ def render_experiment(result: ExperimentResult) -> str:
     for note in result.notes:
         parts.append(f"note: {note}")
     return "\n".join(parts)
-
-
-def print_experiment(result: ExperimentResult) -> None:
-    print(render_experiment(result))
-
-
-def render_many(results: Iterable[ExperimentResult]) -> str:
-    return "\n\n".join(render_experiment(result) for result in results)

@@ -45,19 +45,6 @@ class JitWarmup:
         transient = self.first_iteration_overhead * self.decay ** (iteration - 1)
         return 1.0 + transient + self.steady_residue
 
-    def iterations_to_settle(self, tolerance: float = 0.01) -> int:
-        """First iteration whose transient overhead is below ``tolerance``.
-
-        With the default parameters this lands at five, matching the
-        paper's choice of reporting the fifth iteration.
-        """
-        if tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        iteration = 1
-        while self.first_iteration_overhead * self.decay ** (iteration - 1) > tolerance:
-            iteration += 1
-        return iteration
-
 
 #: Default warm-up used for every Java benchmark.
 DEFAULT_WARMUP = JitWarmup()

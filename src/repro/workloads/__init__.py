@@ -11,8 +11,6 @@ from repro.workloads.catalog import (
     BENCHMARKS_BY_NAME,
     benchmark,
     by_group,
-    by_suite,
-    group_sizes,
     groups,
     multithreaded_java,
     single_threaded_java,
@@ -30,8 +28,6 @@ __all__ = [
     "WorkloadCharacter",
     "benchmark",
     "by_group",
-    "by_suite",
-    "group_sizes",
     "groups",
     "multithreaded_java",
     "single_threaded_java",

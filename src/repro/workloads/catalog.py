@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.workloads.benchmark import Benchmark, Group, Suite
+from repro.workloads.benchmark import Benchmark, Group
 from repro.workloads.suites import dacapo, parsec, pjbb2005, spec_cpu2006, specjvm
 
 #: Every benchmark in the study, Table 1 order.
@@ -42,11 +42,6 @@ def by_group(group: Group) -> tuple[Benchmark, ...]:
     return tuple(b for b in BENCHMARKS if b.group is group)
 
 
-def by_suite(suite: Suite) -> tuple[Benchmark, ...]:
-    """All benchmarks drawn from one source suite."""
-    return tuple(b for b in BENCHMARKS if b.suite is suite)
-
-
 def groups() -> tuple[Group, ...]:
     """The four groups in the paper's canonical order."""
     return (
@@ -55,11 +50,6 @@ def groups() -> tuple[Group, ...]:
         Group.JAVA_NONSCALABLE,
         Group.JAVA_SCALABLE,
     )
-
-
-def group_sizes() -> dict[Group, int]:
-    """Benchmark count per group (27 / 11 / 18 / 5)."""
-    return {group: len(by_group(group)) for group in groups()}
 
 
 def single_threaded_java() -> tuple[Benchmark, ...]:

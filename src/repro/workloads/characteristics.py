@@ -64,10 +64,6 @@ class WorkloadCharacter:
             # DTLB pressure tracks LLC pressure when not stated explicitly.
             object.__setattr__(self, "dtlb_mpki", 0.8 * self.memory_mpki)
 
-    @property
-    def single_threaded(self) -> bool:
-        return self.software_threads == 1
-
     def threads_on(self, hardware_contexts: int) -> int:
         """Software threads the program runs with ``hardware_contexts``."""
         if hardware_contexts < 1:

@@ -13,7 +13,6 @@ from repro.workloads.benchmark import Benchmark, Group, Suite
 from repro.workloads.characteristics import JvmBehavior, WorkloadCharacter
 
 WAREHOUSES = 8
-TRANSACTIONS_PER_WAREHOUSE = 10_000
 
 PJBB2005 = Benchmark(
     name="pjbb2005",

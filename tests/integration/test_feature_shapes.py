@@ -14,8 +14,11 @@ from repro.experiments import (
     fig9_microarch,
     fig10_turbo,
 )
+from repro.core.aggregation import group_means
 from repro.experiments import paper_data
+from repro.hardware.config import Configuration
 from repro.workloads.benchmark import Group
+from repro.workloads.catalog import BENCHMARKS
 
 
 class TestFig4Cmp:
@@ -103,13 +106,15 @@ class TestFig7Clock:
     def test_fig7d_nn_draws_least_power(self, study):
         """Fig. 7(d) / Workload Finding 3: Native Non-scalable draws less
         power than every other group at every i7 clock point."""
-        series = fig7_clock.power_by_group(study, "i7_45")
-        nn = {ghz: watts for ghz, _, watts in series["Native Non-scalable"]}
-        for group, points in series.items():
-            if group == "Native Non-scalable":
-                continue
-            for ghz, _, watts in points:
-                assert watts > nn[ghz], (group, ghz)
+        _, spec, cores, threads = next(
+            m for m in fig7_clock.MACHINES if m[0] == "i7_45"
+        )
+        for ghz in spec.clock_points_ghz:
+            results = study.run_config(Configuration(spec, cores, threads, ghz))
+            watts = group_means(results.values("watts"), BENCHMARKS)
+            nn = watts.pop(Group.NATIVE_NONSCALABLE)
+            for group, value in watts.items():
+                assert value > nn, (group, ghz)
 
 
 class TestFig8DieShrink:

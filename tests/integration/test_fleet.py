@@ -153,6 +153,68 @@ class TestHangAndChaos:
         assert_campaign_equivalent(reference(), result)
 
 
+class TestSlowWorker:
+    """A ``worker.slow`` stalls the assignee of one chunk, heartbeats and
+    all, for the spec's magnitude, then lets it carry on.  Against the
+    default liveness deadline (``heartbeat_s`` 0.25 s x 4 misses = 1 s)
+    a shorter stall is ridden out and a longer one is a dead worker;
+    either way the merged bytes are the clean run's."""
+
+    @staticmethod
+    def _stall(seconds: float) -> FaultPlan:
+        return FaultPlan(
+            specs=(
+                FaultSpec(
+                    kind="worker.slow",
+                    probability=1.0,
+                    scope="fleet/1/0",
+                    magnitude=seconds,
+                ),
+            ),
+            seed="fleet-slow",
+        )
+
+    @staticmethod
+    def _record_stalls(monkeypatch, tmp_path):
+        """Log every ``silence()`` a (forked) worker enacts to a file."""
+        import repro.core.executor as executor
+
+        log = tmp_path / "stalls.txt"
+        silence = executor._Beater.silence
+
+        def recording(beater, seconds):
+            with open(log, "a", encoding="utf-8") as out:
+                out.write(f"{seconds}\n")
+            silence(beater, seconds)
+
+        monkeypatch.setattr(executor._Beater, "silence", recording)
+        return log
+
+    def test_stall_below_the_deadline_recovers_without_respawn(
+        self, references, reference, tmp_path, monkeypatch
+    ):
+        log = self._record_stalls(monkeypatch, tmp_path)
+        mode = Mode(dispatch=2, kernels=True, plan=self._stall(0.3))
+        result = sweep(references, mode, workdir=tmp_path, reuse_pool=True)
+        assert log.read_text().split() == ["0.3"]  # the stall happened
+        assert result.fleet["restarts"] == 0
+        assert result.fleet["requeues"] == 0
+        assert result.fleet["live"] == 2
+        assert_campaign_equivalent(reference(), result)
+
+    def test_stall_above_the_deadline_is_reaped_and_requeued(
+        self, references, reference, tmp_path, monkeypatch
+    ):
+        log = self._record_stalls(monkeypatch, tmp_path)
+        mode = Mode(dispatch=2, kernels=True, plan=self._stall(2.0))
+        result = sweep(references, mode, workdir=tmp_path, reuse_pool=True)
+        # The requeue is attempt 1, outside the spec's scope: one stall.
+        assert log.read_text().split() == ["2.0"]
+        assert result.fleet["restarts"] == 1
+        assert result.fleet["requeues"] == 1
+        assert_campaign_equivalent(reference(), result)
+
+
 class TestCrashLoopQuarantine:
     def test_poison_chunk_is_given_up_and_quarantined(self, references):
         """A chunk that kills *every* worker it touches (scope

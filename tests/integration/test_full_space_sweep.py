@@ -87,7 +87,7 @@ class TestFullSpace:
                 degraded = sweep[(config.key, bench.name)].seconds.value
                 best = sweep[(stock_key, bench.name)].seconds.value
                 if degraded < best * 0.999:
-                    assert config.spec.has_smt, (config.key, bench.name)
+                    assert config.spec.threads_per_core > 1, (config.key, bench.name)
                     assert degraded > best * 0.80, (config.key, bench.name)
 
     def test_ipc_within_issue_width_everywhere(self, sweep, engine):

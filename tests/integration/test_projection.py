@@ -100,8 +100,9 @@ class TestFourNodeSearch:
         assert len(dataset.measured) >= 8  # the stock catalog
 
     def test_every_node_has_a_frontier(self, dataset):
+        frontiers = {f.node_nm: f for f in dataset.frontiers}
         for nm in (22, 14, 10, 7):
-            frontier = dataset.frontier_for(nm)
+            frontier = frontiers[nm]
             assert frontier.outcomes
             assert frontier.efficient_keys
             efficient = set(frontier.efficient_keys)
@@ -109,8 +110,9 @@ class TestFourNodeSearch:
 
     def test_projected_frontiers_advance_the_measured_trend(self, dataset):
         best_measured = max(p.performance / p.energy for p in dataset.measured)
+        frontiers = {f.node_nm: f for f in dataset.frontiers}
         for nm in (22, 14, 10, 7):
-            assert dataset.frontier_for(nm).best_efficiency() > best_measured
+            assert frontiers[nm].best_efficiency() > best_measured
 
 
 class TestCliProject:

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.hardware.caches import capacity_miss_factor, sharing_pressure
-from repro.hardware.catalog import PROCESSORS
-from repro.hardware.memory import bandwidth_pressure
 
 footprints = st.floats(min_value=0.0, max_value=512.0, allow_nan=False)
 cache_sizes = st.floats(min_value=0.25, max_value=16.0, allow_nan=False)
@@ -36,30 +34,3 @@ class TestCacheProperties:
     def test_sharing_pressure_monotone(self, a, b):
         lo, hi = sorted((a, b))
         assert sharing_pressure(lo) <= sharing_pressure(hi)
-
-
-class TestBandwidthProperties:
-    rates = st.floats(min_value=0.0, max_value=1e10, allow_nan=False)
-    memories = st.sampled_from([spec.memory for spec in PROCESSORS])
-
-    @given(memories, rates)
-    def test_inflation_at_least_one(self, memory, rate):
-        assert bandwidth_pressure(memory, rate).latency_inflation >= 1.0
-
-    @given(memories, rates, rates)
-    def test_inflation_monotone_in_demand(self, memory, a, b):
-        lo, hi = sorted((a, b))
-        assert (
-            bandwidth_pressure(memory, lo).latency_inflation
-            <= bandwidth_pressure(memory, hi).latency_inflation + 1e-12
-        )
-
-    @given(memories, rates)
-    def test_utilisation_bounded(self, memory, rate):
-        outcome = bandwidth_pressure(memory, rate)
-        assert 0.0 <= outcome.utilisation <= 0.95
-
-    @given(memories, rates)
-    def test_inflation_bounded(self, memory, rate):
-        """The 0.95 utilisation clamp keeps inflation finite."""
-        assert bandwidth_pressure(memory, rate).latency_inflation < 10.0

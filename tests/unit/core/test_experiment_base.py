@@ -5,7 +5,6 @@ import pytest
 from repro.experiments.base import (
     ExperimentResult,
     doubling_normalised,
-    paper_measured,
 )
 from repro.experiments.features import FeatureEffect, effect_row, group_energy_rows
 from repro.workloads.benchmark import Group
@@ -36,12 +35,6 @@ class TestExperimentResult:
     def test_requires_rows(self):
         with pytest.raises(ValueError):
             ExperimentResult("x", "t", "s", rows=())
-
-    def test_paper_measured_helper(self):
-        row = paper_measured(1.234567, 1.111111)
-        assert row["paper"] == 1.235
-        assert row["measured"] == 1.111
-        assert paper_measured(None, 1.0)["paper"] is None
 
 
 class TestFeatureRows:

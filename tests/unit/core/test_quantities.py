@@ -3,15 +3,11 @@
 import pytest
 
 from repro.core.quantities import (
-    Amperes,
     Hertz,
     Joules,
     Seconds,
-    Volts,
     Watts,
     average_power,
-    duration_of,
-    electrical_power,
     energy,
 )
 
@@ -66,13 +62,6 @@ class TestArithmetic:
         assert Watts(1.0)
         assert not Watts(0.0)
 
-    def test_require_positive(self):
-        assert Seconds(1.0).require_positive() == Seconds(1.0)
-        with pytest.raises(ValueError):
-            Seconds(0.0).require_positive()
-        with pytest.raises(ValueError):
-            Seconds(-1.0).require_positive()
-
 
 class TestConversions:
     def test_energy_is_power_times_time(self):
@@ -85,16 +74,6 @@ class TestConversions:
         with pytest.raises(ValueError):
             average_power(Joules(1.0), Seconds(0.0))
 
-    def test_duration_of(self):
-        assert duration_of(Joules(30.0), Watts(10.0)) == Seconds(3.0)
-
-    def test_duration_of_rejects_zero_power(self):
-        with pytest.raises(ValueError):
-            duration_of(Joules(1.0), Watts(0.0))
-
-    def test_electrical_power(self):
-        assert electrical_power(Volts(12.0), Amperes(2.0)) == Watts(24.0)
-
     def test_energy_round_trip(self):
         joules = energy(Watts(7.0), Seconds(5.0))
         assert average_power(joules, Seconds(5.0)) == Watts(7.0)
@@ -106,6 +85,3 @@ class TestHertz:
 
     def test_ghz_property(self):
         assert Hertz(2.4e9).ghz == pytest.approx(2.4)
-
-    def test_cycles_over(self):
-        assert Hertz.from_ghz(1.0).cycles_over(Seconds(2.0)) == pytest.approx(2e9)

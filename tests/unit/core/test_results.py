@@ -46,14 +46,6 @@ class TestRunResult:
 
 
 class TestResultSet:
-    def test_filters(self):
-        rs = ResultSet([_result("db"), _result("mcf", processor="i5_32",
-                                                config="i5_32/2C2T@3.46+TB")])
-        assert len(rs.for_processor("i5_32")) == 1
-        assert len(rs.for_benchmark("db")) == 1
-        assert len(rs.for_config("i7_45/4C2T@2.66+TB")) == 1
-        assert len(rs.for_group(Group.JAVA_NONSCALABLE)) == 2
-
     def test_single(self):
         rs = ResultSet([_result("db")])
         assert rs.single().benchmark_name == "db"
@@ -68,10 +60,6 @@ class TestResultSet:
         rs = ResultSet([_result("db"), _result("db", config="i7_45/1C1T@1.6-TB")])
         with pytest.raises(ValueError):
             rs.values("watts")
-
-    def test_merge(self):
-        merged = ResultSet([_result("db")]).merged_with(ResultSet([_result("mcf")]))
-        assert len(merged) == 2
 
     def test_config_keys_ordered_unique(self):
         rs = ResultSet([_result("db"), _result("mcf")])

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.quantities import Hertz
-from repro.execution.cpi import CpiBreakdown, issue_utilisation, thread_cpi
+from repro.execution.cpi import CpiBreakdown, thread_cpi
 from repro.hardware.catalog import ATOM_45, CORE2DUO_65, CORE_I7_45, PENTIUM4_130
 from repro.hardware.config import stock
 from repro.native.compiler import Toolchain
@@ -21,18 +21,6 @@ class TestBreakdown:
     def test_total_sums_components(self):
         b = _cpi("mcf", CORE_I7_45)
         assert b.total == pytest.approx(b.base + b.dependency + b.branch + b.memory)
-
-    def test_stall_fraction_in_unit_interval(self):
-        b = _cpi("mcf", CORE_I7_45)
-        assert 0.0 < b.stall_fraction < 1.0
-
-    def test_memory_inflation(self):
-        b = _cpi("mcf", CORE_I7_45)
-        inflated = b.with_memory_inflation(1.5)
-        assert inflated.memory == pytest.approx(b.memory * 1.5)
-        assert inflated.base == b.base
-        with pytest.raises(ValueError):
-            b.with_memory_inflation(0.5)
 
 
 class TestWorkloadSensitivity:
@@ -94,16 +82,3 @@ class TestMachineSensitivity:
         i7 = _cpi("mcf", CORE_I7_45, ghz=2.4)
         c2d = _cpi("mcf", CORE2DUO_65, ghz=2.4)
         assert c2d.memory > i7.memory
-
-
-class TestUtilisation:
-    def test_bounded(self):
-        config = stock(CORE_I7_45)
-        b = _cpi("hmmer", CORE_I7_45)
-        assert 0.0 < issue_utilisation(b, config) <= 1.0
-
-    def test_memory_bound_low_utilisation(self):
-        config = stock(CORE_I7_45)
-        assert issue_utilisation(_cpi("mcf", CORE_I7_45), config) < issue_utilisation(
-            _cpi("hmmer", CORE_I7_45), config
-        )

@@ -11,7 +11,6 @@ from repro.execution.scaling import (
 )
 from repro.execution.smt import (
     core_throughput_gain,
-    sibling_slowdown,
     utilisation_gap,
 )
 from repro.hardware.catalog import ATOM_45, CORE_I7_45, PENTIUM4_130
@@ -57,17 +56,6 @@ class TestSmtGain:
     def test_negative_contention_rejected(self):
         with pytest.raises(ValueError):
             core_throughput_gain(NEHALEM, _breakdown("mcf", CORE_I7_45), -0.1)
-
-
-class TestSiblingSlowdown:
-    def test_at_least_unity(self):
-        b = _breakdown("db", PENTIUM4_130)
-        assert sibling_slowdown(NETBURST, b) >= 1.0
-
-    def test_netburst_worse_than_nehalem(self):
-        p4 = sibling_slowdown(NETBURST, _breakdown("db", PENTIUM4_130), 0.3)
-        i7 = sibling_slowdown(NEHALEM, _breakdown("db", CORE_I7_45), 0.3)
-        assert p4 > i7
 
 
 class TestPlacement:

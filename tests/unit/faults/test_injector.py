@@ -13,12 +13,12 @@ from repro.faults.injector import (
     FaultInjector,
     active,
     attempt_scope,
-    current_attempt,
     injected,
     install,
     shielded,
     uninstall,
 )
+from repro.faults import injector as injector_module
 from repro.faults.plan import FaultPlan, FaultSpec
 
 
@@ -229,6 +229,7 @@ class TestAmbientInstallation:
             assert active() is injector
 
     def test_attempt_scope_nests(self):
+        current_attempt = injector_module._ATTEMPT.get
         assert current_attempt() == 0
         with attempt_scope(2):
             assert current_attempt() == 2

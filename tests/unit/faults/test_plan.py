@@ -6,7 +6,6 @@ import pytest
 
 from repro.faults.plan import (
     COORDINATOR_KINDS,
-    COORDINATOR_PHASES,
     CORRUPTING_KINDS,
     DEFAULT_MAGNITUDES,
     FAIL_STOP_KINDS,
@@ -16,7 +15,6 @@ from repro.faults.plan import (
     FaultPlan,
     FaultSpec,
     PlanError,
-    coordinator_crash_plan,
     demo_plan,
     fail_stop_plan,
     plan_from_arg,
@@ -204,22 +202,6 @@ class TestFaultPlan:
         )
         assert not crash.fail_stop_only
         assert not stall.fail_stop_only
-
-    @pytest.mark.parametrize("phase", COORDINATOR_PHASES)
-    def test_coordinator_crash_plan_scopes_one_phase(self, phase):
-        plan = coordinator_crash_plan(phase)
-        (spec,) = plan.specs
-        assert spec.kind == "coordinator.crash"
-        assert spec.probability == 1.0
-        assert spec.applies_to(f"coordinator/{phase}/0")
-        assert spec.applies_to(f"coordinator/{phase}/7")
-        for other in COORDINATOR_PHASES:
-            if other != phase:
-                assert not spec.applies_to(f"coordinator/{other}/0")
-
-    def test_coordinator_crash_plan_rejects_unknown_phase(self):
-        with pytest.raises(ValueError, match="unknown coordinator phase"):
-            coordinator_crash_plan("teardown")
 
     def test_coordinator_stall_has_bounded_default_magnitude(self):
         spec = FaultSpec(kind="coordinator.stall", probability=1.0)

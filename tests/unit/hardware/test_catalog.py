@@ -84,7 +84,7 @@ class TestTable3Facts:
         assert turbo == {"i7_45", "i5_32"}
 
     def test_smt_machines(self):
-        smt = {spec.key for spec in PROCESSORS if spec.has_smt}
+        smt = {spec.key for spec in PROCESSORS if spec.threads_per_core > 1}
         assert smt == {"pentium4_130", "atom_45", "atomd_45", "i7_45", "i5_32"}
 
     def test_hardware_contexts(self):

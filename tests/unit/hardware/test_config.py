@@ -26,7 +26,12 @@ from repro.workloads.catalog import benchmark
 class TestValidation:
     def test_stock_is_valid(self):
         for spec in (CORE_I7_45, ATOM_45, CORE2DUO_65):
-            assert stock(spec).is_stock
+            config = stock(spec)
+            assert (config.active_cores, config.threads_per_core) == (
+                spec.cores, spec.threads_per_core,
+            )
+            assert config.clock_ghz == spec.stock_clock.ghz
+            assert config.turbo_enabled == spec.has_turbo
 
     def test_too_many_cores_rejected(self):
         with pytest.raises(UnsupportedConfigurationError):
@@ -126,7 +131,7 @@ class TestStoredKey:
         derived = dataclasses.replace(config, active_cores=2, turbo_enabled=False)
         assert derived == Configuration(CORE_I7_45, 2, 2, 2.66)
         assert derived.key == "i7_45/2C2T@2.66-TB"
-        assert config.without_smt().key == "i7_45/4C1T@2.66+TB"
+        assert dataclasses.replace(config, threads_per_core=1).key == "i7_45/4C1T@2.66+TB"
         with pytest.raises(ValueError):
             dataclasses.replace(config, key="forged")
 
@@ -141,15 +146,6 @@ class TestDerived:
     def test_hardware_contexts(self):
         assert Configuration(CORE_I7_45, 2, 2, 2.66).hardware_contexts == 4
 
-    def test_smt_enabled(self):
-        assert Configuration(CORE_I7_45, 1, 2, 2.66).smt_enabled
-        assert not Configuration(CORE_I7_45, 1, 1, 2.66).smt_enabled
-
-    def test_is_stock_detects_departures(self):
-        assert not Configuration(CORE_I7_45, 4, 2, 2.66).is_stock  # TB off
-        assert not Configuration(CORE_I7_45, 2, 2, 2.66, True).is_stock
-        assert Configuration(CORE_I7_45, 4, 2, 2.66, True).is_stock
-
     def test_voltage_at_stock_is_vid_max(self):
         config = stock(CORE_I5_32)
         assert config.voltage().value == pytest.approx(1.40)
@@ -159,12 +155,6 @@ class TestDerivationHelpers:
     def test_with_cores(self):
         assert stock(CORE_I7_45).with_cores(2).active_cores == 2
 
-    def test_without_smt(self):
-        assert stock(CORE_I7_45).without_smt().threads_per_core == 1
-
-    def test_with_smt_restores_native_width(self):
-        assert stock(CORE_I7_45).without_smt().with_smt().threads_per_core == 2
-
     def test_at_clock_drops_turbo_below_stock(self):
         derived = stock(CORE_I7_45).at_clock(1.6)
         assert derived.clock_ghz == 1.6
@@ -173,9 +163,6 @@ class TestDerivationHelpers:
     def test_at_clock_keeps_turbo_at_stock(self):
         derived = stock(CORE_I7_45).at_clock(2.66)
         assert derived.turbo_enabled
-
-    def test_without_turbo(self):
-        assert not stock(CORE_I7_45).without_turbo().turbo_enabled
 
 
 class TestResolvePair:

@@ -1,12 +1,14 @@
 """Unit tests for the 45-point configuration space (§2.8)."""
 
-from repro.hardware.catalog import CORE_I7_45, processor
 from repro.hardware.configurations import (
     all_configurations,
-    configurations_for,
     node_45nm_configurations,
     stock_configurations,
 )
+
+
+def _configurations_of(processor_key):
+    return [c for c in all_configurations() if c.spec.key == processor_key]
 
 
 class TestSpaceShape:
@@ -50,20 +52,16 @@ class TestTable5Members:
 
     def test_atomd_has_all_four_configurations(self):
         """§4.2 mentions 'all four AtomD (45) configurations'."""
-        atomd = configurations_for(processor("atomd_45"))
+        atomd = _configurations_of("atomd_45")
         assert len(atomd) == 4
         shapes = {(c.active_cores, c.threads_per_core) for c in atomd}
         assert shapes == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
 
 class TestPerProcessor:
-    def test_configurations_for_filters(self):
-        i7_configs = configurations_for(CORE_I7_45)
-        assert all(c.spec.key == "i7_45" for c in i7_configs)
-        assert len(i7_configs) == 19
-
     def test_i7_has_turbo_contrasts(self):
-        i7_configs = configurations_for(CORE_I7_45)
+        i7_configs = _configurations_of("i7_45")
+        assert len(i7_configs) == 19
         enabled = {c.key for c in i7_configs if c.turbo_enabled}
         disabled = {c.key for c in i7_configs if not c.turbo_enabled}
         assert enabled and disabled

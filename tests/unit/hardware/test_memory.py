@@ -3,10 +3,8 @@
 import pytest
 
 from repro.core.quantities import Hertz
-from repro.hardware.catalog import CORE2QUAD_65, CORE_I7_45
+from repro.hardware.catalog import CORE_I7_45
 from repro.hardware.memory import (
-    LINE_BYTES,
-    bandwidth_pressure,
     miss_latency_cycles,
 )
 
@@ -25,46 +23,3 @@ class TestMissLatency:
         assert miss_latency_cycles(memory, Hertz.from_ghz(2.0)) == pytest.approx(
             memory.latency_ns * 2.0
         )
-
-
-class TestBandwidthPressure:
-    def test_idle_stream_no_inflation(self):
-        outcome = bandwidth_pressure(CORE_I7_45.memory, 0.0)
-        assert outcome.latency_inflation == 1.0
-        assert outcome.demand_gbs == 0.0
-
-    def test_light_load_no_inflation(self):
-        misses = 0.2 * CORE_I7_45.memory.bandwidth_gbs * 1e9 / LINE_BYTES
-        assert bandwidth_pressure(CORE_I7_45.memory, misses).latency_inflation == 1.0
-
-    def test_heavy_load_inflates(self):
-        misses = 0.9 * CORE2QUAD_65.memory.bandwidth_gbs * 1e9 / LINE_BYTES
-        outcome = bandwidth_pressure(CORE2QUAD_65.memory, misses)
-        assert outcome.latency_inflation > 1.3
-
-    def test_inflation_monotone_in_demand(self):
-        memory = CORE2QUAD_65.memory
-        demands = [0.4, 0.6, 0.8, 1.0]
-        inflations = [
-            bandwidth_pressure(
-                memory, d * memory.bandwidth_gbs * 1e9 / LINE_BYTES
-            ).latency_inflation
-            for d in demands
-        ]
-        assert inflations == sorted(inflations)
-
-    def test_utilisation_clamped(self):
-        memory = CORE2QUAD_65.memory
-        outcome = bandwidth_pressure(memory, 1e12)
-        assert outcome.utilisation <= 0.95
-        assert outcome.latency_inflation < 100.0  # no singularity
-
-    def test_same_demand_hurts_narrow_bus_more(self):
-        misses = 0.5 * CORE2QUAD_65.memory.bandwidth_gbs * 1e9 / LINE_BYTES * 1.6
-        fsb = bandwidth_pressure(CORE2QUAD_65.memory, misses)
-        ddr3 = bandwidth_pressure(CORE_I7_45.memory, misses)
-        assert fsb.latency_inflation > ddr3.latency_inflation
-
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            bandwidth_pressure(CORE_I7_45.memory, -1.0)

@@ -5,23 +5,13 @@ import pytest
 from repro.hardware.microarch import (
     BONNELL,
     CORE,
-    FAMILIES,
     Microarchitecture,
     NEHALEM,
     NETBURST,
-    family_for,
 )
 
 
 class TestDefinitions:
-    def test_four_families(self):
-        assert set(FAMILIES) == {"NetBurst", "Core", "Bonnell", "Nehalem"}
-
-    def test_lookup(self):
-        assert family_for("Nehalem") is NEHALEM
-        with pytest.raises(KeyError):
-            family_for("Skylake")
-
     def test_bonnell_is_the_only_in_order(self):
         assert not BONNELL.out_of_order
         assert NETBURST.out_of_order and CORE.out_of_order and NEHALEM.out_of_order

@@ -11,6 +11,9 @@ from repro.hardware.power import (
 )
 from repro.hardware.turbo import resolve as resolve_turbo
 
+#: The stock i7 (45) with Turbo Boost off.
+_I7_NO_TURBO = Configuration(CORE_I7_45, 4, 2, 2.66)
+
 
 def _power(config, busy=1.0, util=0.5, activity=1.0, turbo_busy=0):
     turbo = resolve_turbo(config, turbo_busy)
@@ -43,19 +46,19 @@ class TestScales:
 
 class TestPackagePower:
     def test_components_positive(self):
-        breakdown = _power(stock(CORE_I7_45).without_turbo())
+        breakdown = _power(_I7_NO_TURBO)
         assert breakdown.uncore.value > 0
         assert breakdown.core_idle.value > 0
         assert breakdown.core_active.value > 0
 
     def test_total_sums_components(self):
-        b = _power(stock(CORE_I7_45).without_turbo())
+        b = _power(_I7_NO_TURBO)
         assert b.total.value == pytest.approx(
             b.uncore.value + b.core_idle.value + b.core_active.value
         )
 
     def test_more_busy_cores_more_power(self):
-        config = stock(CORE_I7_45).without_turbo()
+        config = _I7_NO_TURBO
         assert _power(config, busy=4.0).total > _power(config, busy=1.0).total
 
     def test_enabled_cores_cost_idle_power(self):
@@ -65,16 +68,16 @@ class TestPackagePower:
         assert four.total.value > one.total.value
 
     def test_utilisation_raises_power(self):
-        config = stock(CORE_I7_45).without_turbo()
+        config = _I7_NO_TURBO
         assert _power(config, util=0.9).total > _power(config, util=0.1).total
 
     def test_stalled_core_still_draws(self):
         """A fully stalled busy core keeps its clock toggling."""
-        breakdown = _power(stock(CORE_I7_45).without_turbo(), util=0.0)
+        breakdown = _power(_I7_NO_TURBO, util=0.0)
         assert breakdown.core_active.value > 0
 
     def test_activity_scales_active_power(self):
-        config = stock(CORE_I7_45).without_turbo()
+        config = _I7_NO_TURBO
         hungry = _power(config, activity=1.3).core_active.value
         frugal = _power(config, activity=0.7).core_active.value
         assert hungry / frugal == pytest.approx(1.3 / 0.7)
@@ -87,13 +90,13 @@ class TestPackagePower:
     def test_turbo_multiplies_package(self):
         config = stock(CORE_I7_45)
         boosted = _power(config, turbo_busy=1)
-        base = _power(config.without_turbo())
+        base = _power(_I7_NO_TURBO)
         assert boosted.total.value == pytest.approx(
             base.total.value * 1.21**2, rel=1e-6
         )
 
     def test_busy_cores_validated(self):
-        config = stock(CORE_I7_45).without_turbo()
+        config = _I7_NO_TURBO
         with pytest.raises(ValueError):
             _power(config, busy=5.0)
         with pytest.raises(ValueError):
@@ -101,15 +104,15 @@ class TestPackagePower:
 
     def test_utilisation_validated(self):
         with pytest.raises(ValueError):
-            _power(stock(CORE_I7_45).without_turbo(), util=1.5)
+            _power(_I7_NO_TURBO, util=1.5)
 
     def test_activity_validated(self):
         with pytest.raises(ValueError):
-            _power(stock(CORE_I7_45).without_turbo(), activity=0.0)
+            _power(_I7_NO_TURBO, activity=0.0)
 
     def test_atom_orders_of_magnitude_below_i7(self):
         atom = _power(stock(ATOM_45), busy=1.0)
-        i7 = _power(stock(CORE_I7_45).without_turbo(), busy=4.0)
+        i7 = _power(_I7_NO_TURBO, busy=4.0)
         assert i7.total.value > 10 * atom.total.value
 
     def test_uncore_partially_tracks_clock(self):

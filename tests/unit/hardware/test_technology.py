@@ -9,7 +9,6 @@ from repro.hardware.technology import (
     PROJECTED_NODES,
     ProcessNode,
     VoltageCurve,
-    any_node_for,
     node_for,
 )
 
@@ -58,12 +57,10 @@ class TestProjectedNodes:
         assert not any(node.synthetic for node in NODES.values())
 
     def test_lookup_spans_both_eras(self):
-        assert any_node_for(130).synthetic is False
-        assert any_node_for(7).synthetic is True
+        assert ALL_NODES[130].synthetic is False
+        assert ALL_NODES[7].synthetic is True
         with pytest.raises(KeyError):
             node_for(22)  # measured lookup stays measured-only
-        with pytest.raises(KeyError):
-            any_node_for(5)
 
     def test_capacitance_monotone_across_all_nodes(self):
         scales = [ALL_NODES[nm].capacitance_scale for nm in _ALL_ORDER]

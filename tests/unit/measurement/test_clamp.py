@@ -6,7 +6,6 @@ from repro.core.quantities import Watts
 from repro.hardware.catalog import ATOM_45, CORE_I7_45
 from repro.hardware.config import stock
 from repro.measurement.clamp import (
-    ClampMeter,
     DESKTOP_PLATFORM,
     NETTOP_PLATFORM,
     SystemPlatform,
@@ -49,22 +48,3 @@ class TestChipShare:
     def test_i7_is_a_large_share(self, engine):
         execution = engine.ideal(benchmark("xalan"), stock(CORE_I7_45))
         assert chip_share_of_wall(execution) > 0.3
-
-
-class TestClampMeter:
-    def test_reads_near_truth(self, engine):
-        execution = engine.ideal(benchmark("xalan"), stock(CORE_I7_45))
-        platform = platform_for("i7_45")
-        truth = platform.wall_power(execution.average_power).value
-        reading = ClampMeter("bench").measure_wall(execution).value
-        assert reading == pytest.approx(truth, rel=0.08)
-
-    def test_deterministic_per_salt(self, engine):
-        execution = engine.ideal(benchmark("xalan"), stock(CORE_I7_45))
-        meter = ClampMeter("bench")
-        assert meter.measure_wall(execution, "a").value == meter.measure_wall(
-            execution, "a"
-        ).value
-        assert meter.measure_wall(execution, "a").value != meter.measure_wall(
-            execution, "b"
-        ).value

@@ -22,19 +22,11 @@ class TestSupply:
     def test_rail_is_12v(self):
         assert RAIL_VOLTS == 12.0
 
-    def test_current_for_power(self):
-        supply = ProcessorSupply("m")
-        assert supply.current_for(Watts(24.0)).value == pytest.approx(2.0)
-
     def test_voltage_within_one_percent(self):
         """§2.5: measured voltage 'varying less than 1%'."""
         supply = ProcessorSupply("m")
         samples = supply.voltage_samples(1000, "salt")
         assert np.all(np.abs(samples - 12.0) <= 0.12 + 1e-9)
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            ProcessorSupply("m").current_for(Watts(-1.0))
 
     def test_samples_deterministic(self):
         supply = ProcessorSupply("m")

@@ -63,12 +63,12 @@ class TestGauge:
         g = registry.gauge("in_flight")
         g.set(10)
         g.inc(2)
-        g.dec(5)
+        g.inc(-5)
         assert g.value == 7.0
 
     def test_can_go_negative(self, registry):
         g = registry.gauge("delta")
-        g.dec(3)
+        g.inc(-3)
         assert g.value == -3.0
 
 

@@ -144,10 +144,8 @@ class TestDataset:
 
     def test_lookup_and_count(self):
         dataset = self._dataset()
-        assert dataset.frontier_for(22).node_nm == 22
+        assert [f.node_nm for f in dataset.frontiers] == [22]
         assert dataset.candidate_count() == 1
-        with pytest.raises(KeyError):
-            dataset.frontier_for(14)
 
     def test_json_bytes_are_canonical(self):
         dataset = self._dataset()

@@ -6,7 +6,6 @@ from repro.experiments.base import ExperimentResult
 from repro.reporting.tables import (
     format_cell,
     render_experiment,
-    render_many,
     render_rows,
 )
 
@@ -65,10 +64,6 @@ class TestRenderExperiment:
         assert "Fig. X" in text
         assert "figX" in text
         assert "note: a note" in text
-
-    def test_render_many_joins(self):
-        text = render_many([self._result(), self._result()])
-        assert text.count("Fig. X") == 2
 
     def test_experiment_result_helpers(self):
         result = ExperimentResult(

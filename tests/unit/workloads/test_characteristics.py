@@ -19,7 +19,7 @@ def _character(**overrides) -> WorkloadCharacter:
 class TestWorkloadCharacter:
     def test_defaults(self):
         c = _character()
-        assert c.single_threaded
+        assert c.software_threads == 1
         assert c.parallel_fraction == 0.0
         assert c.activity == 1.0
 
