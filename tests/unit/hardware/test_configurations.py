@@ -59,9 +59,13 @@ class TestTable5Members:
 
 
 class TestPerProcessor:
+    def test_configurations_for_filters(self):
+        i7_configs = _configurations_of("i7_45")
+        assert all(c.spec.key == "i7_45" for c in i7_configs)
+        assert len(i7_configs) == 19
+
     def test_i7_has_turbo_contrasts(self):
         i7_configs = _configurations_of("i7_45")
-        assert len(i7_configs) == 19
         enabled = {c.key for c in i7_configs if c.turbo_enabled}
         disabled = {c.key for c in i7_configs if not c.turbo_enabled}
         assert enabled and disabled
