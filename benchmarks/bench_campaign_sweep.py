@@ -55,13 +55,15 @@ _REPS = 3
 def _timed_sweep(
     references: References, jobs, vectorize: bool = True
 ) -> tuple[float, list[dict]]:
-    """One fresh-study sweep; returns (seconds, result records)."""
+    """One fresh-study sweep on ``jobs`` workers; returns (seconds,
+    result records)."""
     study = Study(
-        references=references, invocation_scale=1.0, vectorize=vectorize
+        references=references, invocation_scale=1.0, jobs=jobs,
+        vectorize=vectorize,
     )
     configs = stock_configurations()
     start = time.perf_counter()
-    results = study.run(configs, BENCHMARKS, jobs=jobs)
+    results = study.run(configs, BENCHMARKS)
     elapsed = time.perf_counter() - start
     return elapsed, [result.as_record() for result in results]
 

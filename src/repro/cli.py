@@ -503,8 +503,6 @@ def _project(args: argparse.Namespace, study: Study) -> str:
     """Run the frontier search and render/persist its artifacts."""
     query = parse_query(vars(args), default_samples=512)
     budget = query.budget
-    # jobs=None inherits the worker count the study was built with, so
-    # the global --jobs flag governs the sweep.
     dataset = search(
         study=study,
         nodes=query.nodes,
@@ -556,7 +554,6 @@ def _project(args: argparse.Namespace, study: Study) -> str:
 def _serve(
     args: argparse.Namespace,
     study: Study,
-    jobs: Optional[int | str],
     fingerprint: dict[str, object],
 ) -> int:
     # Imported here so the plain CLI never pays for the service stack.
@@ -578,7 +575,6 @@ def _serve(
             store=args.store,
             fingerprint=fingerprint,
             max_pending=args.queue_depth,
-            jobs=jobs,
             rate=args.rate,
             burst=args.burst,
             slo=args.slo,
@@ -653,40 +649,39 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 file=sys.stderr,
             )
             return 2
-    jobs: Optional[int | str]
-    if args.jobs in ("none", "1") or args.jobs is None:
+    jobs: Optional[int | str] = args.jobs
+    if jobs in ("none", "1"):
         # jobs=1 through the pool would be pure overhead from the CLI;
         # the in-process path produces the identical bytes.
         jobs = None
-    elif args.jobs == "auto":
-        jobs = "auto"
-    else:
+    elif jobs != "auto":
         try:
-            jobs = int(args.jobs)
+            jobs = int(jobs)
         except ValueError:
             print(
                 f"error: --jobs must be an integer, 'auto', or 'none', "
-                f"got {args.jobs!r}",
+                f"got {jobs!r}",
                 file=sys.stderr,
             )
             return 2
-        if jobs < 0:
-            print("error: --jobs cannot be negative", file=sys.stderr)
-            return 2
-    study = Study(
-        invocation_scale=scale,
-        progress=progress,
-        retry=RetryPolicy(max_retries=max_retries)
-        if max_retries is not None
-        else None,
-        checkpoint_path=checkpoint,
-        jobs=jobs,
-        cache_capacity=getattr(args, "cache_cap", None),
-        # The server reuses its worker pool across request batches.
-        reuse_pool=args.command == "serve",
-        heartbeat_s=args.heartbeat_interval,
-        liveness_misses=args.liveness_misses,
-    )
+    try:
+        study = Study(
+            invocation_scale=scale,
+            progress=progress,
+            retry=RetryPolicy(max_retries=max_retries)
+            if max_retries is not None
+            else None,
+            checkpoint_path=checkpoint,
+            jobs=jobs,
+            cache_capacity=getattr(args, "cache_cap", None),
+            # The server reuses its worker pool across request batches.
+            reuse_pool=args.command == "serve",
+            heartbeat_s=args.heartbeat_interval,
+            liveness_misses=args.liveness_misses,
+        )
+    except ValueError as exc:  # a negative --jobs or --cache-cap
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         restored = study.ledger.resume(resume, fingerprint)
     except FileNotFoundError:
@@ -730,7 +725,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "stats":
             print(_stats(study))
         elif args.command == "serve":
-            code = _serve(args, study, jobs, fingerprint)
+            code = _serve(args, study, fingerprint)
             if code != 0:
                 return code
     except MeasurementError as exc:

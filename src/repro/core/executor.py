@@ -59,13 +59,13 @@ but a worker that crashes, wedges, or silently slows down mid-chunk:
   the whole chunk from scratch and produces the byte-identical
   :class:`ChunkResult` the dead worker would have; partial results die
   with the process and are never merged;
-* a chunk that crash-loops ``max_chunk_attempts`` times is given up on:
-  its pairs come back as failed outcomes, which the merge loop
+* a chunk that crash-loops :data:`MAX_CHUNK_ATTEMPTS` times is given up
+  on: its pairs come back as failed outcomes, which the merge loop
   quarantines, instead of respawning forever;
-* a pool that shrinks below ``min_workers`` (respawn failures) keeps
-  serving with reduced parallelism and says so; only a pool with *no*
-  live workers raises :class:`PoolUnavailable`, and the merge loop
-  measures the sweep in-process instead.
+* a pool that shrinks below its size (a failed respawn) keeps serving
+  with reduced parallelism and says so; only a pool with *no* live
+  workers raises :class:`PoolUnavailable`, and the merge loop measures
+  the sweep in-process instead.
 
 The process-level fault kinds (``worker.crash``, ``worker.hang``,
 ``worker.slow``) are armed through the ordinary plan machinery; the
@@ -129,13 +129,12 @@ class WorkerSetup:
     retry: RetryPolicy
     metrics_enabled: bool
     fault_plan: Optional[FaultPlan]
-    #: Arm the worker's tracer so each pair ships its span subtree home
-    #: (defaulted so pickled setups from older callers keep working).
-    trace_enabled: bool = False
+    #: Arm the worker's tracer so each pair ships its span subtree home.
+    trace_enabled: bool
     #: Route fault-free pairs through compiled kernels in the worker's
     #: pair measurement (result bytes are identical either way; this
     #: only pins which code path produces them).
-    vectorize: bool = True
+    vectorize: bool
 
 
 @dataclass(frozen=True)
@@ -255,6 +254,10 @@ _HEARTBEAT_AGE = _REGISTRY.gauge(
 #: Exit code a worker uses for an injected ``worker.crash`` (visible in
 #: the pool's log line, distinguishing planned chaos from SIGKILL).
 CRASH_EXIT_CODE = 73
+
+#: Dispatches of one chunk before it is given up on as a crash loop
+#: and its pairs quarantined.
+MAX_CHUNK_ATTEMPTS = 3
 
 #: How often an idle worker wakes from ``tasks.get`` to check that its
 #: parent is still alive (seconds).
@@ -416,7 +419,8 @@ class SweepPool:
     """Owns N worker processes and survives their deaths.
 
     A one-shot sweep builds its pool, measures, and tears it down
-    (:func:`run_pairs`); the campaign server instead dispatches many
+    (:meth:`Study._dispatch <repro.core.study.Study._dispatch>`); the
+    campaign server instead dispatches many
     small batches over hours, so it keeps one pool warm
     (:class:`~repro.core.study.Study` with ``reuse_pool=True``) and
     amortises worker start-up across batches.  A pool may serve a sweep
@@ -434,8 +438,6 @@ class SweepPool:
         *,
         heartbeat_s: float = 0.25,
         liveness_misses: int = 4,
-        max_chunk_attempts: int = 3,
-        min_workers: int = 1,
         clock: Callable[[], float] = time.monotonic,
         process_factory: Optional[Callable] = None,
         log=None,
@@ -446,14 +448,10 @@ class SweepPool:
             raise ValueError(f"heartbeat interval must be positive: {heartbeat_s}")
         if liveness_misses < 1:
             raise ValueError(f"need at least one miss to die: {liveness_misses}")
-        if max_chunk_attempts < 1:
-            raise ValueError(f"need at least one attempt: {max_chunk_attempts}")
         self.setup = setup
         self.workers = workers
         self.heartbeat_s = heartbeat_s
         self.liveness_misses = liveness_misses
-        self.max_chunk_attempts = max_chunk_attempts
-        self.min_workers = max(1, min_workers)
         self.restarts = 0
         self.requeues = 0
         self._clock = clock
@@ -660,7 +658,7 @@ class SweepPool:
                 gen, chunk_index, attempt, chunk = handle.current
                 if gen == generation and chunk_index not in completed:
                     next_attempt = attempt + 1
-                    if next_attempt >= self.max_chunk_attempts:
+                    if next_attempt >= MAX_CHUNK_ATTEMPTS:
                         completed[chunk_index] = _crash_loop_result(
                             chunk_index, chunk, next_attempt
                         )
@@ -679,16 +677,14 @@ class SweepPool:
                             worker=handle.worker_id,
                         ):
                             pass
-            replacement = self._spawn()
-            if replacement is not None:
+            if self._spawn() is not None:
                 self.restarts += 1
                 _RESTARTS.inc()
-            live = sum(1 for h in self._workers if h.state != "dead")
-            if live < self.min_workers:
+            else:
+                live = sum(1 for h in self._workers if h.state != "dead")
                 self._log(
-                    f"fleet: degraded to {live} live worker(s) "
-                    f"(floor {self.min_workers}); serving with reduced "
-                    f"parallelism"
+                    f"fleet: degraded to {live} live worker(s) of "
+                    f"{self.workers}; serving with reduced parallelism"
                 )
         self._update_gauges(now)
 
@@ -798,46 +794,23 @@ def _crash_loop_result(
 
 
 def run_pairs(
-    setup: WorkerSetup,
+    pool: SweepPool,
     pending: Sequence[tuple[Benchmark, Configuration]],
-    jobs: int,
     progress=None,
-    pool: Optional[SweepPool] = None,
-    *,
-    heartbeat_s: float = 0.25,
-    liveness_misses: int = 4,
 ) -> list[PairOutcome]:
-    """Measure ``pending`` pairs across ``jobs`` worker processes.
+    """Measure ``pending`` pairs on ``pool``.
 
     Returns one outcome per pair, in ``pending`` order, after applying
     the workers' metric deltas to this process's registry in chunk
-    order.  ``pool`` borrows a caller-owned, kept-alive
-    :class:`SweepPool`; without one, a pool of at most ``jobs`` workers
-    (``heartbeat_s``/``liveness_misses`` as in :class:`SweepPool`) is
-    built for this sweep and closed after it.  Raises
-    :class:`PoolUnavailable` if no worker can be spawned or every worker
-    died beyond repair; the caller measures in-process instead, which is
-    safe because nothing is merged until every chunk has returned.
+    order.  Raises :class:`PoolUnavailable` if every worker died beyond
+    repair; the caller measures in-process instead, which is safe
+    because nothing is merged until every chunk has returned.
     """
-    if jobs < 1:
-        raise ValueError(f"need at least one worker, got {jobs}")
     indexed = [
         (benchmark, config, index)
         for index, (benchmark, config) in enumerate(pending)
     ]
-    owned = pool is None
-    if owned:
-        pool = SweepPool(
-            setup,
-            min(jobs, len(pending)) or 1,
-            heartbeat_s=heartbeat_s,
-            liveness_misses=liveness_misses,
-        )
-    try:
-        chunks = pool.run(indexed, progress)
-    finally:
-        if owned:
-            pool.close()
+    chunks = pool.run(indexed, progress)
     outcomes: list[PairOutcome] = [None] * len(pending)  # type: ignore[list-item]
     for chunk in chunks:
         _REGISTRY.apply_snapshot(chunk.metrics_delta)

@@ -49,9 +49,6 @@ class ConfidenceInterval:
             return 0.0
         return abs(self.half_width / self.mean)
 
-    def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
-
 
 def confidence_interval(
     samples: Sequence[float], confidence: float = 0.95
@@ -139,9 +136,6 @@ class LinearFit:
     slope: float
     intercept: float
     r_squared: float
-
-    def predict(self, x: float) -> float:
-        return self.slope * x + self.intercept
 
 
 def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:

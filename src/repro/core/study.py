@@ -387,20 +387,25 @@ class Study:
     recorded; turn it off with :func:`repro.obs.metrics.set_enabled` and
     a disabled tracer.
 
-    ``jobs`` shards sweeps across a
-    :class:`~repro.core.executor.SweepPool`: ``None`` (the default) runs
-    in-process, an integer pins the worker count, and ``"auto"`` (or 0)
-    uses the machine's CPU count.  A sweep goes to the pool only when it
-    has two or more pairs to measure, or when the armed fault plan holds
-    a ``worker.*`` spec (those faults exist only on the pool); a single
+    ``jobs`` is the one place a sweep's worker count is set.  It shards
+    sweeps across a :class:`~repro.core.executor.SweepPool`: ``None``
+    (the default) runs in-process, an integer pins the worker count
+    (even 1 takes the pool path, which is how the equivalence tests
+    drive the full dispatch/merge machinery), and ``"auto"`` (or 0)
+    uses the machine's CPU count, in-process on a single-core machine.
+    It is resolved at construction, so a negative count raises
+    ``ValueError`` here.  A sweep goes to the pool only when it has two
+    or more pairs to measure, or when the armed fault plan holds a
+    ``worker.*`` spec (those faults exist only on the pool); a single
     pair cannot be split, so it is measured on the calling thread.
     Workers beat every ``heartbeat_s`` seconds and are respawned, their
     chunk requeued, after ``liveness_misses`` missed beats; when no
     worker can be spawned the sweep runs in-process.  Measurements are
     pure and every sweep merges through one loop, so results, health,
     checkpoint bytes and cache and invocation telemetry are identical at
-    any worker count (see docs/performance.md).  ``reuse_pool`` keeps the pool alive between
-    sweeps (the campaign server); :meth:`close_pool` releases it.
+    any worker count (see docs/performance.md).  ``reuse_pool`` keeps
+    the pool alive between sweeps (the campaign server);
+    :meth:`close_pool` releases it.
     """
 
     def __init__(
@@ -431,7 +436,7 @@ class Study:
         self._benchmarks = tuple(benchmarks)
         self.ledger = Ledger(self._benchmarks, cache_capacity, checkpoint_path)
         self._progress = progress
-        self._jobs = jobs
+        self._workers = _worker_count(jobs)
         self._reuse_pool = reuse_pool
         self._pool = None  # lazily created when reuse_pool is set
         self._heartbeat_s = heartbeat_s
@@ -505,7 +510,6 @@ class Study:
         self,
         configurations: Iterable[Configuration],
         benchmarks: Optional[Sequence[Benchmark]] = None,
-        jobs: Optional[Union[int, str]] = None,
     ) -> ResultSet:
         """Measure every benchmark on every configuration, resiliently.
 
@@ -513,8 +517,6 @@ class Study:
         the returned set's :class:`CampaignHealth` and skipped by later
         sweeps — instead of aborting the campaign, so one pathological
         (benchmark, configuration) cell cannot take down a 61x45 sweep.
-        ``jobs`` overrides the study-level worker count for this sweep
-        (``None`` inherits the study's setting).
         """
         chosen = tuple(benchmarks) if benchmarks is not None else self._benchmarks
         pairs = [
@@ -522,12 +524,10 @@ class Study:
             for config in configurations
             for benchmark in chosen
         ]
-        return self.run_pairs(pairs, jobs=jobs)
+        return self.run_pairs(pairs)
 
     def run_pairs(
-        self,
-        pairs: Sequence[tuple[Benchmark, Configuration]],
-        jobs: Optional[Union[int, str]] = None,
+        self, pairs: Sequence[tuple[Benchmark, Configuration]]
     ) -> ResultSet:
         """Measure an explicit (benchmark, configuration) pair list.
 
@@ -544,7 +544,6 @@ class Study:
             self._progress.extend_total(
                 sum(self.scaled_invocations(benchmark) for benchmark, _ in pending)
             )
-        workers = self._resolve_jobs(jobs)
         injector = _faults_active()
         # One pair cannot be split across workers; only worker faults,
         # which exist nowhere but on the pool, send it there.
@@ -553,8 +552,8 @@ class Study:
             and injector.plan.specs_for_stage("worker")
         )
         outcomes: dict[tuple[Benchmark, str], PairOutcome] = {}
-        if workers is not None and pooled:
-            outcomes = self._dispatch(pending, workers)
+        if self._workers is not None and pooled:
+            outcomes = self._dispatch(pending)
         # Whatever the pool did not measure, the merge loop measures
         # in-process: compile it and prime its seeding in one batch first.
         with self._pair.prepared(() if outcomes else pending):
@@ -562,39 +561,16 @@ class Study:
 
     # -- parallel sweeps -------------------------------------------------------
 
-    def _resolve_jobs(
-        self, override: Optional[Union[int, str]]
-    ) -> Optional[int]:
-        """Worker count for a sweep, or ``None`` for the in-process path.
-
-        ``"auto"`` (or 0) uses the CPU count and degrades to sequential
-        on a single-core machine; an explicit integer takes the pool path
-        for every sweep :meth:`run_pairs` sends there — even ``jobs=1``,
-        which is how the equivalence tests exercise the full
-        dispatch/merge machinery."""
-        jobs = override if override is not None else self._jobs
-        if jobs is None:
-            return None
-        if jobs == "auto":
-            jobs = 0
-        jobs = int(jobs)
-        if jobs < 0:
-            raise ValueError(f"jobs must be >= 0 (0 = auto), got {jobs}")
-        if jobs == 0:
-            jobs = os.cpu_count() or 1
-            if jobs <= 1:
-                return None
-        return jobs
-
     def _dispatch(
         self,
         pending: Sequence[tuple[Benchmark, Configuration]],
-        workers: int,
     ) -> dict[tuple[Benchmark, str], PairOutcome]:
         """Measure ``pending`` on the worker pool: each pair's outcome,
-        in pending order.  Empty if no pool can be built or every worker
-        died beyond repair — the merge loop then measures in-process,
-        which is safe because nothing has been merged yet."""
+        in pending order.  The kept-alive pool serves it, or a pool of at
+        most the study's worker count built for this sweep and closed
+        after it.  Empty if no pool can be built or every worker died
+        beyond repair — the merge loop then measures in-process, which
+        is safe because nothing has been merged yet."""
         from repro.core import executor
 
         # Warm the references (and, through their probe runs, the
@@ -623,10 +599,15 @@ class Study:
                 if self._pool is not None and self._pool.setup != setup:
                     self.close_pool()
                 if self._pool is None:
-                    self._pool = executor.SweepPool(setup, workers, **options)
-            outcomes = executor.run_pairs(
-                setup, pending, workers, self._progress, self._pool, **options
-            )
+                    self._pool = executor.SweepPool(setup, self._workers, **options)
+                outcomes = executor.run_pairs(self._pool, pending, self._progress)
+            else:
+                # A one-shot sweep's pool: no more workers than pairs.
+                pool = executor.SweepPool(
+                    setup, min(self._workers, len(pending)), **options
+                )
+                with contextlib.closing(pool):
+                    outcomes = executor.run_pairs(pool, pending, self._progress)
         except executor.PoolUnavailable:
             # Drop a kept-alive pool that died so the next dispatch
             # starts a fresh one.
@@ -663,6 +644,21 @@ class Study:
     ) -> ResultSet:
         """Measure one configuration across benchmarks."""
         return self.run((configuration,), benchmarks)
+
+
+def _worker_count(jobs: Optional[Union[int, str]]) -> Optional[int]:
+    """A study's pool size, or ``None`` for the in-process path (see
+    :class:`Study`)."""
+    if jobs is None:
+        return None
+    workers = 0 if jobs == "auto" else int(jobs)
+    if workers < 0:
+        raise ValueError(f"jobs must be >= 0 (0 = auto), got {workers}")
+    if workers == 0:
+        workers = os.cpu_count() or 1
+        if workers <= 1:
+            return None
+    return workers
 
 
 _SHARED_STUDY: Optional[Study] = None

@@ -91,8 +91,8 @@ _FALLBACKS = _REGISTRY.counter(
 
 def note_fallback(reason: str) -> None:
     """Count one pair that took the scalar path (``reason`` is ``faults``
-    for fault-armed pairs, ``shape``/``activity`` for plans the compiler
-    declines; a study with vectorisation off counts nothing)."""
+    for fault-armed pairs, ``shape`` for plans the compiler declines; a
+    study with vectorisation off counts nothing)."""
     _FALLBACKS.labels(reason=reason).inc()
 
 
@@ -343,8 +343,7 @@ def compile_pair(
 
     Returns ``None`` — after counting the fallback — for plans the
     compiler does not express: anything but the engine's one- or
-    two-phase (serial, parallel) shape, or a non-positive activity base
-    (which the scalar model rejects too).  The factor precomputation
+    two-phase (serial, parallel) shape.  The factor precomputation
     below is deliberately *Python-scalar* arithmetic copied operation for
     operation from :func:`repro.hardware.power.package_power`, so the
     folded constants are the exact floats the scalar path computes."""
@@ -354,9 +353,6 @@ def compile_pair(
         len(phases) == 2 and phases[0].name != "serial"
     ):
         note_fallback("shape")
-        return None
-    if plan.activity_base <= 0.0:
-        note_fallback("activity")
         return None
 
     character = config.spec.power

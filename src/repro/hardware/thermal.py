@@ -46,10 +46,6 @@ class ThermalModel:
         """Degrees below the junction limit (negative = throttling)."""
         return T_JUNCTION_MAX - self.junction_c(power)
 
-    def sustains(self, power: Watts) -> bool:
-        """Whether the cooler holds this draw below the junction limit."""
-        return self.headroom_c(power) >= 0.0
-
 
 def stock_cooler(spec: ProcessorSpec) -> ThermalModel:
     """The boxed cooler: sized so TDP sits exactly at the junction limit.

@@ -31,7 +31,7 @@ import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 _CURRENT_SPAN_ID: contextvars.ContextVar[Optional[int]] = contextvars.ContextVar(
     "repro_obs_current_span", default=None
@@ -376,10 +376,10 @@ class Tracer:
         return [s for s in snapshot if s.span_id in keep]
 
     def detach_subtree(self, root_id: int) -> list[Span]:
-        """:meth:`subtree` and :meth:`prune` fused under one lock: return
-        the subtree rooted at ``root_id`` and drop it from the finished
-        list in the same pass — the campaign server's per-request archive
-        step, kept to a single scan on the hot path."""
+        """:meth:`subtree` under the tracer's lock: return the subtree
+        rooted at ``root_id`` and drop it from the finished list in the
+        same pass — the campaign server's per-request archive step, kept
+        to a single scan on the hot path."""
         with self._lock:
             keep = {root_id}
             grew = True
@@ -395,22 +395,6 @@ class Tracer:
                     s for s in self.finished if s.span_id not in keep
                 ]
             return detached
-
-    def prune(self, span_ids: Collection[int]) -> int:
-        """Drop finished spans by ID; returns how many were removed.
-
-        The campaign server archives each served request's subtree into
-        its bounded trace store and prunes it here, so a long-lived
-        process's finished list holds only not-yet-archived spans."""
-        drop = set(span_ids)
-        if not drop:
-            return 0
-        with self._lock:
-            before = len(self.finished)
-            self.finished[:] = [
-                s for s in self.finished if s.span_id not in drop
-            ]
-            return before - len(self.finished)
 
     # -- export --------------------------------------------------------------
 

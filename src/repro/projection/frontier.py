@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.core.aggregation import group_means, weighted_average
 from repro.core.pareto import TradeoffPoint, fit_frontier, pareto_efficient
@@ -239,13 +239,13 @@ def search(
     samples: int = 512,
     budget: Budget = Budget(),
     seed: int = 0,
-    jobs: Optional[Union[int, str]] = None,
 ) -> ProjectionDataset:
     """Run the full frontier search and return its deterministic dataset.
 
     ``samples`` is per node, so the default four-node list searches 2048
-    candidates.  ``jobs`` passes straight to ``Study.run_pairs``; any
-    worker count (and either kernel mode) produces identical bytes.
+    candidates.  The pairs are one ``Study.run_pairs`` sweep on the
+    study's workers; any worker count (and either kernel mode) produces
+    identical bytes.
     """
     study = study if study is not None else shared_study()
     nodes = tuple(nodes)
@@ -266,7 +266,7 @@ def search(
         for config in list(configs.values()) + list(measured_configs)
         for benchmark in scoring
     ]
-    results = study.run_pairs(pairs, jobs=jobs)
+    results = study.run_pairs(pairs)
 
     per_config: dict[str, dict[str, tuple[float, float]]] = {}
     for result in results:

@@ -19,8 +19,8 @@ the measurement queue grows without bound, not after the process OOMs.
 
 **Batched dispatch.**  Jobs that arrive while a batch is measuring are
 drained together on the next cycle and dispatched as one
-``Study.run_pairs`` sweep — which shards across the existing parallel
-executor (``jobs``), keeps the retry/fault-injection stack intact, and
+``Study.run_pairs`` sweep — which shards across the study's worker
+pool, keeps the retry/fault-injection stack intact, and
 merges deterministically.  All measurement happens on one dedicated
 thread; the study is single-threaded by design, and the event loop only
 ever awaits it.
@@ -117,7 +117,8 @@ JobKey = tuple[str, str, Optional[str]]
 
 @dataclass
 class _Job:
-    """One queued measurement plus the trace context that submitted it.
+    """One in-flight measurement: the future its requests await, plus
+    the trace context that submitted it.
 
     ``submit_span_id`` is the request's ``service.submit`` span (None
     when tracing is disarmed); the dispatch loop parents each job's
@@ -129,6 +130,9 @@ class _Job:
     benchmark: Benchmark
     config: Configuration
     plan: Optional[FaultPlan]
+    #: Resolved once with the pair's result or error; every coalesced
+    #: request awaits it.
+    future: asyncio.Future
     submit_span_id: Optional[int] = None
     enqueued_perf: float = 0.0
     #: Journal request keys riding this job (the first submitter's plus
@@ -186,8 +190,8 @@ class CampaignScheduler:
     """Bounded, coalescing front-end over one :class:`Study`.
 
     ``max_pending`` bounds the in-flight job table (queued + measuring).
-    ``jobs`` is forwarded to ``Study.run_pairs`` per batch, so batches
-    shard across the parallel executor exactly like CLI sweeps do.
+    Each batch is one ``Study.run_pairs`` sweep, so batches shard across
+    the study's worker pool exactly like CLI sweeps do.
     ``store`` (optional) receives every newly measured record and is the
     warm-start source across restarts.
     """
@@ -197,7 +201,6 @@ class CampaignScheduler:
         study: Study,
         store: Optional[ResultStore] = None,
         max_pending: int = 64,
-        jobs: Optional[int | str] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if max_pending < 1:
@@ -206,9 +209,7 @@ class CampaignScheduler:
         self._clock = clock
         self._store = store
         self._max_pending = max_pending
-        self._jobs = jobs
-        self._inflight: dict[JobKey, asyncio.Future] = {}
-        self._jobs_meta: dict[JobKey, _Job] = {}
+        self._jobs: dict[JobKey, _Job] = {}
         self._queue: list[_Job] = []
         self._wake: Optional[asyncio.Event] = None
         self._dispatcher: Optional[asyncio.Task] = None
@@ -242,7 +243,7 @@ class CampaignScheduler:
     def run_projection(self, query):
         """Synchronous frontier search for a checked
         :class:`~repro.projection.ProjectionQuery` with the scheduler's
-        study and worker setting; call via :meth:`offload`."""
+        study; call via :meth:`offload`."""
         from repro.projection import search
 
         return search(
@@ -251,7 +252,6 @@ class CampaignScheduler:
             samples=query.samples,
             budget=query.budget,
             seed=query.seed,
-            jobs=self._jobs,
         )
 
     def now(self) -> float:
@@ -262,7 +262,7 @@ class CampaignScheduler:
     @property
     def pending(self) -> int:
         """Jobs queued or measuring right now."""
-        return len(self._inflight)
+        return len(self._jobs)
 
     @property
     def draining(self) -> bool:
@@ -298,7 +298,7 @@ class CampaignScheduler:
                 ),
                 "recovery": job.recovery,
             }
-            for job in self._jobs_meta.values()
+            for job in self._jobs.values()
         ]
 
     # -- lifecycle -------------------------------------------------------------
@@ -356,7 +356,7 @@ class CampaignScheduler:
             # Escalate: fail whatever is still unresolved and walk away
             # from the measurement thread instead of joining a hung one.
             error = Draining("drain deadline exceeded; measurement cancelled")
-            for key in list(self._inflight):
+            for key in list(self._jobs):
                 self._resolve(key, error=error)
                 cancelled += 1
             self._queue.clear()
@@ -443,47 +443,44 @@ class CampaignScheduler:
                     "deadline expired before the request could be queued"
                 )
             key = self.job_key(benchmark, config, plan)
-            future = self._inflight.get(key)
-            if future is not None:
+            job = self._jobs.get(key)
+            if job is not None:
                 self.coalesced += 1
                 _COALESCED.inc()
                 span.set_attribute("coalesced", True)
-                job = self._jobs_meta.get(key)
-                if job is not None:
-                    job.waiters += 1
-                    if request_key is not None:
-                        job.request_keys.append(request_key)
-                    # Latest deadline wins; a no-deadline waiter unbounds
-                    # the job (shedding it would 504 that waiter).
-                    if job.deadline is not None:
-                        job.deadline = (
-                            None if deadline is None
-                            else max(job.deadline, deadline)
-                        )
-                return await future
-            if not recovery and len(self._inflight) >= self._max_pending:
+                job.waiters += 1
+                if request_key is not None:
+                    job.request_keys.append(request_key)
+                # Latest deadline wins; a no-deadline waiter unbounds
+                # the job (shedding it would 504 that waiter).
+                if job.deadline is not None:
+                    job.deadline = (
+                        None if deadline is None
+                        else max(job.deadline, deadline)
+                    )
+                return await job.future
+            if not recovery and len(self._jobs) >= self._max_pending:
                 self.rejected += 1
                 _REJECTED.labels(reason="saturated").inc()
-                raise Saturated(len(self._inflight), self.retry_after_s())
-            future = asyncio.get_running_loop().create_future()
-            self._inflight[key] = future
+                raise Saturated(len(self._jobs), self.retry_after_s())
             job = _Job(
                 key=key,
                 benchmark=benchmark,
                 config=config,
                 plan=plan,
+                future=asyncio.get_running_loop().create_future(),
                 submit_span_id=span.span_id,
                 enqueued_perf=time.perf_counter(),
                 request_keys=[request_key] if request_key is not None else [],
                 deadline=deadline,
                 recovery=recovery,
             )
-            self._jobs_meta[key] = job
+            self._jobs[key] = job
             self._queue.append(job)
             _JOBS.inc()
-            _PENDING.set(len(self._inflight))
+            _PENDING.set(len(self._jobs))
             self._wake.set()
-            return await future
+            return await job.future
 
     def _count_shed(
         self, stage: str, requests: int, request_keys: Sequence[str]
@@ -502,7 +499,7 @@ class CampaignScheduler:
         loop = asyncio.get_running_loop()
         while True:
             if not self._queue:
-                if self._draining and not self._inflight:
+                if self._draining and not self._jobs:
                     return
                 # clear-then-wait is race-free here: submit/drain only run
                 # while this coroutine is suspended, never between the
@@ -629,20 +626,19 @@ class CampaignScheduler:
         result: Optional[RunResult] = None,
         error: Optional[BaseException] = None,
     ) -> None:
-        future = self._inflight.pop(key, None)
-        job = self._jobs_meta.pop(key, None)
-        _PENDING.set(len(self._inflight))
+        job = self._jobs.pop(key)
+        _PENDING.set(len(self._jobs))
         self._journal_transition(job, error)
-        if future is None or future.done():
+        if job.future.done():  # a cancelled waiter cancelled it
             return
         if error is not None:
-            future.set_exception(error)
+            job.future.set_exception(error)
         else:
             self.completed += 1
-            future.set_result(result)
+            job.future.set_result(result)
 
     def _journal_transition(
-        self, job: Optional[_Job], error: Optional[BaseException]
+        self, job: _Job, error: Optional[BaseException]
     ) -> None:
         """Settle a resolving job's journal keys.  Every transition here
         is idempotent (only ``pending`` rows move).  A success completes
@@ -653,7 +649,7 @@ class CampaignScheduler:
         a drain that expires mid-batch is exactly the crash-shaped case
         the journal exists for, and recovery will replay those requests
         byte-identically on the next ``--recover`` start."""
-        if job is None or self._store is None or not job.request_keys:
+        if self._store is None or not job.request_keys:
             return
         if error is None:
             late = job.request_keys[job.committed_keys:]
@@ -706,7 +702,7 @@ class CampaignScheduler:
             coordinator_fault_point("batch")
             scope = injected(plan) if plan is not None else nullcontext()
             with scope:
-                outcome = self._study.run_pairs(pairs, jobs=self._jobs)
+                outcome = self._study.run_pairs(pairs)
             results = {
                 (r.benchmark_name, r.config_key): r for r in outcome
             }

@@ -240,6 +240,7 @@ class CampaignServer:
     raises :class:`~repro.service.store.StoreError` at startup rather
     than serving mixed data.  ``rate``/``burst`` configure per-client
     token buckets on ``POST /measure`` (``rate=None`` disables).
+    Batches run on ``study``'s worker pool, sized by ``Study(jobs=...)``.
 
     ``slo`` declares targets for ``GET /slo`` — an :class:`SloConfig`
     or a spec string like ``"p99=250ms,avail=99.9"`` (``ValueError`` on
@@ -258,7 +259,6 @@ class CampaignServer:
         store: Union[ResultStore, Path, str, None] = None,
         fingerprint: Optional[Mapping[str, object]] = None,
         max_pending: int = 64,
-        jobs: Optional[Union[int, str]] = None,
         rate: Optional[float] = None,
         burst: float = 5.0,
         slo: Union[SloConfig, str, None] = None,
@@ -278,7 +278,7 @@ class CampaignServer:
         self._fingerprint = fingerprint
         self._drain_timeout = drain_timeout
         self._scheduler = CampaignScheduler(
-            self._study, store=self._store, max_pending=max_pending, jobs=jobs
+            self._study, store=self._store, max_pending=max_pending
         )
         self._limiter = ClientRateLimiter(rate, burst=burst)
         # GET /project responses keyed by canonical parameters: the search

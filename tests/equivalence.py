@@ -38,7 +38,7 @@ PAIRS = tuple((bench, config) for config in CONFIGS for bench in BENCHES)
 class Mode:
     """How a campaign runs; ``Mode()`` is the reference run."""
 
-    dispatch: Optional[int] = None  # pool workers, passed explicitly; None: in-process
+    dispatch: Optional[int] = None  # Study(jobs=...), explicit; None: in-process
     kernels: bool = False  # Study(vectorize=...)
     plan: Optional[FaultPlan] = CLEAN  # armed around the run; None: the ambient plan
     restart: bool = False  # killed after half the pairs, resumed from the checkpoint
@@ -91,34 +91,34 @@ def assert_campaign_equivalent(
 
 def sweep(references, mode: Mode, campaign=PAIRS, *, workdir: Path, retry=None,
           **study_kwargs) -> Capture:
-    """Run ``campaign`` (a pair list, or a callable ``(study, jobs) ->
-    Capture``) under ``mode`` on fresh quick-protocol studies that
-    checkpoint under ``workdir``.  A restarted run's health is both
-    attempts' together, restored pairs counted once, as measured: what
-    one uninterrupted run reports."""
+    """Run ``campaign`` (a pair list, or a callable ``study -> Capture``)
+    under ``mode`` on fresh quick-protocol studies that checkpoint under
+    ``workdir``.  A restarted run's health is both attempts' together,
+    restored pairs counted once, as measured: what one uninterrupted run
+    reports."""
     checkpoint = Path(tempfile.mkdtemp(dir=workdir)) / "campaign.jsonl"
 
     def fresh() -> Study:
         return Study(references=references, invocation_scale=0.2, retry=retry,
-                     checkpoint_path=checkpoint, vectorize=mode.kernels,
-                     **study_kwargs)
+                     checkpoint_path=checkpoint, jobs=mode.dispatch,
+                     vectorize=mode.kernels, **study_kwargs)
 
     study = fresh()
     try:
         with injected(mode.plan) if mode.plan is not None else nullcontext():
             if callable(campaign):
                 assert not mode.restart, "a callable campaign cannot restart"
-                return campaign(study, mode.dispatch)
+                return campaign(study)
             if not mode.restart:
-                results = study.run_pairs(campaign, jobs=mode.dispatch)
+                results = study.run_pairs(campaign)
                 captured = capture(results, checkpoint)
                 return replace(captured, fleet=study.fleet_snapshot())
             half = len(campaign) // 2
-            first = study.run_pairs(campaign[:half], jobs=mode.dispatch).health
+            first = study.run_pairs(campaign[:half]).health
             study.close_pool()
             study = fresh()
             assert study.ledger.restore_checkpoint(checkpoint) == half
-            results = study.run_pairs(campaign, jobs=mode.dispatch)
+            results = study.run_pairs(campaign)
         assert results.health.restored_pairs == half
         health = replace(first.merged(results.health), restored_pairs=0,
                          attempted_pairs=results.health.attempted_pairs)

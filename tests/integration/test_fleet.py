@@ -1,7 +1,7 @@
 """Acceptance tests for the supervised worker pool under worker deaths.
 
 The contract is the parallel sweep's, under a harsher adversary:
-a ``Study.run(jobs=N)`` must be **byte-identical** to
+a ``Study(jobs=N).run(...)`` must be **byte-identical** to
 the clean sequential sweep — same records, same
 :class:`~repro.core.results.CampaignHealth`, same checkpoint bytes — at
 any worker count *and with any number of worker deaths injected
@@ -219,8 +219,8 @@ class TestCrashLoopQuarantine:
     def test_poison_chunk_is_given_up_and_quarantined(self, references):
         """A chunk that kills *every* worker it touches (scope
         ``fleet/0/*`` — all attempts) must be abandoned after
-        ``max_chunk_attempts`` and its pairs quarantined with the PR 2
-        semantics, not respawn workers forever."""
+        ``MAX_CHUNK_ATTEMPTS`` dispatches and its pairs quarantined like
+        any failed pair, not respawn workers forever."""
         plan = FaultPlan(
             specs=(
                 FaultSpec(
@@ -229,9 +229,9 @@ class TestCrashLoopQuarantine:
             ),
             seed="poison",
         )
-        study = Study(references=references, invocation_scale=0.2)
+        study = Study(references=references, invocation_scale=0.2, jobs=2)
         with injected(plan):
-            results = study.run(CONFIGS, BENCHES, jobs=2)
+            results = study.run(CONFIGS, BENCHES)
         # 8 chunks at jobs=2: chunk 0 holds exactly the first pair.
         assert len(results.health.quarantined) == 1
         (entry,) = results.health.quarantined

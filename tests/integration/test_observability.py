@@ -125,11 +125,11 @@ class TestParallelSpanMerge:
 
     def _run(self, references, tracer, jobs):
         tracer.clear()
-        study = Study(references=references, invocation_scale=0.05)
+        study = Study(references=references, invocation_scale=0.05, jobs=jobs)
         benches = tuple(benchmark(name) for name in self.BENCHES)
         configs = (stock(ATOM_45), stock(CORE_I7_45))
         with tracer.span("campaign") as root:
-            results = study.run(configs, benches, jobs=jobs)
+            results = study.run(configs, benches)
         spans = [span.as_dict() for span in tracer.finished]
         records = json.dumps([r.as_record() for r in results]).encode()
         return root, spans, records

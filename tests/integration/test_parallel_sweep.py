@@ -56,9 +56,9 @@ class TestCleanEquivalence:
         the file is identical however the cache was populated."""
 
         def saved(jobs):
-            study = Study(references=references, invocation_scale=0.2)
+            study = Study(references=references, invocation_scale=0.2, jobs=jobs)
             with injected(CLEAN):
-                study.run(CONFIGS, BENCHES, jobs=jobs)
+                study.run(CONFIGS, BENCHES)
             path = study.ledger.save_checkpoint(tmp_path / f"{jobs}.jsonl")
             return Capture(checkpoint=path.read_bytes())
 
@@ -240,6 +240,7 @@ class TestTelemetryParity:
         study = Study(
             references=references,
             invocation_scale=0.2,
+            jobs=jobs,
             reuse_pool=True,
             cache_capacity=1,
             retry=self.RETRY,
@@ -248,7 +249,7 @@ class TestTelemetryParity:
         try:
             with injected(self.PLAN):
                 sweeps = [
-                    study.run_pairs(pairs, jobs=jobs)
+                    study.run_pairs(pairs)
                     for pairs in ((a, b), (c, a), (b, c))
                 ]
             assert (study.fleet_snapshot() is not None) == (jobs is not None)

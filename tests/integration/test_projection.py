@@ -51,9 +51,9 @@ _RETRY = RetryPolicy(max_retries=8) if os.environ.get("REPRO_FAULT_PLAN") else N
 _BASELINE = Mode(kernels=True, plan=None)
 
 
-def _search(study, jobs):
+def _search(study):
     """The small search on ``study``: its dataset and figure bytes."""
-    dataset = search(study=study, nodes=_NODES, samples=_SAMPLES, seed=_SEED, jobs=jobs)
+    dataset = search(study=study, nodes=_NODES, samples=_SAMPLES, seed=_SEED)
     figure = projection_figure(dataset).encode()
     return Capture(
         artifacts={"frontier.json": dataset.to_json_bytes(), "figure.txt": figure}
@@ -81,7 +81,7 @@ class TestByteIdentity:
     def test_repeat_on_a_warm_study_is_identical(self, study, reference):
         """The session study's warm cache must not perturb the bytes."""
         expected = reference(_BASELINE, _search, _RETRY)
-        assert_campaign_equivalent(expected, _search(study, None))
+        assert_campaign_equivalent(expected, _search(study))
 
 
 class TestFourNodeSearch:
@@ -171,7 +171,7 @@ def _get(server: CampaignServer, query: dict[str, str]):
 class TestServiceRoute:
     @pytest.fixture(scope="class")
     def server(self, study):
-        return CampaignServer(study=study, jobs=1)
+        return CampaignServer(study=study)
 
     def test_project_route_end_to_end(self, server):
         query = {"nodes": "22", "samples": "6", "seed": "3"}

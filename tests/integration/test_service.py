@@ -162,7 +162,7 @@ class TestCoalescingByteIdentity:
             {"benchmark": "db", "processor": "c2d_45"},
         ]
         server = CampaignServer(
-            study=_quick_study(references, reuse_pool=True), jobs=2
+            study=_quick_study(references, jobs=2, reuse_pool=True)
         )
         with _LiveServer(server) as live:
             with ThreadPoolExecutor(max_workers=4) as pool:
@@ -198,8 +198,8 @@ class TestLiveServerTeardown:
     def test_failed_shutdown_still_closes_the_kept_alive_pool(
         self, references, monkeypatch
     ):
-        study = _quick_study(references, reuse_pool=True)
-        server = CampaignServer(study=study, jobs=2)
+        study = _quick_study(references, jobs=2, reuse_pool=True)
+        server = CampaignServer(study=study)
 
         async def broken_shutdown() -> dict:
             raise RuntimeError("drain failed")
@@ -545,8 +545,12 @@ class TestStatementsPerRequest:
 #: call one parser.  A row is (id, ARGS, (route, query or body));
 #: ``None`` marks a door that accepts the input, because the doors
 #: differ there (only HTTP caps ``samples``), or that cannot spell it
-#: (the CLI names no configuration key and lists no results).
+#: (the CLI names no configuration key and lists no results; HTTP sets
+#: no worker count).  A later ``--jobs`` overrides the leading ``none``.
 BAD_INPUTS = [
+    ("jobs-negative", ["--jobs", "-1", "list", "processors"], None),
+    ("jobs-not-int", ["--jobs", "x", "list", "processors"], None),
+    ("cache-cap-0", ["serve", "--cache-cap", "0"], None),
     ("samples-0", ["project", "--samples", "0"], ("/project", {"samples": "0"})),
     ("samples-not-int", ["project", "--samples", "x"], ("/project", {"samples": "x"})),
     ("samples-over-http-cap", None, ("/project", {"samples": "10000"})),
@@ -687,7 +691,7 @@ class TestRequestTracing:
         self, references, jobs
     ):
         server = CampaignServer(
-            study=_quick_study(references, reuse_pool=True), jobs=jobs
+            study=_quick_study(references, jobs=jobs, reuse_pool=True)
         )
         reference_study = _quick_study(references)
         with _LiveServer(server) as live:
@@ -903,8 +907,7 @@ class TestSupervisedService:
         keeps it alive between batches and publishes the per-worker
         table on /healthz; `repro top` renders it from there."""
         server = CampaignServer(
-            study=_quick_study(references, reuse_pool=True),
-            jobs=2,
+            study=_quick_study(references, jobs=2, reuse_pool=True)
         )
         with _LiveServer(server) as live:
             status, _, _ = live.measure({"benchmark": "mcf", "processor": "atom_45"})

@@ -43,10 +43,6 @@ class TestConfidenceInterval:
         ci = confidence_interval([9.0, 10.0, 11.0])
         assert ci.upper - ci.mean == pytest.approx(ci.mean - ci.lower)
 
-    def test_contains_mean(self):
-        ci = confidence_interval([9.0, 10.0, 11.0])
-        assert ci.contains(10.0)
-
     def test_single_sample_zero_width(self):
         ci = confidence_interval([10.0])
         assert ci.half_width == 0.0

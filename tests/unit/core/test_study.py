@@ -58,6 +58,12 @@ class TestMeasure:
         with pytest.raises(ValueError):
             Study(references=references, invocation_scale=0.0)
 
+    def test_negative_worker_count_rejected_at_construction(self, references):
+        """The worker count is resolved when the study is built, not at
+        its first pooled sweep."""
+        with pytest.raises(ValueError, match="jobs must be >= 0"):
+            Study(references=references, jobs=-1)
+
 
 class TestRun:
     def test_run_config_covers_benchmarks(self, study):
@@ -283,13 +289,14 @@ class TestKernelCounterParity:
         study = Study(
             references=References(ExecutionEngine()),
             invocation_scale=0.2,
+            jobs=jobs,
             vectorize=True,
             reuse_pool=True,
         )
         before = kernel_stats()
         try:
             with injected(armed):
-                results = study.run_pairs(pairs + pairs[:2], jobs=jobs)
+                results = study.run_pairs(pairs + pairs[:2])
             assert (study.fleet_snapshot() is not None) == (jobs is not None)
         finally:
             study.close_pool()

@@ -12,6 +12,7 @@ from collections import deque
 import pytest
 
 from repro.core.executor import (
+    MAX_CHUNK_ATTEMPTS,
     ChunkResult,
     PoolUnavailable,
     SweepPool,
@@ -186,10 +187,10 @@ class TestLiveness:
 
 class TestCrashLoopGiveUp:
     def test_exhausted_attempts_quarantine_instead_of_respawn_loop(self):
-        pool, clock, _ = _pool(workers=1, max_chunk_attempts=2)
+        pool, clock, _ = _pool(workers=1)
         handle = pool._workers[0]
         chunk = ((None, None, 4), (None, None, 9))
-        handle.current = (1, 0, 1, chunk)  # already the second attempt
+        handle.current = (1, 0, MAX_CHUNK_ATTEMPTS - 1, chunk)  # the last attempt
         handle.state = "busy"
         todo: deque = deque()
         completed: dict = {}
@@ -216,7 +217,7 @@ class TestCrashLoopGiveUp:
 
 class TestDegradedMode:
     def test_respawn_failure_degrades_below_floor_with_log(self):
-        pool, clock, spawned = _pool(workers=2, min_workers=2)
+        pool, clock, spawned = _pool(workers=2)
         # Every further spawn fails: the factory starts raising.
         pool._process_factory = lambda *a: (_ for _ in ()).throw(
             OSError("no more processes")

@@ -29,6 +29,8 @@ def setup(references) -> WorkerSetup:
         retry=RetryPolicy(),
         metrics_enabled=True,
         fault_plan=None,
+        trace_enabled=False,
+        vectorize=True,
     )
 
 

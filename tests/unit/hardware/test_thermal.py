@@ -24,8 +24,8 @@ class TestThermalModel:
 
     def test_headroom_sign(self):
         model = ThermalModel(theta_ja=0.5)
-        assert model.sustains(Watts(100.0))
-        assert not model.sustains(Watts(150.0))
+        assert model.headroom_c(Watts(100.0)) >= 0.0
+        assert model.headroom_c(Watts(150.0)) < 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

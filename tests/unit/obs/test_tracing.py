@@ -259,16 +259,6 @@ class TestSubtreeAndPrune:
         assert tracer.detach_subtree(root.span_id) == []
         assert len(tracer.finished) == 1
 
-    def test_prune_removes_exactly_the_given_ids(self):
-        tracer = Tracer(enabled=True)
-        with tracer.span("gone") as gone:
-            pass
-        with tracer.span("kept"):
-            pass
-        removed = tracer.prune([gone.span_id])
-        assert removed == 1
-        assert [span.name for span in tracer.finished] == ["kept"]
-
 
 class TestChromeTrace:
     def test_events_mirror_spans(self, tmp_path):

@@ -547,9 +547,7 @@ class TestDrainDeadline:
         # first does not consume the ticks.)
         ticks = iter([100.0, 1000.0])
         study = _study(references, jobs=2, reuse_pool=True)
-        scheduler = CampaignScheduler(
-            study, jobs=2, clock=lambda: next(ticks, 1000.0)
-        )
+        scheduler = CampaignScheduler(study, clock=lambda: next(ticks, 1000.0))
         pids = []
 
         def hung_measure(plan, pairs, schedule_spans, batch_keys=None):

@@ -7,9 +7,11 @@ This test scans ``src/repro`` with :mod:`ast` and fails, naming each
 one, when a non-dunder definition is named nowhere outside its own
 lines.
 
-What counts as a mention: any identifier token equal to the name in
-``src/`` (outside the definition itself, outside the import lines of
-an ``__init__.py`` and outside ``__all__``), or anywhere in ``docs/``,
+What counts as a mention: in ``src/``, a use of the name in code (a
+name, an attribute, an import alias or a keyword argument, outside the
+definition itself and outside the imports of an ``__init__.py``), so
+a docstring or a comment that names a definition does not keep it;
+and any identifier token equal to the name anywhere in ``docs/``,
 ``README.md``, ``DESIGN.md``, ``examples/``, ``tools/``,
 ``benchmarks/`` or ``perfbench/``.  A mention inside another unreached
 definition does not count, so a chain of definitions that only call
@@ -49,6 +51,10 @@ ALLOWED = {
         "probe: the resilience tests read the policy a study was built with",
     "repro/core/uncertainty.py":
         "the delta-method error bars that the finding margins are to carry",
+    "repro/execution/trace.py::PowerTrace.power_at":
+        "scalar reference: test_trace.py checks the vectorised transfer against it",
+    "repro/measurement/sensor.py::HallEffectSensor.output_volts":
+        "scalar reference: test_sensor.py checks the vectorised transfer against it",
 }
 
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -116,19 +122,22 @@ def _definitions(path: str, tree: ast.Module):
                     yield Definition(path, target.id, node)
 
 
-def _skipped_lines(path: Path, tree: ast.Module) -> set[int]:
-    """Lines that re-export rather than use: ``__all__`` anywhere, and
-    the import statements of an ``__init__.py``."""
-    skipped = set()
-    for node in _module_statements(tree.body):
-        exports = isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and any(
-            isinstance(t, ast.Name) and t.id == "__all__"
-            for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
-        )
-        imports = path.name == "__init__.py" and isinstance(node, (ast.Import, ast.ImportFrom))
-        if exports or imports:
-            skipped.update(range(node.lineno, node.end_lineno + 1))
-    return skipped
+def _code_names(file: Path, tree: ast.Module):
+    """``(name, line)`` for every name the code of ``file`` uses: names,
+    attributes, import aliases and keyword arguments.  The imports of an
+    ``__init__.py`` re-export rather than use, so they are left out."""
+    package_init = file.name == "__init__.py"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.end_lineno
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            yield node.arg, node.lineno
+        elif isinstance(node, ast.alias) and not package_init:
+            for name in (*node.name.split("."), node.asname):
+                if name is not None:
+                    yield name, node.lineno
 
 
 def _outside_names() -> set[str]:
@@ -151,11 +160,8 @@ def unreached() -> list[Definition]:
         text = file.read_text(encoding="utf-8")
         tree = ast.parse(text, filename=str(file))
         definitions.extend(_definitions(path, tree))
-        skipped = _skipped_lines(file, tree)
-        for line, content in enumerate(text.splitlines(), start=1):
-            if line not in skipped:
-                for name in IDENTIFIER.findall(content):
-                    mentions.setdefault(name, []).append((path, line))
+        for name, line in _code_names(file, tree):
+            mentions.setdefault(name, []).append((path, line))
     outside = _outside_names()
     candidates = [d for d in definitions if d.name not in outside]
 
